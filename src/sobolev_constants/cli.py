@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional
 
 import numpy as np
 
@@ -51,24 +49,11 @@ DEFAULT_GOLDEN_TOLERANCES = {
 }
 
 
-@dataclass
-class RunConfig:
-    geometry: GroupGeometry
-    grid: ParameterGrid
-    tau_override: Optional[float] = None
-    tolerances: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_GOLDEN_TOLERANCES))
-    output_dir: Path = Path("results")
-    fmt: str = "csv"
-    golden_dir: Path = Path("golden")
-    bless: bool = False
-    jobs: int = 1
-
-
-def _tolerance_for(key: str, tolerances: Dict[str, float]) -> float:
-    for prefix, tol in tolerances.items():
+def _tolerance_for(key: str) -> float:
+    for prefix, tol in DEFAULT_GOLDEN_TOLERANCES.items():
         if key.startswith(prefix):
             return tol
-    return 0.05
+    raise ValueError(f"no golden tolerance for fitted constant {key!r}")
 
 
 def _geometry_from_args(args) -> GroupGeometry:
@@ -76,7 +61,6 @@ def _geometry_from_args(args) -> GroupGeometry:
         d=args.geom_d,
         D=args.geom_growth,
         b=args.geom_b,
-        c_heat=args.geom_c_heat,
         c_delta=args.geom_c_delta,
         c_chi=args.geom_c_chi,
         c_delta_chi_inv=args.geom_c_delta_chi_inv,
@@ -89,19 +73,6 @@ def _grid_from_args(args) -> ParameterGrid:
     return default_grid()
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        geometry=_geometry_from_args(args),
-        grid=_grid_from_args(args),
-        tau_override=getattr(args, "tau", None),
-        output_dir=Path(args.out),
-        fmt=args.format,
-        golden_dir=Path(getattr(args, "golden_dir", "golden")),
-        bless=getattr(args, "bless", False),
-        jobs=getattr(args, "jobs", 1),
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sobolev-constants",
@@ -110,60 +81,55 @@ def build_parser() -> argparse.ArgumentParser:
             "integrability thresholds, and verify the inequalities they obey."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default="results", help="output directory for tables")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--config", default=None, help="grid config file (key = v1, v2, ...)")
-    common.add_argument("--geom-d", type=int, default=1, help="local dimension")
-    common.add_argument("--geom-growth", type=float, default=1.0, help="exponential growth rate D")
-    common.add_argument("--geom-b", type=float, default=1.0, help="Gaussian decay rate b")
-    common.add_argument("--geom-c-heat", type=float, default=1.0, help="heat prefactor c")
-    common.add_argument("--geom-c-delta", type=float, default=0.0)
-    common.add_argument("--geom-c-chi", type=float, default=0.0)
-    common.add_argument("--geom-c-delta-chi-inv", type=float, default=0.0)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default="results", help="output directory for tables")
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--config", default=None, help="grid config file (key = v1, v2, ...)")
+    geometry = argparse.ArgumentParser(add_help=False)
+    geometry.add_argument("--geom-d", type=int, default=1, help="local dimension")
+    geometry.add_argument("--geom-growth", type=float, default=1.0, help="exponential growth rate D")
+    geometry.add_argument("--geom-b", type=float, default=1.0, help="Gaussian decay rate b")
+    geometry.add_argument("--geom-c-delta", type=float, default=0.0)
+    geometry.add_argument("--geom-c-chi", type=float, default=0.0)
+    geometry.add_argument("--geom-c-delta-chi-inv", type=float, default=0.0)
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_const = sub.add_parser("constants", parents=[common], help="closed-form constant tables")
+    p_const = sub.add_parser("constants", parents=[output, grid], help="closed-form constant tables")
     p_const.add_argument("--p", type=float, default=None)
     p_const.add_argument("--q", type=float, default=None)
     p_const.add_argument("--alpha", type=float, default=None)
     p_const.add_argument("--d", type=int, default=None)
 
-    sub.add_parser("interp", parents=[common], help="interpolation assembly checks")
+    sub.add_parser("interp", parents=[output, grid], help="interpolation assembly checks")
 
-    p_kernel = sub.add_parser("kernel", parents=[common], help="kernel envelope checks")
+    p_kernel = sub.add_parser("kernel", parents=[output, geometry], help="kernel envelope checks")
     p_kernel.add_argument("--alpha", type=float, default=1.0, help="envelope profile order")
     p_kernel.add_argument("--d", type=int, default=3, help="envelope profile dimension")
-    p_kernel.add_argument("--jobs", type=int, default=1)
 
-    p_embed = sub.add_parser("embed", parents=[common], help="spectral embedding sweeps")
+    p_embed = sub.add_parser("embed", parents=[output, geometry], help="spectral embedding sweeps")
     p_embed.add_argument("--tau", type=float, default=None, help="override the spectral shift")
     p_embed.add_argument(
         "--dump-profiles", action="store_true", help="write (x, |f|) profiles for plotting"
     )
 
-    sub.add_parser("mt", parents=[common], help="exponential-series checks")
+    sub.add_parser("mt", parents=[output], help="exponential-series checks")
 
-    p_all = sub.add_parser("verify-all", parents=[common], help="run every check")
+    p_all = sub.add_parser("verify-all", parents=[output, grid, geometry], help="run every check")
     p_all.add_argument("--tau", type=float, default=None)
-    p_all.add_argument("--jobs", type=int, default=1)
     p_all.add_argument("--golden-dir", default="golden")
     p_all.add_argument("--bless", action="store_true", help="refresh golden snapshots")
     return parser
 
 
-def _emit(result: CheckResult, cfg: RunConfig) -> None:
+def _finish(result: CheckResult, args) -> int:
     for table in result.tables:
-        write_table(table, cfg.output_dir, cfg.fmt)
+        write_table(table, args.out, args.format)
     for line in result.lines:
         print(line)
     for failure in result.failures:
         print(f"failing check: {failure}", file=sys.stderr)
-
-
-def _finish(result: CheckResult, cfg: RunConfig) -> int:
-    _emit(result, cfg)
     return 0 if not result.failures else 1
 
 
@@ -189,10 +155,8 @@ def _point_constants(args) -> int:
         alpha = args.d * (1.0 / args.p - 1.0 / args.q)
         alpha = max(alpha, 0.0)
     pair = ExponentPair(args.p, alpha, args.d)
-    table = constants_table([pair])
-    out = Path(args.out)
-    write_table(table, out, args.format)
     report = constant_report(pair)
+    write_table(constants_table([report]), args.out, args.format)
     print(f"p={pair.p:g} q={pair.q:g} alpha={pair.alpha:g} d={pair.d}")
     print(f"S        = {report.S:.12g}")
     print(f"Q        = {report.Q:.12g}")
@@ -207,27 +171,26 @@ def _point_constants(args) -> int:
 def _run_constants(args) -> int:
     if args.p is not None or args.q is not None or args.alpha is not None:
         return _point_constants(args)
-    cfg = _config_from_args(args)
-    return _finish(check_constants(cfg.grid, refine_grid(cfg.grid)), cfg)
+    grid = _grid_from_args(args)
+    return _finish(check_constants(grid, refine_grid(grid)), args)
 
 
 def _run_interp(args) -> int:
-    cfg = _config_from_args(args)
-    return _finish(check_interpolation(cfg.grid, refine_grid(cfg.grid)), cfg)
+    grid = _grid_from_args(args)
+    return _finish(check_interpolation(grid, refine_grid(grid)), args)
 
 
 def _run_kernel(args) -> int:
-    cfg = _config_from_args(args)
-    result = check_kernel(cfg.geometry, jobs=cfg.jobs)
-    profile = envelope_table(GreenKernelParams(args.alpha, args.d, 1.0, 1.0), cfg.geometry)
+    geometry = _geometry_from_args(args)
+    result = check_kernel(geometry)
+    profile = envelope_table(GreenKernelParams(args.alpha, args.d, 1.0, 1.0), geometry)
     profile.name = "envelope_profile"
     result.tables.append(profile)
-    return _finish(result, cfg)
+    return _finish(result, args)
 
 
 def _run_embed(args) -> int:
-    cfg = _config_from_args(args)
-    result = check_spectral(cfg.geometry, cfg.tau_override)
+    result = check_spectral(_geometry_from_args(args), args.tau)
     if args.dump_profiles:
         grid = TorusGrid(1, 128, 16.0)
         table = ResultTable("field_profiles", ("width", "x", "abs_f"))
@@ -237,24 +200,22 @@ def _run_embed(args) -> int:
             for x, v in zip(xs, np.abs(np.asarray(f.values))):
                 table.append((width, float(x), float(v)))
         result.tables.append(table)
-    return _finish(result, cfg)
+    return _finish(result, args)
 
 
 def _run_mt(args) -> int:
-    cfg = _config_from_args(args)
-    return _finish(check_series(), cfg)
+    return _finish(check_series(), args)
 
 
 def _run_verify_all(args) -> int:
-    cfg = _config_from_args(args)
-    refined = refine_grid(cfg.grid)
-    result = run_all_checks(
-        cfg.grid, refined, cfg.geometry, tau_override=cfg.tau_override, jobs=cfg.jobs
-    )
-    fingerprint = grid_fingerprint(cfg.grid)
-    if cfg.bless:
+    geometry = _geometry_from_args(args)
+    grid = _grid_from_args(args)
+    result = run_all_checks(grid, refine_grid(grid), geometry, args.tau)
+    fingerprint = grid_fingerprint(grid)
+    golden_dir = Path(args.golden_dir)
+    if args.bless:
         fitted = [
-            FittedConstant(k, v, fingerprint, _tolerance_for(k, cfg.tolerances))
+            FittedConstant(k, v, fingerprint, _tolerance_for(k))
             for k, v in sorted(result.fitted.items())
         ]
         snapshot = GoldenSnapshot(
@@ -262,10 +223,10 @@ def _run_verify_all(args) -> int:
             fingerprint,
             {f.name: (f.value, f.tolerance) for f in fitted},
         )
-        path = snapshot.to_file(cfg.golden_dir)
+        path = snapshot.to_file(golden_dir)
         result.lines.append(f"[PASS] golden snapshot refreshed at {path}")
     else:
-        golden_path = cfg.golden_dir / "fitted_constants.json"
+        golden_path = golden_dir / "fitted_constants.json"
         if not golden_path.exists():
             result.record(
                 "golden snapshot comparison",
@@ -279,7 +240,7 @@ def _run_verify_all(args) -> int:
             if comparison.failures:
                 detail = "; ".join(comparison.failures[:4])
             result.record("golden snapshot comparison", comparison.ok, detail)
-    return _finish(result, cfg)
+    return _finish(result, args)
 
 
 _HANDLERS = {

@@ -188,6 +188,15 @@ class RadialVolumeModel:
         return self.c_local * math.exp(self.D * 2.0 ** (k + 1))
 
 
+def _check_kalpha_args(alpha: float, d: int, s: float, r_exp: float) -> None:
+    if not (0.0 < alpha < d):
+        raise ValueError(f"need 0 < alpha < d, got alpha={alpha}, d={d}")
+    if not (0.0 < s <= 1.0):
+        raise ValueError(f"need s in (0, 1], got {s}")
+    if not r_exp >= 1.0:
+        raise ValueError(f"need r_exp >= 1, got {r_exp}")
+
+
 def kalpha_norms(
     alpha: float, d: int, s: float, r_exp: float, model: RadialVolumeModel
 ) -> tuple[float, float]:
@@ -200,12 +209,7 @@ def kalpha_norms(
     L^{r}^{r} = c_local d (s^E - 1)/(-E) with E = (alpha - d) r + d (outer
     piece against c_local d r^{d-1}; zero for s = 1).
     """
-    if not (0.0 < alpha < d):
-        raise ValueError(f"need 0 < alpha < d, got alpha={alpha}, d={d}")
-    if not (0.0 < s <= 1.0):
-        raise ValueError(f"need s in (0, 1], got {s}")
-    if not r_exp >= 1.0:
-        raise ValueError(f"need r_exp >= 1, got {r_exp}")
+    _check_kalpha_args(alpha, d, s, r_exp)
     l1_inner = model.c_local * s**alpha / alpha
     if s == 1.0:
         return l1_inner, 0.0
@@ -224,12 +228,7 @@ def kalpha_norms_quadrature(
 ) -> tuple[float, float]:
     """Direct-quadrature twin of kalpha_norms: the same radial integrals with
     no closed form, for cross-checking."""
-    if not (0.0 < alpha < d):
-        raise ValueError(f"need 0 < alpha < d, got alpha={alpha}, d={d}")
-    if not (0.0 < s <= 1.0):
-        raise ValueError(f"need s in (0, 1], got {s}")
-    if not r_exp >= 1.0:
-        raise ValueError(f"need r_exp >= 1, got {r_exp}")
+    _check_kalpha_args(alpha, d, s, r_exp)
     inner, _ = quad(lambda r: model.c_local * r ** (alpha - 1.0), 0.0, s, epsabs=0.0, epsrel=1e-12, limit=200)
     if s == 1.0:
         return inner, 0.0

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-SCALING_REL_TOL = 1e-12
-
 
 def conjugate_exponent(p: float) -> float:
     """Holder conjugate p' = p/(p - 1); involutive on (1, inf)."""
@@ -72,23 +70,22 @@ def sobolev_pair(p: float, alpha: float, d: int) -> ExponentPair:
 
 @dataclass(frozen=True)
 class GroupGeometry:
-    """Geometry record (d, D, b, c_heat, and character-gradient norms).
+    """Geometry record (d, D, b, and character-gradient norms).
 
-    d is the local dimension, D the exponential volume-growth rate, (b,
-    c_heat) the Gaussian heat-bound parameters, and c_delta / c_chi /
-    c_delta_chi_inv the gradient norms at the identity of the modular
-    function, the reference character, and their quotient.  No group is
-    ever constructed: all geometry enters downstream computations through
-    this record and the radial volume model.
+    d is the local dimension, D the exponential volume-growth rate, b the
+    Gaussian heat-bound decay rate, and c_delta / c_chi / c_delta_chi_inv
+    the gradient norms at the identity of the modular function, the
+    reference character, and their quotient.  No group is ever constructed:
+    all geometry enters downstream computations through this record and the
+    radial volume model.
 
-    The defaults (b = 1, D = 1, c_heat = 1, gradients 0) describe a
-    unimodular group of unit growth rate.
+    The defaults (b = 1, D = 1, gradients 0) describe a unimodular group of
+    unit growth rate.
     """
 
     d: int = 1
     D: float = 1.0
     b: float = 1.0
-    c_heat: float = 1.0
     c_delta: float = 0.0
     c_chi: float = 0.0
     c_delta_chi_inv: float = 0.0
@@ -96,14 +93,14 @@ class GroupGeometry:
     def __post_init__(self) -> None:
         if not (isinstance(self.d, int) and self.d >= 1):
             raise ValueError(f"d must be a positive integer, got {self.d!r}")
-        for name in ("D", "b", "c_heat", "c_delta", "c_chi", "c_delta_chi_inv"):
+        for name in ("D", "b", "c_delta", "c_chi", "c_delta_chi_inv"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
         if self.D < 0.0:
             raise ValueError(f"D must be >= 0, got {self.D}")
-        if self.b <= 0.0 or self.c_heat <= 0.0:
-            raise ValueError("b and c_heat must be positive")
+        if self.b <= 0.0:
+            raise ValueError("b must be positive")
         if min(self.c_delta, self.c_chi, self.c_delta_chi_inv) < 0.0:
             raise ValueError("character gradient norms must be >= 0")
 
@@ -143,13 +140,17 @@ def s_chi(c_chi_delta_inv: float) -> float:
 @dataclass(frozen=True)
 class ParameterGrid:
     """Sweep axes: p values in (1, inf), alpha fractions alpha*p/d in (0, 1),
-    integer dimensions.  Axes are sorted and deduplicated at construction."""
+    integer dimensions.  Axes are sorted and deduplicated at construction;
+    a d value with a fractional part is rejected, not truncated."""
 
     p_values: tuple
     alpha_fractions: tuple
     d_values: tuple
 
     def __post_init__(self) -> None:
+        for d in self.d_values:
+            if not float(d).is_integer():
+                raise ValueError(f"d values must be integers, got {d}")
         ps = tuple(sorted(set(float(p) for p in self.p_values)))
         fr = tuple(sorted(set(float(f) for f in self.alpha_fractions)))
         ds = tuple(sorted(set(int(d) for d in self.d_values)))
@@ -229,6 +230,7 @@ def read_grid_config(path) -> ParameterGrid:
 
     Recognized keys: p_values, alpha_fractions, d_values; values are
     comma-separated decimals.  '#' starts a comment; blank lines ignored.
+    A repeated key is an error.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -238,7 +240,10 @@ def read_grid_config(path) -> ParameterGrid:
         if "=" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected 'key = values', got {line!r}")
         key, _, value = stripped.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in raw:
+            raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+        raw[key] = value.strip()
     missing = {"p_values", "alpha_fractions", "d_values"} - set(raw)
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
@@ -249,5 +254,6 @@ def read_grid_config(path) -> ParameterGrid:
         except ValueError as exc:
             raise ValueError(f"{path}: bad decimal in {key}: {raw[key]!r}") from exc
 
-    d_values = [int(v) for v in floats("d_values")]
-    return ParameterGrid(tuple(floats("p_values")), tuple(floats("alpha_fractions")), tuple(d_values))
+    return ParameterGrid(
+        tuple(floats("p_values")), tuple(floats("alpha_fractions")), tuple(floats("d_values"))
+    )

@@ -14,10 +14,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 SCHEMA_VERSION = "1"
 
 
 def format_value(v) -> str:
+    if isinstance(v, np.generic):
+        v = v.item()
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -49,13 +53,6 @@ class ResultTable:
                 f"row has {len(row)} cells, table {self.name!r} has {len(self.columns)} columns"
             )
         self.rows.append(tuple(row))
-
-    def failures(self) -> List[tuple]:
-        """Rows whose trailing 'pass' cell is false (empty when the table has
-        no pass column)."""
-        if not self.columns or self.columns[-1] != "pass":
-            return []
-        return [r for r in self.rows if r[-1] is not True]
 
 
 def write_table(table: ResultTable, directory, fmt: str = "csv") -> Path:
@@ -98,11 +95,9 @@ def write_table(table: ResultTable, directory, fmt: str = "csv") -> Path:
 def _json_cell(v) -> str:
     if v is None:
         return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, float)):
-        return format_value(v)
-    return json.dumps(v)
+    if isinstance(v, str):
+        return json.dumps(v)
+    return format_value(v)
 
 
 def read_csv_cells(path) -> Tuple[Tuple[str, ...], List[Tuple[str, ...]]]:

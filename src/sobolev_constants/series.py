@@ -59,8 +59,8 @@ def mt_series_partial(spec: MTSeriesSpec, gamma: float, K: int) -> float:
         return 0.0
     log_gamma_factor = math.log(gamma)
     logs = [k * log_gamma_factor + _log_coefficient(spec, k) for k in range(spec.start_index, K + 1)]
-    peak = max(logs)
-    assert peak < 700.0, "series term overflows double range"
+    if max(logs) >= 700.0:
+        raise ValueError(f"series term overflows double range at gamma={gamma}")
     return math.fsum(math.exp(v) for v in logs)
 
 

@@ -10,18 +10,17 @@ run in a fixed order, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from multiprocessing import Pool
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .constants import (
+    ConstantReport,
     b1_multiplier_bound,
     constant_report,
     f_constant,
     lieb_upper_bound,
-    q_constant,
     s_constant,
 )
 from .interpolation import (
@@ -115,13 +114,13 @@ def _random_pairs(count: int, seed: int) -> List[ExponentPair]:
 # ---------------------------------------------------------------------------
 
 
-def constants_table(pairs: List[ExponentPair]) -> ResultTable:
+def constants_table(reports: List[ConstantReport]) -> ResultTable:
     table = ResultTable(
         "constants",
         ("d", "p", "q", "alpha", "S", "Q", "Q_dual", "F", "E_H_tilde", "ratio_EH_over_S"),
     )
-    for pair in pairs:
-        r = constant_report(pair)
+    for r in reports:
+        pair = r.pair
         table.append(
             (pair.d, pair.p, pair.q, pair.alpha, r.S, r.Q, r.Q_dual, r.F, r.E_H_tilde, r.ratio_EH_over_S)
         )
@@ -146,7 +145,7 @@ def check_duality(result: CheckResult, count: int = 10_000, seed: int = 20240811
     )
 
 
-def comparison_claims_table(pairs: List[ExponentPair]) -> Tuple[ResultTable, int]:
+def comparison_claims_table(reports: List[ConstantReport]) -> Tuple[ResultTable, int]:
     """Pointwise comparison claims: on q >= p', F sits between Q/4 and 4Q and
     Q(p,q) <= Q(q',p'); everywhere F >= S/4."""
     table = ResultTable(
@@ -154,12 +153,10 @@ def comparison_claims_table(pairs: List[ExponentPair]) -> Tuple[ResultTable, int
         ("d", "p", "q", "alpha", "regime_q_ge_pconj", "Q", "Q_dual", "F", "S", "pass"),
     )
     violations = 0
-    for pair in pairs:
+    for r in reports:
+        pair = r.pair
         p, q = pair.p, pair.q
-        qv = q_constant(p, q)
-        qd = q_constant(conjugate_exponent(q), conjugate_exponent(p))
-        fv = f_constant(p, q)
-        sv = min(qv, qd)
+        qv, qd, fv, sv = r.Q, r.Q_dual, r.F, r.S
         regime = q >= conjugate_exponent(p)
         ok = fv >= 0.25 * sv * (1.0 - REL_SLACK)
         if regime:
@@ -171,32 +168,33 @@ def comparison_claims_table(pairs: List[ExponentPair]) -> Tuple[ResultTable, int
     return table, violations
 
 
-def _band(pairs: List[ExponentPair], d: int) -> float:
-    ratios = [lieb_upper_bound(p) / s_constant(p) for p in pairs if p.d == d]
-    return max(ratios) / min(ratios)
+def _band(ratios: List[Tuple[int, float]], d: int) -> float:
+    values = [r for dd, r in ratios if dd == d]
+    return max(values) / min(values)
 
 
 def check_constants(grid: ParameterGrid, refined: ParameterGrid) -> CheckResult:
     result = CheckResult()
-    pairs = make_grid(grid)
-    refined_pairs = make_grid(refined)
-    result.tables.append(constants_table(pairs))
+    reports = [constant_report(pair) for pair in make_grid(grid)]
+    ratios = [(r.pair.d, r.ratio_EH_over_S) for r in reports]
+    refined_ratios = [(p.d, lieb_upper_bound(p) / s_constant(p)) for p in make_grid(refined)]
+    result.tables.append(constants_table(reports))
 
     check_duality(result)
 
-    table, violations = comparison_claims_table(pairs)
+    table, violations = comparison_claims_table(reports)
     result.tables.append(table)
     result.record(
         "comparison claims (F vs Q vs S) pointwise on the grid",
         violations == 0,
-        f"{violations} violations over {len(pairs)} pairs",
+        f"{violations} violations over {len(reports)} pairs",
     )
 
     band_table = ResultTable("b3_bands", ("d", "band", "band_refined", "rel_change", "pass"))
     all_stable = True
     for d in grid.d_values:
-        band = _band(pairs, d)
-        band_refined = _band(refined_pairs, d)
+        band = _band(ratios, d)
+        band_refined = _band(refined_ratios, d)
         change = abs(band_refined - band) / band
         ok = math.isfinite(band) and change <= 0.05
         all_stable = all_stable and ok
@@ -334,15 +332,6 @@ def check_interpolation(grid: ParameterGrid, refined: ParameterGrid) -> CheckRes
 _LOCAL_FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
-def _kernel_local_case(args: Tuple[int, float]) -> Tuple[float, float]:
-    d, frac = args
-    kp = GreenKernelParams(frac * d, d, 1.0, 1.0)
-    return (
-        local_bound_constant(kp, rel_tol=1e-8),
-        local_bound_constant(kp, rel_tol=1e-9),
-    )
-
-
 def envelope_table(kp: GreenKernelParams, g: GroupGeometry, n_points: int = 80) -> ResultTable:
     """Plot-ready (r, green, normalized_local, normalized_global) profile."""
     table = ResultTable("envelope", ("r", "green", "normalized_local", "normalized_global"))
@@ -357,41 +346,30 @@ def envelope_table(kp: GreenKernelParams, g: GroupGeometry, n_points: int = 80) 
     return table
 
 
-def check_kernel(geometry: GroupGeometry, jobs: int = 1) -> CheckResult:
+def check_kernel(geometry: GroupGeometry) -> CheckResult:
     result = CheckResult()
-
-    cases = [(d, frac) for d in (1, 2, 3) for frac in _LOCAL_FRACTIONS]
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            outcomes = pool.map(_kernel_local_case, cases)
-    else:
-        outcomes = [_kernel_local_case(c) for c in cases]
 
     local_table = ResultTable(
         "kernel_local", ("d", "alpha", "sup", "sup_tight", "rel_change", "pass")
     )
     ok_local = True
-    for (d, frac), (v, v_tight) in zip(cases, outcomes):
-        change = abs(v_tight - v) / v
-        ok = math.isfinite(v) and change <= 0.02
-        ok_local = ok_local and ok
-        local_table.append((d, frac * d, v, v_tight, change, ok))
-        result.fitted[f"kernel_local_sup_d{d}_f{int(round(frac * 10))}"] = v
+    for d in (1, 2, 3):
+        for frac in _LOCAL_FRACTIONS:
+            kp = GreenKernelParams(frac * d, d, 1.0, 1.0)
+            v = local_bound_constant(kp, rel_tol=1e-8)
+            v_tight = local_bound_constant(kp, rel_tol=1e-9)
+            change = abs(v_tight - v) / v
+            ok = math.isfinite(v) and change <= 0.02
+            ok_local = ok_local and ok
+            local_table.append((d, frac * d, v, v_tight, change, ok))
+            result.fitted[f"kernel_local_sup_d{d}_f{int(round(frac * 10))}"] = v
     result.tables.append(local_table)
     result.record("local kernel envelope finite and quadrature-stable (2%)", ok_local)
 
     global_table = ResultTable("kernel_global", ("d", "alpha", "a", "sup", "pass"))
     ok_global = True
     for d in (1, 2, 3):
-        geom = GroupGeometry(
-            d=d,
-            D=geometry.D,
-            b=geometry.b,
-            c_heat=geometry.c_heat,
-            c_delta=geometry.c_delta,
-            c_chi=geometry.c_chi,
-            c_delta_chi_inv=geometry.c_delta_chi_inv,
-        )
+        geom = replace(geometry, d=d)
         kp = green_kernel_params_from_geometry(0.5 * d, geom)
         v = global_bound_constant(kp, geom)
         ok = math.isfinite(v)
@@ -418,9 +396,8 @@ def check_kernel(geometry: GroupGeometry, jobs: int = 1) -> CheckResult:
         ("d", "alpha", "s", "r_exp", "l1_closed", "l1_quad", "outer_closed", "outer_quad", "pass"),
     )
     ok_agree = True
-    model_cache: Dict[int, RadialVolumeModel] = {}
     for d in (1, 2, 3):
-        model = model_cache.setdefault(d, RadialVolumeModel(d=d, D=geometry.D, c_local=1.0))
+        model = RadialVolumeModel(d=d, D=geometry.D, c_local=1.0)
         for frac in (0.25, 0.5, 0.75):
             for s in (0.25, 0.5, 1.0):
                 for r_exp in (1.0, 1.7, 3.0):
@@ -722,12 +699,11 @@ def run_all_checks(
     refined: ParameterGrid,
     geometry: GroupGeometry,
     tau_override: Optional[float] = None,
-    jobs: int = 1,
 ) -> CheckResult:
     result = CheckResult()
     result.merge(check_constants(grid, refined))
     result.merge(check_interpolation(grid, refined))
-    result.merge(check_kernel(geometry, jobs=jobs))
+    result.merge(check_kernel(geometry))
     result.merge(check_series())
     result.merge(check_spectral(geometry, tau_override))
     summary = ResultTable("summary", ("check", "pass"))

@@ -2,9 +2,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sobolev_constants.cli import main
+from sobolev_constants.cli import _tolerance_for, main
 from sobolev_constants.params import default_grid, grid_fingerprint
 from sobolev_constants.report import (
     GoldenSnapshot,
@@ -30,6 +31,9 @@ class TestFormatting:
         assert format_value(None) == ""
         assert format_value(7) == "7"
         assert format_value("abc") == "abc"
+        assert format_value(np.int64(3)) == "3"
+        assert format_value(np.bool_(True)) == "true"
+        assert format_value(np.bool_(False)) == "false"
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -78,6 +82,11 @@ class TestWriteTable:
         assert data["columns"] == list(t.columns)
         assert data["rows"][0][1] == pytest.approx(1.0 / 7.0, rel=1e-11)
         assert "0.142857142857" in path.read_text()
+        numpy_cells = ResultTable("numpy_cells", t.columns)
+        numpy_cells.append(("gamma", np.int64(3), np.bool_(True)))
+        text = write_table(numpy_cells, tmp_path, "json").read_text()
+        assert '    ["gamma", 3, true]\n' in text
+        assert json.loads(text)["rows"] == [["gamma", 3, True]]
 
     def test_row_width_checked(self):
         t = ResultTable("demo", ("a", "b"))
@@ -161,6 +170,36 @@ class TestCli:
         cfg = tmp_path / "grid.cfg"
         cfg.write_text("p_values = 2\n")
         assert main(["interp", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    def test_fractional_d_in_config_exits_two(self, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("p_values = 2\nalpha_fractions = 0.5\nd_values = 2.7\n")
+        assert main(["interp", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    def test_repeated_config_key_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("p_values = 2\nalpha_fractions = 0.5\nd_values = 2\np_values = 3\n")
+        assert main(["interp", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "repeated key 'p_values'" in capsys.readouterr().err
+
+    def test_removed_flags_exit_two(self, tmp_path):
+        assert main(["kernel", "--jobs", "2", "--out", str(tmp_path)]) == 2
+        assert main(["verify-all", "--jobs", "2", "--out", str(tmp_path)]) == 2
+        assert main(["mt", "--geom-c-heat", "2", "--out", str(tmp_path)]) == 2
+        assert main(["mt", "--config", "x", "--out", str(tmp_path)]) == 2
+        assert main(["constants", "--geom-b", "2", "--out", str(tmp_path)]) == 2
+        assert main(["interp", "--geom-d", "2", "--out", str(tmp_path)]) == 2
+        assert main(["kernel", "--config", "x", "--out", str(tmp_path)]) == 2
+        assert main(["embed", "--config", "x", "--out", str(tmp_path)]) == 2
+
+    def test_golden_tolerances_resolve_to_the_blessed_ones(self):
+        data = json.loads((REPO_GOLDEN / "fitted_constants.json").read_text())
+        for key, entry in data["values"].items():
+            assert _tolerance_for(key) == entry["tolerance"], key
+
+    def test_unknown_fitted_key_has_no_tolerance(self):
+        with pytest.raises(ValueError, match="no_such_constant"):
+            _tolerance_for("no_such_constant")
 
     def test_mt_subcommand(self, tmp_path):
         assert main(["mt", "--out", str(tmp_path)]) == 0

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from sobolev_constants import interpolation
 from sobolev_constants.interpolation import (
     MarcinkiewiczData,
     assemble,
@@ -111,6 +112,12 @@ class TestComponentNorms:
 
     def test_m0_reference(self):
         assert m0(PAIR) == pytest.approx(M0_REF, rel=1e-12)
+
+    def test_m0_endpoint_guard_is_value_error(self, monkeypatch):
+        # unreachable through endpoints(); forced here so the guard is exercised
+        monkeypatch.setattr(interpolation, "endpoints", lambda pair: (1.0, 5.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match="strictly between"):
+            m0(PAIR)
 
     def test_m0_second_term_closed_form(self):
         # (q/p^{q1})/(q - q1) equals p^{-p'q/(q+p')}(1 + p'/q) identically

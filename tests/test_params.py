@@ -153,6 +153,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             ParameterGrid((2.0,), (1.0,), (3,))
 
+    def test_fractional_d_rejected_not_truncated(self):
+        for bad in (2.7, 0.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="integers"):
+                ParameterGrid((2.0,), (0.5,), (bad,))
+        assert ParameterGrid((2.0,), (0.5,), (2.0,)).d_values == (2,)
+
     def test_product_order(self):
         grid = ParameterGrid((1.5, 2.0), (0.5,), (2, 3))
         pairs = make_grid(grid)

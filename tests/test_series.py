@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +60,24 @@ class TestPartialSums:
     def test_K_cap(self):
         with pytest.raises(ValueError):
             mt_series_partial(MTSeriesSpec(2.0, 1.0), 0.1, 2001)
+
+    def test_overflow_is_value_error(self):
+        with pytest.raises(ValueError, match="gamma=10"):
+            mt_series_partial(MTSeriesSpec(2.0, 1.0), 10.0, 2000)
+
+    def test_overflow_is_value_error_under_optimize(self):
+        # python -O strips assert statements; the guard must survive it
+        code = (
+            "from sobolev_constants.series import MTSeriesSpec, mt_series_partial\n"
+            "mt_series_partial(MTSeriesSpec(2.0, 1.0), 10.0, 2000)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert "ValueError: series term overflows" in out.stderr, out.stderr
 
 
 class TestRadius:
