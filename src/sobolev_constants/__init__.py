@@ -4,7 +4,6 @@ chains connecting them."""
 
 from .constants import (
     ConstantReport,
-    FittedConstant,
     a2_bound_factor,
     b1_multiplier_bound,
     constant_report,

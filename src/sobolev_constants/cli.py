@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import FittedConstant, constant_report
+from .constants import constant_report
 from .kernel import GreenKernelParams
 from .spectral import TorusGrid, gaussian_field
 from .params import (
@@ -36,25 +36,6 @@ from .verify import (
     envelope_table,
     run_all_checks,
 )
-
-DEFAULT_GOLDEN_TOLERANCES = {
-    "B3_band": 0.05,
-    "ipq_C": 0.05,
-    "kernel_local_sup": 0.02,
-    "kernel_global_sup": 0.02,
-    "embed_A": 0.10,
-    "embed_ratio": 0.05,
-    "c4_empirical": 0.10,
-    "gagliardo_max": 0.10,
-}
-
-
-def _tolerance_for(key: str) -> float:
-    for prefix, tol in DEFAULT_GOLDEN_TOLERANCES.items():
-        if key.startswith(prefix):
-            return tol
-    raise ValueError(f"no golden tolerance for fitted constant {key!r}")
-
 
 def _geometry_from_args(args) -> GroupGeometry:
     return GroupGeometry(
@@ -182,8 +163,10 @@ def _run_interp(args) -> int:
 
 def _run_kernel(args) -> int:
     geometry = _geometry_from_args(args)
+    # validate the profile's order before the slow checks run
+    profile_params = GreenKernelParams(args.alpha, args.d, 1.0, 1.0)
     result = check_kernel(geometry)
-    profile = envelope_table(GreenKernelParams(args.alpha, args.d, 1.0, 1.0), geometry)
+    profile = envelope_table(profile_params, geometry)
     profile.name = "envelope_profile"
     result.tables.append(profile)
     return _finish(result, args)
@@ -214,17 +197,9 @@ def _run_verify_all(args) -> int:
     fingerprint = grid_fingerprint(grid)
     golden_dir = Path(args.golden_dir)
     if args.bless:
-        fitted = [
-            FittedConstant(k, v, fingerprint, _tolerance_for(k))
-            for k, v in sorted(result.fitted.items())
-        ]
-        snapshot = GoldenSnapshot(
-            "fitted_constants",
-            fingerprint,
-            {f.name: (f.value, f.tolerance) for f in fitted},
-        )
-        path = snapshot.to_file(golden_dir)
-        result.lines.append(f"[PASS] golden snapshot refreshed at {path}")
+        # to_file refuses a non-finite value with ValueError (exit 2)
+        path = GoldenSnapshot("fitted_constants", fingerprint, dict(result.fitted)).to_file(golden_dir)
+        result.record(f"golden snapshot refreshed at {path}", True)
     else:
         golden_path = golden_dir / "fitted_constants.json"
         if not golden_path.exists():
@@ -235,7 +210,8 @@ def _run_verify_all(args) -> int:
             )
         else:
             snapshot = GoldenSnapshot.from_file(golden_path)
-            comparison = compare_golden(result.fitted, snapshot, fingerprint)
+            values = {key: value for key, (value, _) in result.fitted.items()}
+            comparison = compare_golden(values, snapshot, fingerprint)
             detail = f"{comparison.checked} keys"
             if comparison.failures:
                 detail = "; ".join(comparison.failures[:4])

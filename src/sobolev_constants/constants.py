@@ -114,22 +114,6 @@ def constant_report(pair: ExponentPair) -> ConstantReport:
     return ConstantReport(pair, s, qv, qd, f, eh, ratio)
 
 
-@dataclass(frozen=True)
-class FittedConstant:
-    """An empirically fitted, grid-dependent constant.  There is no closed
-    form to assert against; reproducibility on a fixed grid is the contract,
-    tracked through golden snapshots."""
-
-    name: str
-    value: float
-    grid_hash: str
-    tolerance: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"fitted constant {self.name} is not finite: {self.value}")
-
-
 def gamma_one(p: float, cp: float, a1: float) -> float:
     """Exponential-integrability threshold [e (cp a1 (p' - 1))^{p'} p']^{-1}
     for the global functional; decreasing in cp and a1."""

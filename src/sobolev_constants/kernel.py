@@ -19,6 +19,20 @@ from scipy.integrate import quad
 from .params import GroupGeometry, conjugate_exponent, tau_delta
 
 
+def _check_order(alpha: float, d: int) -> None:
+    if not (0.0 < alpha < d):
+        raise ValueError(f"need 0 < alpha < d, got alpha={alpha}, d={d}")
+
+
+def _check_scaling(p: float, q: float, alpha: float, d: int) -> None:
+    """q > 0 and 1/q = 1/p - alpha/d to 1e-9 (p = 1: the endpoint relation); a nan fails."""
+    if not (q > 0.0 and abs(1.0 / q - (1.0 / p - alpha / d)) <= 1e-9):
+        raise ValueError(
+            f"(p, q) must satisfy 1/q = 1/p - alpha/d, got p={p}, q={q}, "
+            f"alpha={alpha}, d={d}"
+        )
+
+
 @dataclass(frozen=True)
 class GreenKernelParams:
     """Parameters (alpha, d, a, b) of the subordination integrand
@@ -35,8 +49,7 @@ class GreenKernelParams:
     def __post_init__(self) -> None:
         if not (isinstance(self.d, int) and self.d >= 1):
             raise ValueError(f"d must be a positive integer, got {self.d!r}")
-        if not (0.0 < self.alpha < self.d):
-            raise ValueError(f"need 0 < alpha < d, got alpha={self.alpha}, d={self.d}")
+        _check_order(self.alpha, self.d)
         if not self.a >= 1.0:
             raise ValueError(f"need a >= 1, got {self.a}")
         if not self.b > 0.0:
@@ -148,7 +161,7 @@ def global_bound_constant(
     """
     if not math.isclose(kp.b, g.b, rel_tol=1e-12):
         raise ValueError(f"kernel b={kp.b} must match the geometry b={g.b}")
-    threshold = 2.0 / g.b * (2.0 * g.D + g.b0) ** 2
+    threshold = g.shift_threshold
     if kp.a < threshold * (1.0 - 1e-12):
         raise ValueError(
             f"a={kp.a} is below (2/b)(2D + b0)^2 = {threshold:g}; "
@@ -189,8 +202,7 @@ class RadialVolumeModel:
 
 
 def _check_kalpha_args(alpha: float, d: int, s: float, r_exp: float) -> None:
-    if not (0.0 < alpha < d):
-        raise ValueError(f"need 0 < alpha < d, got alpha={alpha}, d={d}")
+    _check_order(alpha, d)
     if not (0.0 < s <= 1.0):
         raise ValueError(f"need s in (0, 1], got {s}")
     if not r_exp >= 1.0:
@@ -258,18 +270,12 @@ class CutoffSchedule:
     def __post_init__(self) -> None:
         if self.mode not in ("integrable", "endpoint"):
             raise ValueError(f"mode must be 'integrable' or 'endpoint', got {self.mode!r}")
-        if not (0.0 < self.alpha < self.d):
-            raise ValueError(f"need 0 < alpha < d, got alpha={self.alpha}, d={self.d}")
-        if self.mode == "integrable":
-            if not self.p_t > 1.0:
-                raise ValueError("integrable mode needs p > 1")
-            if abs(1.0 / self.q_t - (1.0 / self.p_t - self.alpha / self.d)) > 1e-9:
-                raise ValueError("(p, q) must satisfy 1/q = 1/p - alpha/d")
-        else:
-            if self.p_t != 1.0:
-                raise ValueError("endpoint mode needs p = 1")
-            if abs(1.0 / self.q_t - (1.0 - self.alpha / self.d)) > 1e-9:
-                raise ValueError("endpoint mode needs 1/q = 1 - alpha/d")
+        _check_order(self.alpha, self.d)
+        if self.mode == "integrable" and not self.p_t > 1.0:
+            raise ValueError("integrable mode needs p > 1")
+        if self.mode == "endpoint" and self.p_t != 1.0:
+            raise ValueError("endpoint mode needs p = 1")
+        _check_scaling(self.p_t, self.q_t, self.alpha, self.d)
 
 
 def cutoff_s(t: float, sched: CutoffSchedule) -> float:
@@ -295,15 +301,10 @@ def weak_type_constant(p_t: float, q_t: float, alpha: float, d: int) -> float:
         alpha^{p alpha/d - 1} (q/(d p'))^{(p - 1) alpha/d}   for p > 1,
         alpha^{-1/q}                                          at p = 1.
     """
-    if not (0.0 < alpha < d):
-        raise ValueError(f"need 0 < alpha < d, got alpha={alpha}, d={d}")
+    _check_order(alpha, d)
     if not (p_t >= 1.0 and q_t > p_t):
         raise ValueError(f"need 1 <= p < q, got p={p_t}, q={q_t}")
-    if abs(1.0 / q_t - (1.0 / p_t - alpha / d)) > 1e-9:
-        raise ValueError(
-            f"(p, q) must satisfy 1/q = 1/p - alpha/d, got p={p_t}, q={q_t}, "
-            f"alpha={alpha}, d={d}"
-        )
+    _check_scaling(p_t, q_t, alpha, d)
     if p_t == 1.0:
         return alpha ** (-1.0 / q_t)
     pp = conjugate_exponent(p_t)

@@ -109,6 +109,12 @@ class GroupGeometry:
         """Derived decay rate sqrt(b)/2 (never stored independently)."""
         return math.sqrt(self.b) / 2.0
 
+    @property
+    def shift_threshold(self) -> float:
+        """(2/b)(2D + b0)^2: the least kernel shift a with
+        (1/2) sqrt(2 a b) >= 2D + b0, the global-decay precondition."""
+        return 2.0 / self.b * (2.0 * self.D + self.b0) ** 2
+
 
 def tau_delta(g: GroupGeometry) -> float:
     """Spectral shift max{(2/b)(2D + b0)^2 - c_delta^2/4, 1}.
@@ -117,7 +123,7 @@ def tau_delta(g: GroupGeometry) -> float:
     (1/2) sqrt(2 a b) >= 2D + b0, the decay precondition of the global
     kernel envelope.
     """
-    return max(2.0 / g.b * (2.0 * g.D + g.b0) ** 2 - 0.25 * g.c_delta**2, 1.0)
+    return max(g.shift_threshold - 0.25 * g.c_delta**2, 1.0)
 
 
 def tau_chi(g: GroupGeometry) -> float:

@@ -179,7 +179,8 @@ def compare_golden(
         got = computed[key]
         checked += 1
         scale = max(abs(expected), 1e-300)
-        if abs(got - expected) > tol * scale:
+        # written as a negation so that a nan value fails
+        if not abs(got - expected) <= tol * scale:
             failures.append(
                 f"{key}: got {got:.12g}, snapshot {expected:.12g} "
                 f"(relative error {abs(got - expected) / scale:.3g} > tolerance {tol:g})"

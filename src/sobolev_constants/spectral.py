@@ -158,11 +158,15 @@ def bessel_apply(f: SpectralField, tau: float, alpha: float) -> SpectralField:
 
 
 def lp_norm(f: SpectralField, p: float) -> float:
-    """Riemann-sum norm (sum |f(x)|^p cellvolume)^{1/p}."""
+    """Riemann-sum norm (sum |f(x)|^p cellvolume)^{1/p}; an overflowed
+    (non-finite) norm raises, since ratios built on it would read 0."""
     if not p >= 1.0:
         raise ValueError(f"need p >= 1, got {p}")
     mags = np.abs(np.asarray(f.values))
-    return float((np.sum(mags**p) * f.grid.cell_volume) ** (1.0 / p))
+    norm = float((np.sum(mags**p) * f.grid.cell_volume) ** (1.0 / p))
+    if not math.isfinite(norm):
+        raise ValueError(f"L^{p:g} norm is not finite ({norm}); the field or its transform overflowed")
+    return norm
 
 
 def embedding_ratio(f: SpectralField, pair: ExponentPair, tau: float) -> float:

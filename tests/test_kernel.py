@@ -206,6 +206,13 @@ class TestCutoff:
         with pytest.raises(ValueError):
             CutoffSchedule("endpoint", 1.5, 4.0, 1.0, 4)
         with pytest.raises(ValueError):
+            CutoffSchedule("endpoint", 1.0, 4.0, 1.0, 4)  # 1/q = 1 - alpha/d violated
+        with pytest.raises(ValueError):
+            CutoffSchedule("integrable", 2.0, 4.0, 4.0, 4)  # alpha = d
+        for q in (0.0, -4.0, float("nan")):  # no ZeroDivisionError, no silent pass
+            with pytest.raises(ValueError):
+                CutoffSchedule("integrable", 2.0, q, 3.0, 4)
+        with pytest.raises(ValueError):
             cutoff_s(0.0, CutoffSchedule("endpoint", 1.0, 1.5, 1.0, 3))
 
 

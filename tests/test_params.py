@@ -97,6 +97,7 @@ class TestGeometry:
         assert tau_delta(GroupGeometry(d=3, D=0.0, b=4.0)) == 1.0
         assert tau_delta(GroupGeometry(d=3, D=1.0, b=4.0)) == pytest.approx(4.5, rel=1e-15)
         assert tau_delta(GroupGeometry(d=3, D=1.0, b=4.0, c_delta=4.0)) == 1.0
+        assert GroupGeometry(d=3, D=1.0, b=4.0).shift_threshold == pytest.approx(4.5, rel=1e-15)
 
     def test_tau_delta_enables_global_decay(self):
         rng = np.random.default_rng(5)

@@ -114,6 +114,14 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(gaussian_field(GRID1, 1.0), 0.5)
 
+    def test_overflow_raises_instead_of_inf(self):
+        # each |f|^2 is finite, their sum is not
+        f = SpectralField(GRID1, np.full(GRID1.shape, 1e154))
+        with pytest.raises(ValueError, match="not finite"):
+            lp_norm(f, 2.0)
+        with pytest.raises(ValueError, match="not finite"):
+            lp_norm(SpectralField(GRID1, np.full(GRID1.shape, np.nan)), 2.0)
+
 
 class TestEmbeddingRatio:
     def test_flat_pair_ratio_one(self):
