@@ -7,7 +7,7 @@ import pytest
 
 from sobolev_constants import cli, verify
 from sobolev_constants.cli import main
-from sobolev_constants.params import default_grid, grid_fingerprint
+from sobolev_constants.params import GroupGeometry, default_grid, grid_fingerprint, refine_grid
 from sobolev_constants.report import (
     GoldenSnapshot,
     ResultTable,
@@ -286,9 +286,15 @@ class TestCli:
         assert code == 0
         snap = GoldenSnapshot.from_file(tmp_path / "golden" / "fitted_constants.json")
         assert snap.grid_hash == grid_fingerprint(default_grid())
-        # each tolerance is written where its constant is fitted; the blessed
-        # keys and tolerances match the repository snapshot key by key
         repo = GoldenSnapshot.from_file(REPO_GOLDEN / "fitted_constants.json")
         assert sorted(snap.values) == sorted(repo.values)
-        for key, (_, tol) in repo.values.items():
-            assert snap.values[key][1] == tol, key
+
+    def test_golden_tolerances_resolve_to_the_blessed_ones(self):
+        # each tolerance is attached where its constant is fitted; on the
+        # default grid and geometry they match the repository snapshot key by key
+        grid = default_grid()
+        result = verify.run_all_checks(grid, refine_grid(grid), GroupGeometry())
+        data = json.loads((REPO_GOLDEN / "fitted_constants.json").read_text())
+        assert sorted(result.fitted) == sorted(data["values"])
+        for key, entry in data["values"].items():
+            assert result.fitted[key][1] == entry["tolerance"], key
