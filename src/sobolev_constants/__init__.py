@@ -19,7 +19,6 @@ from .interpolation import MarcinkiewiczData, assemble, endpoints, m0, m1, m2, t
 from .kernel import (
     CutoffSchedule,
     GreenKernelParams,
-    RadialVolumeModel,
     chi_global_norm,
     chi_weighted_local_norm,
     cutoff_s,
@@ -42,7 +41,6 @@ from .params import (
     make_grid,
     read_grid_config,
     s_chi,
-    sobolev_pair,
     tau_chi,
     tau_delta,
 )
@@ -59,14 +57,12 @@ from .spectral import (
     TorusGrid,
     TrialFamily,
     bessel_apply,
-    bump_field,
     embedding_ratio,
     embedding_sweep,
     gagliardo_interp_check,
     gaussian_field,
     interpolation_check,
     lp_norm,
-    modulated_field,
     mt_functional,
 )
 

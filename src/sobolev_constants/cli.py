@@ -164,7 +164,7 @@ def _run_interp(args) -> int:
 def _run_kernel(args) -> int:
     geometry = _geometry_from_args(args)
     # validate the profile's order before the slow checks run
-    profile_params = GreenKernelParams(args.alpha, args.d, 1.0, 1.0)
+    profile_params = GreenKernelParams(args.alpha, args.d)
     result = check_kernel(geometry)
     profile = envelope_table(profile_params, geometry)
     profile.name = "envelope_profile"
@@ -175,7 +175,7 @@ def _run_kernel(args) -> int:
 def _run_embed(args) -> int:
     result = check_spectral(_geometry_from_args(args), args.tau)
     if args.dump_profiles:
-        grid = TorusGrid(1, 128, 16.0)
+        grid = TorusGrid(1, 128)
         table = ResultTable("field_profiles", ("width", "x", "abs_f"))
         for width in (0.5, 1.0, 2.0):
             f = gaussian_field(grid, width)
@@ -216,6 +216,8 @@ def _run_verify_all(args) -> int:
             if comparison.failures:
                 detail = "; ".join(comparison.failures[:4])
             result.record("golden snapshot comparison", comparison.ok, detail)
+    # built last, so the golden record gets a row too
+    result.tables.append(ResultTable("summary", ("check", "pass"), list(result.checks)))
     return _finish(result, args)
 
 

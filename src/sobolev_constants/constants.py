@@ -4,6 +4,7 @@ multiplier total variation, and exponential-integrability thresholds."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,6 +53,10 @@ def _logaddexp(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
+_LOG_MIN = math.log(sys.float_info.min)  # smallest normal double
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 def lieb_upper_bound(pair: ExponentPair) -> float:
     """Best known upper bound for the homogeneous embedding constant on
     Euclidean space:
@@ -62,7 +67,8 @@ def lieb_upper_bound(pair: ExponentPair) -> float:
 
     with omega_{d-1} = 2 pi^{d/2}/Gamma(d/2) the unit-sphere surface measure.
     Evaluated wholly in log space and exponentiated once, so large d and
-    extreme exponents cannot overflow intermediates.
+    extreme exponents cannot overflow intermediates; a value outside the
+    normal double range raises instead of reading inf or 0.
     """
     if pair.alpha <= 0.0:
         raise ValueError("lieb_upper_bound needs alpha > 0 (the formula carries 1/alpha)")
@@ -83,6 +89,8 @@ def lieb_upper_bound(pair: ExponentPair) -> float:
         - math.log(p * qq)
         + _logaddexp(e * math.log(pp), e * math.log(q))
     )
+    if not _LOG_MIN < log_val < _LOG_MAX:
+        raise ValueError(f"Euclidean bound exp({log_val:.6g}) leaves double range for {pair}")
     return math.exp(log_val)
 
 
@@ -139,29 +147,31 @@ def gamma_two(p: float, a2: float, s: float) -> float:
     return 1.0 / (math.e * (a2 * s * s / (p - 1.0)) ** pp)
 
 
-def b1_multiplier_bound(alpha: float, terms: int = 60) -> float:
+_B1_TERMS = 60  # explicitly summed coefficients of the multiplier bound
+
+
+def b1_multiplier_bound(alpha: float) -> float:
     """Total-variation bound 1 + sum_{j>=1} |A_j| for the Taylor coefficients
     of (1 - t)^{alpha/2}.
 
     A_{j+1} = A_j (j - alpha/2)/(j + 1) from A_0 = 1.  The coefficients keep
     a fixed sign once j > 1 + alpha/2, and the signed series sums to -1
     (value of (1-t)^{alpha/2} - 1 at t = 1), so the absolute tail beyond the
-    explicitly summed range equals |1 + partial signed sum| exactly.  For
-    0 < alpha <= 2 every A_j (j >= 1) is negative and the bound is 2.
+    _B1_TERMS explicitly summed coefficients equals |1 + partial signed sum|
+    exactly.  For 0 < alpha <= 2 every A_j (j >= 1) is negative and the
+    bound is 2.
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"need alpha > 0, got {alpha}")
-    if terms < 10:
-        raise ValueError(f"need at least 10 explicit terms, got {terms}")
     beta = 0.5 * alpha
-    if terms <= 1.0 + beta:
+    if _B1_TERMS <= 1.0 + beta:
         raise ValueError(
-            f"tail estimate needs a constant-sign tail: terms={terms} <= 1 + alpha/2"
+            f"tail estimate needs a constant-sign tail: {_B1_TERMS} terms <= 1 + alpha/2"
         )
     a = 1.0
     absolute = 0.0
     signed = 0.0
-    for j in range(terms):
+    for j in range(_B1_TERMS):
         a *= (j - beta) / (j + 1.0)
         absolute += abs(a)
         signed += a

@@ -1,11 +1,11 @@
 """Radial envelope of the subordinated Bessel-Green kernel, and the norm
-machinery built on an explicit radial volume-growth model.
+machinery built on a radial volume-growth model.
 
 No group is ever discretized.  Integrals over the group are replaced by
-radial integrals: polynomial density proportional to r^{d-1} inside the
-unit ball and exponential shell bounds exp(D 2^{k+1}) on the dyadic annuli
-outside, exactly mirroring the annulus decompositions the envelope bounds
-are assembled from.
+radial integrals: the unit-mass density d r^{d-1} inside the unit ball and
+exponential shell bounds exp(D 2^{k+1}) on the dyadic annuli outside,
+exactly mirroring the annulus decompositions the envelope bounds are
+assembled from.
 """
 
 from __future__ import annotations
@@ -17,6 +17,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from .params import GroupGeometry, conjugate_exponent, tau_delta
+
+# The local envelope sweep runs over [R_LOCAL_MIN, R_SPLIT], the global one
+# over [R_SPLIT, R_GLOBAL_MAX]; beyond R_GLOBAL_MAX the weighted envelope is
+# far below its r ~ 1 values for any admissible geometry.
+R_LOCAL_MIN = 1e-3
+R_SPLIT = 1.0
+R_GLOBAL_MAX = 30.0
 
 
 def _check_order(alpha: float, d: int) -> None:
@@ -132,32 +139,25 @@ def green_kernel_upper(r: float, kp: GreenKernelParams, rel_tol: float = 1e-8) -
     return total / math.gamma(0.5 * al)
 
 
-def local_bound_constant(kp: GreenKernelParams, rel_tol: float = 1e-8, n_grid: int = 200) -> float:
-    """sup over r in (0, 1] of green(r) r^{d - alpha} (d - alpha)/alpha on a
-    log-spaced grid; finite because the envelope matches the r^{alpha - d}
-    singularity at small r."""
+def local_bound_constant(kp: GreenKernelParams, rel_tol: float = 1e-8) -> float:
+    """sup over r in [R_LOCAL_MIN, R_SPLIT] of green(r) r^{d - alpha}
+    (d - alpha)/alpha on a log-spaced grid; finite because the envelope
+    matches the r^{alpha - d} singularity at small r."""
     scale = (kp.d - kp.alpha) / kp.alpha
-    radii = np.geomspace(1e-3, 1.0, n_grid)
+    radii = np.geomspace(R_LOCAL_MIN, R_SPLIT, 200)
     return max(
         green_kernel_upper(float(r), kp, rel_tol) * float(r) ** (kp.d - kp.alpha) * scale
         for r in radii
     )
 
 
-def global_bound_constant(
-    kp: GreenKernelParams,
-    g: GroupGeometry,
-    rel_tol: float = 1e-8,
-    n_grid: int = 120,
-    r_max: float = 30.0,
-) -> float:
-    """sup over r in [1, r_max] of green(r) e^{(2D + b0) r} on a log-spaced
-    grid.
+def global_bound_constant(kp: GreenKernelParams, g: GroupGeometry) -> float:
+    """sup over r in [R_SPLIT, R_GLOBAL_MAX] of green(r) e^{(2D + b0) r} on a
+    log-spaced grid.
 
     Requires a >= (2/b)(2D + b0)^2 -- guaranteed when a is tau_delta plus
     c_delta^2/4 -- otherwise the exponential weight beats the kernel decay
-    and no finite envelope constant exists.  Beyond r = 30 the product is
-    far below its r ~ 1 values for any admissible geometry.
+    and no finite envelope constant exists.
     """
     if not math.isclose(kp.b, g.b, rel_tol=1e-12):
         raise ValueError(f"kernel b={kp.b} must match the geometry b={g.b}")
@@ -167,38 +167,9 @@ def global_bound_constant(
             f"a={kp.a} is below (2/b)(2D + b0)^2 = {threshold:g}; "
             "take a = tau_delta(geometry) + c_delta^2/4 or larger"
         )
-    rate = 2.0 * g.D + g.b0
-    radii = np.geomspace(1.0, r_max, n_grid)
-    return max(
-        green_kernel_upper(float(r), kp, rel_tol) * math.exp(rate * float(r)) for r in radii
-    )
-
-
-@dataclass(frozen=True)
-class RadialVolumeModel:
-    """Radial stand-in for the group measure: density c_local d r^{d-1} for
-    r <= 1 (so the unit ball has mass c_local) and annulus mass bound
-    c_local e^{D 2^{k+1}} for the dyadic shell 2^k <= r < 2^{k+1}."""
-
-    d: int
-    D: float = 1.0
-    c_local: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.d, int) and self.d >= 1):
-            raise ValueError(f"d must be a positive integer, got {self.d!r}")
-        if self.D < 0.0:
-            raise ValueError(f"D must be >= 0, got {self.D}")
-        if not self.c_local > 0.0:
-            raise ValueError(f"c_local must be positive, got {self.c_local}")
-
-    def ball_volume(self, r: float) -> float:
-        if not 0.0 <= r <= 1.0:
-            raise ValueError("polynomial volume regime only holds for r <= 1")
-        return self.c_local * r**self.d
-
-    def annulus_mass_bound(self, k: int) -> float:
-        return self.c_local * math.exp(self.D * 2.0 ** (k + 1))
+    rate = g.weight_rate
+    radii = np.geomspace(R_SPLIT, R_GLOBAL_MAX, 120)
+    return max(green_kernel_upper(float(r), kp) * math.exp(rate * float(r)) for r in radii)
 
 
 def _check_kalpha_args(alpha: float, d: int, s: float, r_exp: float) -> None:
@@ -209,20 +180,17 @@ def _check_kalpha_args(alpha: float, d: int, s: float, r_exp: float) -> None:
         raise ValueError(f"need r_exp >= 1, got {r_exp}")
 
 
-def kalpha_norms(
-    alpha: float, d: int, s: float, r_exp: float, model: RadialVolumeModel
-) -> tuple[float, float]:
-    """Norms of the split singular kernel r^{alpha - d} under the radial
-    model: the L^1 norm of the inner piece (r <= s) and the L^{r_exp} norm
-    of the outer piece (s < r <= 1).
+def kalpha_norms(alpha: float, d: int, s: float, r_exp: float) -> tuple[float, float]:
+    """Norms of the split singular kernel r^{alpha - d} under the unit-mass
+    radial density: the L^1 norm of the inner piece (r <= s) and the
+    L^{r_exp} norm of the outer piece (s < r <= 1).
 
-    Closed forms: L1 = c_local s^alpha / alpha (inner piece against the
-    unit-mass-normalized density c_local r^{d-1}) and
-    L^{r}^{r} = c_local d (s^E - 1)/(-E) with E = (alpha - d) r + d (outer
-    piece against c_local d r^{d-1}; zero for s = 1).
+    Closed forms: L1 = s^alpha / alpha (inner piece against r^{d-1}) and
+    L^{r}^{r} = d (s^E - 1)/(-E) with E = (alpha - d) r + d (outer piece
+    against d r^{d-1}; zero for s = 1).
     """
     _check_kalpha_args(alpha, d, s, r_exp)
-    l1_inner = model.c_local * s**alpha / alpha
+    l1_inner = s**alpha / alpha
     if s == 1.0:
         return l1_inner, 0.0
     outer_exponent = (alpha - d) * r_exp + d
@@ -231,21 +199,19 @@ def kalpha_norms(
             f"degenerate outer exponent (alpha - d) r + d = 0 for alpha={alpha}, "
             f"d={d}, r_exp={r_exp}"
         )
-    outer_pow = model.c_local * d * (s**outer_exponent - 1.0) / (-outer_exponent)
+    outer_pow = d * (s**outer_exponent - 1.0) / (-outer_exponent)
     return l1_inner, outer_pow ** (1.0 / r_exp)
 
 
-def kalpha_norms_quadrature(
-    alpha: float, d: int, s: float, r_exp: float, model: RadialVolumeModel
-) -> tuple[float, float]:
+def kalpha_norms_quadrature(alpha: float, d: int, s: float, r_exp: float) -> tuple[float, float]:
     """Direct-quadrature twin of kalpha_norms: the same radial integrals with
     no closed form, for cross-checking."""
     _check_kalpha_args(alpha, d, s, r_exp)
-    inner, _ = quad(lambda r: model.c_local * r ** (alpha - 1.0), 0.0, s, epsabs=0.0, epsrel=1e-12, limit=200)
+    inner, _ = quad(lambda r: r ** (alpha - 1.0), 0.0, s, epsabs=0.0, epsrel=1e-12, limit=200)
     if s == 1.0:
         return inner, 0.0
     outer, _ = quad(
-        lambda r: model.c_local * d * r ** ((alpha - d) * r_exp + d - 1.0),
+        lambda r: d * r ** ((alpha - d) * r_exp + d - 1.0),
         s,
         1.0,
         epsabs=0.0,
@@ -320,7 +286,7 @@ def tilde_k_norm(r_exp: float, g: GroupGeometry) -> float:
     """
     if not r_exp >= 1.0:
         raise ValueError(f"need r_exp >= 1, got {r_exp}")
-    rate = r_exp * (2.0 * g.D + g.b0)
+    rate = r_exp * g.weight_rate
     total = 0.0
     for k in range(64):
         term = math.exp(-rate * 2.0**k + g.D * 2.0 ** (k + 1))
@@ -330,14 +296,12 @@ def tilde_k_norm(r_exp: float, g: GroupGeometry) -> float:
     return total
 
 
-def chi_weighted_local_norm(
-    p: float, q: float, d: int, s_factor: float, model: RadialVolumeModel
-) -> float:
+def chi_weighted_local_norm(p: float, q: float, d: int, s_factor: float) -> float:
     """L^r norm (1/r = 1/q + 1/p') of the character-weighted local kernel
-    under the radial model, with the weight majorized on the unit ball by
-    s_factor:
+    under the unit-mass radial density, with the weight majorized on the
+    unit ball by s_factor:
 
-        (s_factor/(p - 1)) [c_local q/(d r)]^{1/r},
+        (s_factor/(p - 1)) [q/(d r)]^{1/r},
 
     and [q/(d r)]^{1/r} = ((1 + q/p')/d)^{1/q + 1/p'}.  The radial exponent
     (d/p - d) r + d = d r / q stays positive for every admissible (p, q)."""
@@ -347,7 +311,7 @@ def chi_weighted_local_norm(
         raise ValueError(f"need s_factor >= 1, got {s_factor}")
     pp = conjugate_exponent(p)
     r = 1.0 / (1.0 / q + 1.0 / pp)
-    return (s_factor / (p - 1.0)) * (model.c_local * q / (d * r)) ** (1.0 / r)
+    return (s_factor / (p - 1.0)) * (q / (d * r)) ** (1.0 / r)
 
 
 def chi_global_norm(r_exp: float, g: GroupGeometry) -> float:

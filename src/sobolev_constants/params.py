@@ -63,11 +63,6 @@ class ExponentPair:
         return ExponentPair(conjugate_exponent(self.q), self.alpha, self.d, _predual=self)
 
 
-def sobolev_pair(p: float, alpha: float, d: int) -> ExponentPair:
-    """Build the exponent pair whose q solves 1/q = 1/p - alpha/d."""
-    return ExponentPair(p, alpha, d)
-
-
 @dataclass(frozen=True)
 class GroupGeometry:
     """Geometry record (d, D, b, and character-gradient norms).
@@ -76,8 +71,7 @@ class GroupGeometry:
     Gaussian heat-bound decay rate, and c_delta / c_chi / c_delta_chi_inv
     the gradient norms at the identity of the modular function, the
     reference character, and their quotient.  No group is ever constructed:
-    all geometry enters downstream computations through this record and the
-    radial volume model.
+    all geometry enters downstream computations through this record.
 
     The defaults (b = 1, D = 1, gradients 0) describe a unimodular group of
     unit growth rate.
@@ -103,6 +97,16 @@ class GroupGeometry:
             raise ValueError("b must be positive")
         if min(self.c_delta, self.c_chi, self.c_delta_chi_inv) < 0.0:
             raise ValueError("character gradient norms must be >= 0")
+        # the kernel shift a = tau_delta + c_delta^2/4 is at most this sum
+        try:
+            shift = self.shift_threshold + 0.25 * self.c_delta**2
+        except OverflowError:
+            shift = math.inf
+        if not math.isfinite(shift):
+            raise ValueError(
+                f"shift threshold (2/b)(2D + b0)^2 plus c_delta^2/4 overflows for "
+                f"D={self.D}, b={self.b}, c_delta={self.c_delta}"
+            )
 
     @property
     def b0(self) -> float:
@@ -110,10 +114,16 @@ class GroupGeometry:
         return math.sqrt(self.b) / 2.0
 
     @property
+    def weight_rate(self) -> float:
+        """2D + b0: the rate of the exponential weight e^{(2D + b0) r} that
+        the global kernel envelope must beat."""
+        return 2.0 * self.D + self.b0
+
+    @property
     def shift_threshold(self) -> float:
         """(2/b)(2D + b0)^2: the least kernel shift a with
         (1/2) sqrt(2 a b) >= 2D + b0, the global-decay precondition."""
-        return 2.0 / self.b * (2.0 * self.D + self.b0) ** 2
+        return 2.0 / self.b * self.weight_rate**2
 
 
 def tau_delta(g: GroupGeometry) -> float:
@@ -190,21 +200,13 @@ def make_grid(spec: ParameterGrid) -> list:
     return pairs
 
 
-def default_grid(refine: int = 1) -> ParameterGrid:
+def default_grid() -> ParameterGrid:
     """Desk-scale sweep grid: 13 p values geometric in p - 1 over [1.05, 16]
     (probing the 1/(p-1) blow-up), 9 alpha fractions uniform over
-    [0.1, 0.9], d in {1, 2, 3, 4}.
-
-    refine = k multiplies the number of subintervals per axis by k while
-    keeping the endpoints, so refined grids nest.
-    """
-    if refine < 1:
-        raise ValueError("refine must be >= 1")
-    n_p = 12 * refine
-    n_a = 8 * refine
+    [0.1, 0.9], d in {1, 2, 3, 4}."""
     ratio = 15.0 / 0.05
-    p_values = tuple(1.0 + 0.05 * ratio ** (i / n_p) for i in range(n_p + 1))
-    fractions = tuple(0.1 + 0.8 * i / n_a for i in range(n_a + 1))
+    p_values = tuple(1.0 + 0.05 * ratio ** (i / 12) for i in range(13))
+    fractions = tuple(0.1 + 0.8 * i / 8 for i in range(9))
     return ParameterGrid(p_values, fractions, (1, 2, 3, 4))
 
 

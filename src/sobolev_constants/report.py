@@ -45,7 +45,6 @@ class ResultTable:
     name: str
     columns: Tuple[str, ...]
     rows: List[tuple] = field(default_factory=list)
-    schema_version: str = SCHEMA_VERSION
 
     def append(self, row: tuple) -> None:
         if len(row) != len(self.columns):
@@ -79,7 +78,7 @@ def write_table(table: ResultTable, directory, fmt: str = "csv") -> Path:
             )
             body = (
                 "{\n"
-                f'  "schema_version": {json.dumps(table.schema_version)},\n'
+                f'  "schema_version": {json.dumps(SCHEMA_VERSION)},\n'
                 f'  "name": {json.dumps(table.name)},\n'
                 f'  "columns": {json.dumps(list(table.columns))},\n'
                 '  "rows": [\n' + rendered_rows + "\n  ]\n}\n"
@@ -144,7 +143,6 @@ class GoldenSnapshot:
 
 @dataclass
 class GoldenComparison:
-    name: str
     ok: bool
     checked: int
     failures: List[str]
@@ -161,10 +159,7 @@ def compare_golden(
     """
     if grid_hash != golden.grid_hash:
         return GoldenComparison(
-            golden.name,
-            False,
-            0,
-            [f"grid changed: run fingerprint {grid_hash} != snapshot {golden.grid_hash}"],
+            False, 0, [f"grid changed: run fingerprint {grid_hash} != snapshot {golden.grid_hash}"]
         )
     failures: List[str] = []
     for key in sorted(computed):
@@ -185,4 +180,4 @@ def compare_golden(
                 f"{key}: got {got:.12g}, snapshot {expected:.12g} "
                 f"(relative error {abs(got - expected) / scale:.3g} > tolerance {tol:g})"
             )
-    return GoldenComparison(golden.name, not failures, checked, failures)
+    return GoldenComparison(not failures, checked, failures)

@@ -15,6 +15,9 @@ from .constants import s_constant
 from .params import ExponentPair, conjugate_exponent
 
 
+K_MAX = 2000  # largest term index of any partial sum or ratio sequence
+
+
 @dataclass(frozen=True)
 class MTSeriesSpec:
     """Series family term_k = gamma^k/k! * c^{p'k} (p'k)^k, summed from
@@ -23,15 +26,12 @@ class MTSeriesSpec:
 
     p: float
     c: float
-    k_max: int = 2000
 
     def __post_init__(self) -> None:
         if not self.p > 1.0:
             raise ValueError(f"need p > 1, got {self.p}")
         if not self.c > 0.0:
             raise ValueError(f"need c > 0, got {self.c}")
-        if not (20 <= self.k_max <= 2000):
-            raise ValueError(f"need 20 <= k_max <= 2000, got {self.k_max}")
 
     @property
     def p_conj(self) -> float:
@@ -53,8 +53,8 @@ def mt_series_partial(spec: MTSeriesSpec, gamma: float, K: int) -> float:
     nondecreasing in K and in gamma."""
     if not gamma >= 0.0:
         raise ValueError(f"need gamma >= 0, got {gamma}")
-    if K > spec.k_max:
-        raise ValueError(f"K={K} exceeds k_max={spec.k_max}")
+    if K > K_MAX:
+        raise ValueError(f"K={K} exceeds K_MAX={K_MAX}")
     if gamma == 0.0 or K < spec.start_index:
         return 0.0
     log_gamma_factor = math.log(gamma)
@@ -67,8 +67,8 @@ def mt_series_partial(spec: MTSeriesSpec, gamma: float, K: int) -> float:
 def term_ratios(spec: MTSeriesSpec, gamma: float, K: int) -> list:
     """Successive term ratios term_{k+1}/term_k for k = start..K-1; for
     gamma below the radius they stay under 1, above it they cross 1 once."""
-    if K > spec.k_max:
-        raise ValueError(f"K={K} exceeds k_max={spec.k_max}")
+    if K > K_MAX:
+        raise ValueError(f"K={K} exceeds K_MAX={K_MAX}")
     lg = math.log(gamma)
     return [
         math.exp(lg + _log_coefficient(spec, k + 1) - _log_coefficient(spec, k))
@@ -81,10 +81,10 @@ def mt_series_radius(spec: MTSeriesSpec) -> float:
 
     The gamma-free ratio c^{p'} p' (1 + 1/k)^k approaches L = c^{p'} p' e
     like L (1 - 1/(2k)); two-point Richardson extrapolation in 1/k at
-    k_max/2 and k_max cancels the leading bias, leaving O(k^-2).  The result
+    K_MAX/2 and K_MAX cancels the leading bias, leaving O(k^-2).  The result
     matches the closed form [e c^{p'} p']^{-1} well within 2 percent.
     """
-    k2 = spec.k_max
+    k2 = K_MAX
     k1 = k2 // 2
     rho1 = math.exp(_log_coefficient(spec, k1 + 1) - _log_coefficient(spec, k1))
     rho2 = math.exp(_log_coefficient(spec, k2 + 1) - _log_coefficient(spec, k2))

@@ -18,15 +18,16 @@ import numpy as np
 from .constants import s_constant
 from .params import ExponentPair
 
+BOX_LENGTH = 16.0  # side of the periodic box; trial fields stay much narrower
+
 
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform periodic grid: dim axes of n points (power of two) over a box
-    of side box_length."""
+    of side BOX_LENGTH."""
 
     dim: int
     n: int
-    box_length: float
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3):
@@ -37,8 +38,6 @@ class TorusGrid:
             raise ValueError(f"n must be <= 256, got {self.n}")
         if self.n**self.dim > 2**22:
             raise ValueError(f"total points {self.n}^{self.dim} exceed 2^22")
-        if not self.box_length > 0.0:
-            raise ValueError(f"box_length must be positive, got {self.box_length}")
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -46,19 +45,19 @@ class TorusGrid:
 
     @property
     def cell_volume(self) -> float:
-        return (self.box_length / self.n) ** self.dim
+        return (BOX_LENGTH / self.n) ** self.dim
 
     def axis_coordinates(self) -> np.ndarray:
-        return np.arange(self.n) * (self.box_length / self.n)
+        return np.arange(self.n) * (BOX_LENGTH / self.n)
 
     def meshgrid(self) -> List[np.ndarray]:
         x = self.axis_coordinates()
         return list(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
     def squared_frequencies(self) -> np.ndarray:
-        """|xi|^2 on the Fourier grid, xi = 2 pi k / box_length, k integer."""
+        """|xi|^2 on the Fourier grid, xi = 2 pi k / BOX_LENGTH, k integer."""
         k = np.fft.fftfreq(self.n) * self.n
-        xi = 2.0 * math.pi * k / self.box_length
+        xi = 2.0 * math.pi * k / BOX_LENGTH
         axes = np.meshgrid(*([xi] * self.dim), indexing="ij")
         return sum(a**2 for a in axes)
 
@@ -86,63 +85,31 @@ def gaussian_field(grid: TorusGrid, width: float) -> SpectralField:
     """exp(-|x - center|^2 / (2 width^2)) centered in the box."""
     if not width > 0.0:
         raise ValueError("width must be positive")
-    c = grid.box_length / 2.0
+    c = BOX_LENGTH / 2.0
     rho2 = sum((x - c) ** 2 for x in grid.meshgrid())
     return SpectralField(grid, np.exp(-rho2 / (2.0 * width**2)))
 
 
-def bump_field(grid: TorusGrid, width: float) -> SpectralField:
-    """Compactly supported bump exp(1 - 1/(1 - (|x - center|/width)^2)),
-    normalized to peak value 1."""
-    if not width > 0.0:
-        raise ValueError("width must be positive")
-    c = grid.box_length / 2.0
-    rho2 = sum((x - c) ** 2 for x in grid.meshgrid()) / width**2
-    vals = np.zeros(grid.shape)
-    inside = rho2 < 1.0
-    vals[inside] = np.exp(1.0 - 1.0 / (1.0 - rho2[inside]))
-    return SpectralField(grid, vals)
-
-
-def modulated_field(grid: TorusGrid, width: float, wavenumber: int = 3) -> SpectralField:
-    """Gaussian of the given width modulated by cos(2 pi k x_1 / L)."""
-    base = gaussian_field(grid, width)
-    x1 = grid.meshgrid()[0]
-    carrier = np.cos(2.0 * math.pi * wavenumber * x1 / grid.box_length)
-    return SpectralField(grid, base.values * carrier)
-
-
-_FIELD_BUILDERS = {
-    "gaussian": gaussian_field,
-    "bump": bump_field,
-    "plane_wave_modulated": modulated_field,
-}
-
-
 @dataclass(frozen=True)
 class TrialFamily:
-    """A named family of real trial fields, one per width."""
+    """A family of Gaussian trial fields, one per width."""
 
-    kind: str
     widths: tuple
 
     def __post_init__(self) -> None:
-        if self.kind not in _FIELD_BUILDERS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
         widths = tuple(sorted(float(w) for w in self.widths))
         if not widths or any(w <= 0.0 for w in widths):
             raise ValueError("widths must be a nonempty list of positive reals")
         object.__setattr__(self, "widths", widths)
 
     def members(self, grid: TorusGrid) -> List[Tuple[float, SpectralField]]:
-        build = _FIELD_BUILDERS[self.kind]
-        return [(w, build(grid, w)) for w in self.widths]
+        return [(w, gaussian_field(grid, w)) for w in self.widths]
 
     def refined(self) -> "TrialFamily":
         """Insert geometric midpoints between consecutive widths."""
         widths = list(self.widths)
         mids = [math.sqrt(a * b) for a, b in zip(widths, widths[1:])]
-        return TrialFamily(self.kind, tuple(widths + mids))
+        return TrialFamily(tuple(widths + mids))
 
 
 def bessel_apply(f: SpectralField, tau: float, alpha: float) -> SpectralField:
@@ -163,7 +130,8 @@ def lp_norm(f: SpectralField, p: float) -> float:
     if not p >= 1.0:
         raise ValueError(f"need p >= 1, got {p}")
     mags = np.abs(np.asarray(f.values))
-    norm = float((np.sum(mags**p) * f.grid.cell_volume) ** (1.0 / p))
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        norm = float((np.sum(mags**p) * f.grid.cell_volume) ** (1.0 / p))
     if not math.isfinite(norm):
         raise ValueError(f"L^{p:g} norm is not finite ({norm}); the field or its transform overflowed")
     return norm
@@ -186,7 +154,7 @@ def embedding_sweep(
     grid: TorusGrid,
 ) -> Tuple[List[tuple], float]:
     """Per (member, pair): the embedding ratio and ratio/S.  Returns the rows
-    (kind, width, d, p, q, alpha, ratio, ratio_over_S) and the fitted
+    ("gaussian", width, d, p, q, alpha, ratio, ratio_over_S) and the fitted
     constant max(ratio/S) over the table."""
     pairs = list(pairs)
     if not pairs:
@@ -197,7 +165,7 @@ def embedding_sweep(
         for pair in pairs:
             ratio = embedding_ratio(f, pair, tau)
             rel = ratio / s_constant(pair)
-            rows.append((family.kind, width, pair.d, pair.p, pair.q, pair.alpha, ratio, rel))
+            rows.append(("gaussian", width, pair.d, pair.p, pair.q, pair.alpha, ratio, rel))
             fitted = max(fitted, rel)
     return rows, fitted
 

@@ -35,9 +35,11 @@ from .interpolation import (
     weak_sup_factor,
 )
 from .kernel import (
+    R_GLOBAL_MAX,
+    R_LOCAL_MIN,
+    R_SPLIT,
     CutoffSchedule,
     GreenKernelParams,
-    RadialVolumeModel,
     chi_global_norm,
     cutoff_s,
     global_bound_constant,
@@ -142,10 +144,13 @@ def constants_table(reports: List[ConstantReport]) -> ResultTable:
     return table
 
 
-def check_duality(result: CheckResult, count: int = 10_000, seed: int = 20240811) -> None:
+_DUALITY_DRAWS = 10_000
+
+
+def check_duality(result: CheckResult) -> None:
     max_s = 0.0
     max_f = 0.0
-    for pair in _random_pairs(count, seed):
+    for pair in _random_pairs(_DUALITY_DRAWS, 20240811):
         dual = pair.dual()
         s1, s2 = s_constant(pair), s_constant(dual)
         max_s = max(max_s, abs(s1 - s2) / s1)
@@ -156,7 +161,7 @@ def check_duality(result: CheckResult, count: int = 10_000, seed: int = 20240811
     result.record(
         "duality symmetry of S and F on random pairs",
         ok,
-        f"max rel err S={max_s:.2e}, F={max_f:.2e}, n={count}",
+        f"max rel err S={max_s:.2e}, F={max_f:.2e}, n={_DUALITY_DRAWS}",
     )
 
 
@@ -328,13 +333,13 @@ _LOCAL_FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 def envelope_table(kp: GreenKernelParams, g: GroupGeometry, n_points: int = 80) -> ResultTable:
     """Plot-ready (r, green, normalized_local, normalized_global) profile."""
     table = ResultTable("envelope", ("r", "green", "normalized_local", "normalized_global"))
-    rate = 2.0 * g.D + g.b0
+    rate = g.weight_rate
     scale = (kp.d - kp.alpha) / kp.alpha
-    for r in np.geomspace(1e-3, 30.0, n_points):
+    for r in np.geomspace(R_LOCAL_MIN, R_GLOBAL_MAX, n_points):
         r = float(r)
         green = green_kernel_upper(r, kp)
-        loc = green * r ** (kp.d - kp.alpha) * scale if r <= 1.0 else None
-        glob = green * math.exp(rate * r) if r >= 1.0 else None
+        loc = green * r ** (kp.d - kp.alpha) * scale if r <= R_SPLIT else None
+        glob = green * math.exp(rate * r) if r >= R_SPLIT else None
         table.append((r, green, loc, glob))
     return table
 
@@ -347,7 +352,7 @@ def check_kernel(geometry: GroupGeometry) -> CheckResult:
     )
     for d in (1, 2, 3):
         for frac in _LOCAL_FRACTIONS:
-            kp = GreenKernelParams(frac * d, d, 1.0, 1.0)
+            kp = GreenKernelParams(frac * d, d)
             v = local_bound_constant(kp, rel_tol=1e-8)
             v_tight = local_bound_constant(kp, rel_tol=1e-9)
             change = abs(v_tight - v) / v
@@ -378,13 +383,12 @@ def check_kernel(geometry: GroupGeometry) -> CheckResult:
         ("d", "alpha", "s", "r_exp", "l1_closed", "l1_quad", "outer_closed", "outer_quad", "pass"),
     )
     for d in (1, 2, 3):
-        model = RadialVolumeModel(d=d, D=geometry.D, c_local=1.0)
         for frac in (0.25, 0.5, 0.75):
             for s in (0.25, 0.5, 1.0):
                 for r_exp in (1.0, 1.7, 3.0):
                     alpha = frac * d
-                    l1c, outc = kalpha_norms(alpha, d, s, r_exp, model)
-                    l1q, outq = kalpha_norms_quadrature(alpha, d, s, r_exp, model)
+                    l1c, outc = kalpha_norms(alpha, d, s, r_exp)
+                    l1q, outq = kalpha_norms_quadrature(alpha, d, s, r_exp)
                     ok = abs(l1c - l1q) <= 1e-8 * l1c
                     if outc > 0.0:
                         ok = ok and abs(outc - outq) <= 1e-8 * outc
@@ -415,7 +419,7 @@ def check_kernel(geometry: GroupGeometry) -> CheckResult:
         shell_table.append((r_exp, t, c, math.isfinite(t) and t == c))
     result.record_table(shell_table, "shell sums finite; weighted global norm cancels to the plain one")
 
-    result.tables.append(envelope_table(GreenKernelParams(1.0, 3, 1.0, 1.0), geometry))
+    result.tables.append(envelope_table(GreenKernelParams(1.0, 3), geometry))
     return result
 
 
@@ -505,8 +509,8 @@ def check_spectral(geometry: GroupGeometry, tau_override: Optional[float] = None
     result = CheckResult()
     tau = tau_override if tau_override is not None else tau_delta(geometry)
 
-    grids = {1: TorusGrid(1, 128, 16.0), 2: TorusGrid(2, 64, 16.0)}
-    doubled = {1: TorusGrid(1, 256, 16.0), 2: TorusGrid(2, 128, 16.0)}
+    grids = {1: TorusGrid(1, 128), 2: TorusGrid(2, 64)}
+    doubled = {1: TorusGrid(1, 256), 2: TorusGrid(2, 128)}
 
     ok_transform = True
     detail = []
@@ -533,7 +537,7 @@ def check_spectral(geometry: GroupGeometry, tau_override: Optional[float] = None
         ok_contract = ok_contract and lp_norm(smoothed, 2.0) <= lp_norm(f, 2.0) * (1.0 + 1e-9)
     result.record("order-zero and inverse-operator contraction at p = 2", ok_contract)
 
-    family = TrialFamily("gaussian", (0.5, 1.0, 2.0))
+    family = TrialFamily((0.5, 1.0, 2.0))
     sweep_table = ResultTable(
         "embed", ("kind", "width", "d", "p", "q", "alpha", "ratio", "ratio_over_S")
     )
@@ -655,8 +659,4 @@ def run_all_checks(
     result.merge(check_kernel(geometry))
     result.merge(check_series())
     result.merge(check_spectral(geometry, tau_override))
-    summary = ResultTable("summary", ("check", "pass"))
-    for check in result.checks:
-        summary.append(check)
-    result.tables.append(summary)
     return result

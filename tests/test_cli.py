@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ from sobolev_constants.report import (
 )
 
 REPO_GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestFormatting:
@@ -221,6 +225,43 @@ class TestCli:
         assert main(["embed", "--tau", "1e300", "--out", str(tmp_path)]) == 2
         assert "norm is not finite" in capsys.readouterr().err
 
+    def test_overflowing_spectral_shift_prints_only_the_error(self, tmp_path):
+        # run as a program: numpy's overflow warnings would reach stderr there
+        paths = [str(REPO_SRC), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        out = subprocess.run(
+            [sys.executable, "-m", "sobolev_constants.cli", "embed", "--tau", "1e300", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert out.returncode == 2
+        assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: L^"), out.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernel", "--geom-growth", "1e200"],
+            ["embed", "--geom-growth", "1e200"],
+            ["kernel", "--geom-b", "1e-320"],
+            ["embed", "--geom-c-delta", "1e200"],
+        ],
+    )
+    def test_overflowing_shift_threshold_exits_two(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: shift threshold"), err
+
+    def test_underflowing_euclidean_bound_exits_two(self, tmp_path, capsys):
+        argv = ["constants", "--p", "1.05", "--alpha", "257", "--d", "300", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "leaves double range" in capsys.readouterr().err
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("p_values = 1.05, 2\nalpha_fractions = 0.5, 0.9\nd_values = 300\n")
+        assert main(["constants", "--config", str(cfg), "--out", str(tmp_path / "grid")]) == 2
+        assert "leaves double range" in capsys.readouterr().err
+
     def test_false_pass_cell_fails_check_summary_and_exit(self, tmp_path, monkeypatch, capsys):
         name = "embedding-factor powers stay below the counting majorant (k <= 200)"
         monkeypatch.setattr(verify, "s_majorant_gap", lambda p, k: -1.0)
@@ -261,6 +302,11 @@ class TestCli:
             ["verify-all", "--out", str(tmp_path / "o"), "--golden-dir", str(tmp_path / "golden")]
         )
         assert code == 1
+        # the golden comparison has its own summary row
+        header, rows = read_csv_cells(tmp_path / "o" / "summary.csv")
+        golden_rows = [row for row in rows if row[0].startswith("golden snapshot comparison")]
+        assert len(golden_rows) == 1 and golden_rows[0][1] == "false"
+        assert "ipq_C_global" in golden_rows[0][0]
 
     def test_bless_refuses_a_non_finite_fitted_value(self, tmp_path, monkeypatch):
         nan_result = verify.CheckResult(fitted={"ipq_C_global": (float("nan"), 0.05)})

@@ -16,7 +16,7 @@ from sobolev_constants.constants import (
     q_constant,
     s_constant,
 )
-from sobolev_constants.params import sobolev_pair
+from sobolev_constants.params import ExponentPair
 
 from test_params import random_pairs
 
@@ -51,10 +51,10 @@ class TestLogGamma:
 
 class TestEmbeddingFactors:
     def test_s_examples(self):
-        assert s_constant(sobolev_pair(2.0, 0.0, 3)) == pytest.approx(math.sqrt(2.0), rel=1e-14)
-        assert s_constant(sobolev_pair(2.0, 1.0, 4)) == pytest.approx(2.0, rel=1e-14)
+        assert s_constant(ExponentPair(2.0, 0.0, 3)) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+        assert s_constant(ExponentPair(2.0, 1.0, 4)) == pytest.approx(2.0, rel=1e-14)
         # the dual pair gives the same value
-        dual = sobolev_pair(2.0, 1.0, 4).dual()
+        dual = ExponentPair(2.0, 1.0, 4).dual()
         assert s_constant(dual) == pytest.approx(2.0, rel=1e-13)
 
     def test_q_examples(self):
@@ -77,12 +77,12 @@ class TestEmbeddingFactors:
             assert abs(f1 - f2) <= 1e-12 * f1
 
     def test_report_consistency(self):
-        pair = sobolev_pair(2.0, 1.0, 4)
+        pair = ExponentPair(2.0, 1.0, 4)
         report = constant_report(pair)
         assert report.S == min(report.Q, report.Q_dual)
         assert report.E_H_tilde == pytest.approx(EH_2_4_1_4, rel=1e-12)
         assert report.ratio_EH_over_S == pytest.approx(EH_2_4_1_4 / 2.0, rel=1e-12)
-        flat = constant_report(sobolev_pair(2.0, 0.0, 4))
+        flat = constant_report(ExponentPair(2.0, 0.0, 4))
         assert flat.E_H_tilde is None and flat.ratio_EH_over_S is None
 
     def test_domain_errors(self):
@@ -94,16 +94,21 @@ class TestEmbeddingFactors:
 
 class TestLiebUpperBound:
     def test_frozen_value(self):
-        assert lieb_upper_bound(sobolev_pair(2.0, 1.0, 4)) == pytest.approx(EH_2_4_1_4, rel=1e-12)
+        assert lieb_upper_bound(ExponentPair(2.0, 1.0, 4)) == pytest.approx(EH_2_4_1_4, rel=1e-12)
 
     def test_ratio_example(self):
-        pair = sobolev_pair(2.0, 1.0, 4)
+        pair = ExponentPair(2.0, 1.0, 4)
         ratio = lieb_upper_bound(pair) / s_constant(pair)
         assert ratio == pytest.approx(0.718, abs=1e-3)
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
-            lieb_upper_bound(sobolev_pair(2.0, 0.0, 4))
+            lieb_upper_bound(ExponentPair(2.0, 0.0, 4))
+
+    def test_underflow_raises(self):
+        # mpmath gives about 1e-468 near this point: below the double range
+        with pytest.raises(ValueError, match="leaves double range"):
+            lieb_upper_bound(ExponentPair(1.05, 257.0, 300))
 
     def test_matches_direct_high_precision(self):
         mp.mp.dps = 30
@@ -180,8 +185,8 @@ class TestMultiplierBound:
     def test_domains(self):
         with pytest.raises(ValueError):
             b1_multiplier_bound(0.0)
-        with pytest.raises(ValueError):
-            b1_multiplier_bound(1.0, terms=5)
+        with pytest.raises(ValueError, match="constant-sign tail"):
+            b1_multiplier_bound(118.0)
 
 
 class TestA2BoundFactor:

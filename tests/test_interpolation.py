@@ -19,9 +19,9 @@ from sobolev_constants.interpolation import (
     weak_sup_factor,
 )
 from sobolev_constants.kernel import weak_type_constant
-from sobolev_constants.params import conjugate_exponent, default_grid, make_grid, sobolev_pair
+from sobolev_constants.params import ExponentPair, conjugate_exponent, default_grid, make_grid
 
-PAIR = sobolev_pair(2.0, 1.0, 4)  # q = 4
+PAIR = ExponentPair(2.0, 1.0, 4)  # q = 4
 
 # frozen high-precision values for the reference pair (direct evaluation of
 # the defining expressions at 30 digits)
@@ -52,7 +52,7 @@ class TestEndpoints:
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
-            endpoints(sobolev_pair(2.0, 0.0, 4))
+            endpoints(ExponentPair(2.0, 0.0, 4))
 
 
 class TestTheta:
@@ -107,7 +107,7 @@ class TestComponentNorms:
             assert value <= m2_theta_bound(pair) * (1.0 + 1e-12)
 
     def test_m2_finite_near_alpha_limit(self):
-        pair = sobolev_pair(2.0, 0.4999999, 1)
+        pair = ExponentPair(2.0, 0.4999999, 1)
         assert math.isfinite(m2(pair))
 
     def test_m0_reference(self):

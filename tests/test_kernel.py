@@ -6,7 +6,6 @@ import pytest
 from sobolev_constants.kernel import (
     CutoffSchedule,
     GreenKernelParams,
-    RadialVolumeModel,
     chi_global_norm,
     chi_weighted_local_norm,
     cutoff_s,
@@ -131,51 +130,40 @@ class TestGlobalBound:
 
 
 class TestKalphaNorms:
-    MODEL2 = RadialVolumeModel(d=2, D=0.0, c_local=1.0)
-    MODEL3 = RadialVolumeModel(d=3, D=0.0, c_local=1.0)
-
     def test_outer_empty_at_s_one(self):
         for r_exp in (1.0, 2.0, 5.0):
-            inner, outer = kalpha_norms(1.0, 2, 1.0, r_exp, self.MODEL2)
+            inner, outer = kalpha_norms(1.0, 2, 1.0, r_exp)
             assert outer == 0.0
             assert inner == pytest.approx(1.0, rel=1e-14)
 
     def test_half_ball_example(self):
-        inner, outer = kalpha_norms(1.0, 2, 0.5, 1.0, self.MODEL2)
+        inner, outer = kalpha_norms(1.0, 2, 0.5, 1.0)
         assert inner == pytest.approx(0.5, rel=1e-14)
-        qi, qo = kalpha_norms_quadrature(1.0, 2, 0.5, 1.0, self.MODEL2)
+        qi, qo = kalpha_norms_quadrature(1.0, 2, 0.5, 1.0)
         assert inner == pytest.approx(qi, rel=1e-10)
         assert outer == pytest.approx(qo, rel=1e-10)
 
     def test_negative_exponent_case(self):
         # (alpha - d) r + d = -3 < 0: outer piece finite
-        inner, outer = kalpha_norms(1.0, 3, 0.5, 3.0, self.MODEL3)
+        inner, outer = kalpha_norms(1.0, 3, 0.5, 3.0)
         assert math.isfinite(outer) and outer > 0.0
-        qi, qo = kalpha_norms_quadrature(1.0, 3, 0.5, 3.0, self.MODEL3)
+        qi, qo = kalpha_norms_quadrature(1.0, 3, 0.5, 3.0)
         assert outer == pytest.approx(qo, rel=1e-10)
 
     def test_agreement_matrix(self):
-        for d, model in ((2, self.MODEL2), (3, self.MODEL3)):
+        for d in (2, 3):
             for frac in (0.25, 0.5, 0.75):
                 for s in (0.2, 0.6):
                     for r_exp in (1.0, 1.7, 3.0):
-                        closed = kalpha_norms(frac * d, d, s, r_exp, model)
-                        quad = kalpha_norms_quadrature(frac * d, d, s, r_exp, model)
+                        closed = kalpha_norms(frac * d, d, s, r_exp)
+                        quad = kalpha_norms_quadrature(frac * d, d, s, r_exp)
                         assert closed[0] == pytest.approx(quad[0], rel=1e-8)
                         assert closed[1] == pytest.approx(quad[1], rel=1e-8)
 
     def test_degenerate_exponent_rejected(self):
         # r_exp = d/(d - alpha) makes the outer exponent vanish
         with pytest.raises(ValueError, match="degenerate"):
-            kalpha_norms(1.0, 2, 0.5, 2.0, self.MODEL2)
-
-    def test_model_validation(self):
-        with pytest.raises(ValueError):
-            RadialVolumeModel(d=0)
-        with pytest.raises(ValueError):
-            RadialVolumeModel(d=2, c_local=0.0)
-        assert self.MODEL2.ball_volume(0.5) == pytest.approx(0.25)
-        assert self.MODEL2.annulus_mass_bound(0) == pytest.approx(1.0)
+            kalpha_norms(1.0, 2, 0.5, 2.0)
 
 
 class TestCutoff:
@@ -258,11 +246,12 @@ class TestShellSums:
 
 class TestChiLocalNorm:
     def test_matches_a2_shape_at_unit_mass(self):
-        model = RadialVolumeModel(d=2, D=0.0, c_local=2.0)  # c_local = d
-        assert chi_weighted_local_norm(2.0, 2.0, 2, 1.0, model) == pytest.approx(2.0, rel=1e-14)
-        model3 = RadialVolumeModel(d=3, D=0.0, c_local=3.0)
+        # [q/(d r)]^{1/r} d^{1/r} = (1 + q/p')^{1/q + 1/p'}, the a2 shape
+        r = 1.0 / (1.0 / 2.0 + 1.0 / 2.0)
+        assert chi_weighted_local_norm(2.0, 2.0, 2, 1.0) * 2 ** (1.0 / r) == pytest.approx(2.0, rel=1e-14)
         for (p, q) in ((2.0, 2.0), (2.0, 4.0), (1.5, 3.0)):
-            assert chi_weighted_local_norm(p, q, 3, 1.0, model3) == pytest.approx(
+            r = 1.0 / (1.0 / q + 1.0 - 1.0 / p)
+            assert chi_weighted_local_norm(p, q, 3, 1.0) * 3 ** (1.0 / r) == pytest.approx(
                 a2_bound_factor(p, q, 1.0), rel=1e-12
             )
 
@@ -275,8 +264,7 @@ class TestChiLocalNorm:
             assert d * r / q > 0.0
 
     def test_scales_linearly_with_weight_bound(self):
-        model = RadialVolumeModel(d=2, D=0.0, c_local=1.0)
-        base = chi_weighted_local_norm(2.0, 4.0, 2, 1.0, model)
-        assert chi_weighted_local_norm(2.0, 4.0, 2, 3.0, model) == pytest.approx(
+        base = chi_weighted_local_norm(2.0, 4.0, 2, 1.0)
+        assert chi_weighted_local_norm(2.0, 4.0, 2, 3.0) == pytest.approx(
             3.0 * base, rel=1e-14
         )

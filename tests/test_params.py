@@ -14,7 +14,6 @@ from sobolev_constants.params import (
     read_grid_config,
     refine_grid,
     s_chi,
-    sobolev_pair,
     tau_chi,
     tau_delta,
 )
@@ -51,15 +50,15 @@ class TestConjugateExponent:
 
 class TestExponentPair:
     def test_sobolev_pair_examples(self):
-        assert sobolev_pair(2.0, 1.0, 4).q == pytest.approx(4.0, rel=1e-15)
-        assert sobolev_pair(2.0, 0.0, 3).q == 2.0
-        assert sobolev_pair(1.5, 1.0, 3).q == pytest.approx(3.0, rel=1e-15)
+        assert ExponentPair(2.0, 1.0, 4).q == pytest.approx(4.0, rel=1e-15)
+        assert ExponentPair(2.0, 0.0, 3).q == 2.0
+        assert ExponentPair(1.5, 1.0, 3).q == pytest.approx(3.0, rel=1e-15)
 
     def test_alpha_at_or_above_limit_rejected(self):
         with pytest.raises(ValueError):
-            sobolev_pair(2.0, 2.0, 4)
+            ExponentPair(2.0, 2.0, 4)
         with pytest.raises(ValueError):
-            sobolev_pair(2.0, 2.5, 4)
+            ExponentPair(2.0, 2.5, 4)
 
     def test_basic_validation(self):
         with pytest.raises(ValueError):
@@ -74,12 +73,12 @@ class TestExponentPair:
             assert abs(1.0 / pair.q - 1.0 / pair.p + pair.alpha / pair.d) <= 1e-12
 
     def test_alpha_zero_iff_p_equals_q(self):
-        assert sobolev_pair(3.7, 0.0, 2).q == 3.7
+        assert ExponentPair(3.7, 0.0, 2).q == 3.7
         for pair in random_pairs(100):
             assert (pair.alpha == 0.0) == (pair.p == pair.q)
 
     def test_dual_swaps_conjugates(self):
-        pair = sobolev_pair(2.0, 1.0, 4)
+        pair = ExponentPair(2.0, 1.0, 4)
         dual = pair.dual()
         assert dual.p == pytest.approx(pair.q_conj, rel=1e-15)
         assert dual.q == pytest.approx(pair.p_conj, rel=1e-14)
@@ -137,6 +136,14 @@ class TestGeometry:
             GroupGeometry(b=0.0)
         with pytest.raises(ValueError):
             GroupGeometry(D=-1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"D": 1e200}, {"b": 1e-320}, {"D": 1e154, "b": 1e-10}, {"c_delta": 1e200}]
+    )
+    def test_overflowing_shift_threshold_rejected(self, kwargs):
+        # a square overflows (a raw OverflowError) or 2/b is inf
+        with pytest.raises(ValueError, match="shift threshold"):
+            GroupGeometry(**kwargs)
 
 
 class TestGrid:

@@ -27,8 +27,6 @@ class TestSpec:
             MTSeriesSpec(1.0, 1.0)
         with pytest.raises(ValueError):
             MTSeriesSpec(2.0, 0.0)
-        with pytest.raises(ValueError):
-            MTSeriesSpec(2.0, 1.0, k_max=5000)
 
     def test_start_index(self):
         assert MTSeriesSpec(2.0, 1.0).start_index == 1

@@ -5,24 +5,23 @@ import pytest
 
 from sobolev_constants.params import ExponentPair, GroupGeometry, tau_delta
 from sobolev_constants.spectral import (
+    BOX_LENGTH,
     SpectralField,
     TorusGrid,
     TrialFamily,
     bessel_apply,
-    bump_field,
     embedding_ratio,
     embedding_sweep,
     gagliardo_interp_check,
     gaussian_field,
     interpolation_check,
     lp_norm,
-    modulated_field,
     mt_functional,
 )
 
 TAU = tau_delta(GroupGeometry())  # 12.5 for the default geometry
-GRID1 = TorusGrid(1, 256, 16.0)
-GRID2 = TorusGrid(2, 64, 16.0)
+GRID1 = TorusGrid(1, 256)
+GRID2 = TorusGrid(2, 64)
 
 # reference embedding ratio (gaussian width 1, p=2 -> q=4 at d=2), frozen from
 # a two-resolution run that agreed to within 1 percent
@@ -32,15 +31,13 @@ EMBED_RATIO_2D = 0.329618360463
 class TestTorusGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TorusGrid(4, 32, 1.0)
+            TorusGrid(4, 32)
         with pytest.raises(ValueError):
-            TorusGrid(1, 100, 1.0)  # not a power of two
+            TorusGrid(1, 100)  # not a power of two
         with pytest.raises(ValueError):
-            TorusGrid(1, 512, 1.0)
+            TorusGrid(1, 512)
         with pytest.raises(ValueError):
-            TorusGrid(3, 256, 1.0)  # 2^24 points
-        with pytest.raises(ValueError):
-            TorusGrid(1, 64, 0.0)
+            TorusGrid(3, 256)  # 2^24 points
 
     def test_cell_volume(self):
         assert GRID2.cell_volume == pytest.approx((16.0 / 64) ** 2, rel=1e-15)
@@ -60,8 +57,9 @@ class TestTransforms:
 
     def test_parseval(self):
         for grid in (GRID1, GRID2):
-            f = modulated_field(grid, 1.0)
-            values = np.asarray(f.values)
+            # a Gaussian modulated by cos(2 pi 3 x_1 / L): two off-centre spectral peaks
+            carrier = np.cos(2.0 * math.pi * 3 * grid.meshgrid()[0] / BOX_LENGTH)
+            values = np.asarray(gaussian_field(grid, 1.0).values) * carrier
             coeffs = np.fft.fftn(values)
             grid_sum = float(np.sum(np.abs(values) ** 2) * grid.cell_volume)
             coeff_sum = float(np.sum(np.abs(coeffs) ** 2) * grid.cell_volume / values.size)
@@ -137,7 +135,7 @@ class TestEmbeddingRatio:
     def test_resolution_convergence(self):
         pair = ExponentPair(2.0, 0.5, 2)
         coarse = embedding_ratio(gaussian_field(GRID2, 1.0), pair, TAU)
-        fine = embedding_ratio(gaussian_field(TorusGrid(2, 128, 16.0), 1.0), pair, TAU)
+        fine = embedding_ratio(gaussian_field(TorusGrid(2, 128), 1.0), pair, TAU)
         assert abs(fine - coarse) <= 0.01 * coarse
 
     def test_scale_invariance(self):
@@ -164,14 +162,14 @@ class TestEmbeddingSweep:
     ]
 
     def test_rows_finite_and_positive(self):
-        family = TrialFamily("gaussian", (0.5, 1.0, 2.0))
+        family = TrialFamily((0.5, 1.0, 2.0))
         rows, fitted = embedding_sweep(family, self.PAIRS, TAU, GRID1)
         assert len(rows) == len(family.widths) * len(self.PAIRS)
         assert all(math.isfinite(r[6]) and r[6] > 0.0 for r in rows)
         assert 0.0 < fitted < 10.0
 
     def test_fitted_stable_under_width_refinement(self):
-        family = TrialFamily("gaussian", (0.5, 1.0, 2.0))
+        family = TrialFamily((0.5, 1.0, 2.0))
         _, fitted = embedding_sweep(family, self.PAIRS, TAU, GRID1)
         _, refined = embedding_sweep(family.refined(), self.PAIRS, TAU, GRID1)
         assert abs(refined - fitted) <= 0.10 * fitted
@@ -179,27 +177,18 @@ class TestEmbeddingSweep:
     def test_no_blowup_toward_p_one(self):
         # ratio/S stays comparable between p = 1.05 and p = 2 rows: the
         # 1/(p-1) growth lives entirely in S
-        family = TrialFamily("gaussian", (1.0,))
+        family = TrialFamily((1.0,))
         rows, _ = embedding_sweep(family, self.PAIRS, TAU, GRID1)
         low_p = max(r[7] for r in rows if r[3] == 1.05)
         mid_p = max(r[7] for r in rows if r[3] == 2.0)
         assert low_p <= 10.0 * mid_p
 
-    def test_other_families_produce_fields(self):
-        for kind in ("bump", "plane_wave_modulated"):
-            family = TrialFamily(kind, (1.0, 2.0))
-            rows, fitted = embedding_sweep(family, self.PAIRS[:3], TAU, GRID1)
-            assert all(math.isfinite(r[6]) for r in rows)
+    def test_family_validation(self):
+        assert TrialFamily((2.0, 0.5, 1.0)).widths == (0.5, 1.0, 2.0)
         with pytest.raises(ValueError):
-            TrialFamily("unknown", (1.0,))
+            TrialFamily(())
         with pytest.raises(ValueError):
-            TrialFamily("gaussian", ())
-
-    def test_bump_is_compactly_supported(self):
-        f = bump_field(GRID1, 2.0)
-        x = GRID1.axis_coordinates()
-        outside = np.abs(x - 8.0) >= 2.0
-        assert np.all(np.asarray(f.values)[outside] == 0.0)
+            TrialFamily((1.0, -1.0))
 
 
 class TestMtFunctional:
