@@ -7,6 +7,7 @@ rows are listed), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -22,7 +23,6 @@ from .params import (
     default_grid,
     grid_fingerprint,
     read_grid_config,
-    refine_grid,
 )
 from .report import GoldenSnapshot, ResultTable, compare_golden, write_table
 from .verify import (
@@ -38,14 +38,7 @@ from .verify import (
 )
 
 def _geometry_from_args(args) -> GroupGeometry:
-    return GroupGeometry(
-        d=args.geom_d,
-        D=args.geom_growth,
-        b=args.geom_b,
-        c_delta=args.geom_c_delta,
-        c_chi=args.geom_c_chi,
-        c_delta_chi_inv=args.geom_c_delta_chi_inv,
-    )
+    return GroupGeometry(D=args.geom_growth, b=args.geom_b, c_delta=args.geom_c_delta)
 
 
 def _grid_from_args(args) -> ParameterGrid:
@@ -68,12 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--config", default=None, help="grid config file (key = v1, v2, ...)")
     geometry = argparse.ArgumentParser(add_help=False)
-    geometry.add_argument("--geom-d", type=int, default=1, help="local dimension")
     geometry.add_argument("--geom-growth", type=float, default=1.0, help="exponential growth rate D")
     geometry.add_argument("--geom-b", type=float, default=1.0, help="Gaussian decay rate b")
-    geometry.add_argument("--geom-c-delta", type=float, default=0.0)
-    geometry.add_argument("--geom-c-chi", type=float, default=0.0)
-    geometry.add_argument("--geom-c-delta-chi-inv", type=float, default=0.0)
+    geometry.add_argument("--geom-c-delta", type=float, default=0.0, help="modular gradient norm c_delta")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -136,6 +126,12 @@ def _point_constants(args) -> int:
         alpha = args.d * (1.0 / args.p - 1.0 / args.q)
         alpha = max(alpha, 0.0)
     pair = ExponentPair(args.p, alpha, args.d)
+    if math.isfinite(pair.q) and pair.q_conj == 1.0:
+        q = args.q if args.q is not None else pair.q
+        raise ValueError(
+            f"p={args.p:g}, q={q:g}: the conjugate exponent q' = q/(q - 1) rounds to 1, "
+            "so the dual pair (q', p') is undefined"
+        )
     report = constant_report(pair)
     write_table(constants_table([report]), args.out, args.format)
     print(f"p={pair.p:g} q={pair.q:g} alpha={pair.alpha:g} d={pair.d}")
@@ -153,12 +149,11 @@ def _run_constants(args) -> int:
     if args.p is not None or args.q is not None or args.alpha is not None:
         return _point_constants(args)
     grid = _grid_from_args(args)
-    return _finish(check_constants(grid, refine_grid(grid)), args)
+    return _finish(check_constants(grid), args)
 
 
 def _run_interp(args) -> int:
-    grid = _grid_from_args(args)
-    return _finish(check_interpolation(grid, refine_grid(grid)), args)
+    return _finish(check_interpolation(_grid_from_args(args)), args)
 
 
 def _run_kernel(args) -> int:
@@ -193,7 +188,7 @@ def _run_mt(args) -> int:
 def _run_verify_all(args) -> int:
     geometry = _geometry_from_args(args)
     grid = _grid_from_args(args)
-    result = run_all_checks(grid, refine_grid(grid), geometry, args.tau)
+    result = run_all_checks(grid, geometry, args.tau)
     fingerprint = grid_fingerprint(grid)
     golden_dir = Path(args.golden_dir)
     if args.bless:

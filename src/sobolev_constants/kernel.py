@@ -63,10 +63,11 @@ class GreenKernelParams:
             raise ValueError(f"need b > 0, got {self.b}")
 
 
-def green_kernel_params_from_geometry(alpha: float, g: GroupGeometry) -> GreenKernelParams:
-    """Kernel parameters with a = tau_delta + c_delta^2/4 and the geometry's
-    Gaussian rate b; this a always satisfies the global-decay precondition."""
-    return GreenKernelParams(alpha, g.d, tau_delta(g) + 0.25 * g.c_delta**2, g.b)
+def green_kernel_params_from_geometry(alpha: float, d: int, g: GroupGeometry) -> GreenKernelParams:
+    """Kernel parameters in dimension d with a = tau_delta + c_delta^2/4 and
+    the geometry's Gaussian rate b; this a always satisfies the global-decay
+    precondition."""
+    return GreenKernelParams(alpha, d, tau_delta(g) + 0.25 * g.c_delta**2, g.b)
 
 
 def _quad_piece(f, lo, hi, eps: float) -> tuple[float, float]:
@@ -83,7 +84,9 @@ def green_kernel_upper(r: float, kp: GreenKernelParams, rel_tol: float = 1e-8) -
     b r^2)] the substitution u = b r^2 / t trades the essential singularity
     at t = 0 for an exponentially damped tail at u = inf, which the adaptive
     rule handles without special weights.  The summed quadrature error
-    estimates must come in below rel_tol times the value.
+    estimates must come in below rel_tol times the value.  A value that
+    underflows to 0 (a shift a or a radius too large for doubles) raises
+    ValueError.
     """
     if not r > 0.0:
         raise ValueError("r must be positive: the envelope diverges at r = 0 for alpha < d")
@@ -131,7 +134,7 @@ def green_kernel_upper(r: float, kp: GreenKernelParams, rel_tol: float = 1e-8) -
 
     total = math.fsum(values)
     if not total > 0.0:
-        raise RuntimeError(f"kernel envelope underflowed at r={r} with {kp}")
+        raise ValueError(f"kernel envelope underflows the double range at r={r} with {kp}")
     if math.fsum(errors) > rel_tol * total:
         raise RuntimeError(
             f"kernel quadrature did not reach relative tolerance {rel_tol} at r={r}"
@@ -224,34 +227,29 @@ def kalpha_norms_quadrature(alpha: float, d: int, s: float, r_exp: float) -> tup
 @dataclass(frozen=True)
 class CutoffSchedule:
     """Radius schedule s(t) <= 1 splitting the singular kernel so that the
-    outer convolution stays below t/2 in sup norm: mode 'integrable' for
-    inputs with p > 1, mode 'endpoint' for L^1 inputs."""
+    outer convolution stays below t/2 in sup norm: the integrable schedule
+    for inputs with p > 1, the endpoint schedule for L^1 inputs (p = 1)."""
 
-    mode: str
     p_t: float
     q_t: float
     alpha: float
     d: int
 
     def __post_init__(self) -> None:
-        if self.mode not in ("integrable", "endpoint"):
-            raise ValueError(f"mode must be 'integrable' or 'endpoint', got {self.mode!r}")
         _check_order(self.alpha, self.d)
-        if self.mode == "integrable" and not self.p_t > 1.0:
-            raise ValueError("integrable mode needs p > 1")
-        if self.mode == "endpoint" and self.p_t != 1.0:
-            raise ValueError("endpoint mode needs p = 1")
+        if not self.p_t >= 1.0:
+            raise ValueError(f"need p >= 1, got {self.p_t}")
         _check_scaling(self.p_t, self.q_t, self.alpha, self.d)
 
 
 def cutoff_s(t: float, sched: CutoffSchedule) -> float:
-    """Cutoff radius: integrable mode
-    [1 + (d p'/q)(t/2)^{p'}]^{1/((alpha-d)p' + d)}; endpoint mode
+    """Cutoff radius: for p > 1
+    [1 + (d p'/q)(t/2)^{p'}]^{1/((alpha-d)p' + d)}; at the endpoint p = 1
     (1 + t/2)^{1/(alpha-d)} for t >= 2 and 1 below.  Both stay in (0, 1]
     because the exponents are negative for admissible parameters."""
     if not t > 0.0:
         raise ValueError(f"need t > 0, got {t}")
-    if sched.mode == "endpoint":
+    if sched.p_t == 1.0:
         if t < 2.0:
             return 1.0
         return (1.0 + 0.5 * t) ** (1.0 / (sched.alpha - sched.d))

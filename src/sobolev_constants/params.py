@@ -65,29 +65,24 @@ class ExponentPair:
 
 @dataclass(frozen=True)
 class GroupGeometry:
-    """Geometry record (d, D, b, and character-gradient norms).
+    """Geometry record (D, b, c_delta).
 
-    d is the local dimension, D the exponential volume-growth rate, b the
-    Gaussian heat-bound decay rate, and c_delta / c_chi / c_delta_chi_inv
-    the gradient norms at the identity of the modular function, the
-    reference character, and their quotient.  No group is ever constructed:
-    all geometry enters downstream computations through this record.
+    D is the exponential volume-growth rate, b the Gaussian heat-bound decay
+    rate, and c_delta the gradient norm at the identity of the modular
+    function.  No group is ever constructed: all geometry enters downstream
+    computations through this record.  The local dimension is not stored:
+    each check passes the dimensions it sweeps.
 
-    The defaults (b = 1, D = 1, gradients 0) describe a unimodular group of
+    The defaults (b = 1, D = 1, c_delta = 0) describe a unimodular group of
     unit growth rate.
     """
 
-    d: int = 1
     D: float = 1.0
     b: float = 1.0
     c_delta: float = 0.0
-    c_chi: float = 0.0
-    c_delta_chi_inv: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.d, int) and self.d >= 1):
-            raise ValueError(f"d must be a positive integer, got {self.d!r}")
-        for name in ("D", "b", "c_delta", "c_chi", "c_delta_chi_inv"):
+        for name in ("D", "b", "c_delta"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -95,7 +90,7 @@ class GroupGeometry:
             raise ValueError(f"D must be >= 0, got {self.D}")
         if self.b <= 0.0:
             raise ValueError("b must be positive")
-        if min(self.c_delta, self.c_chi, self.c_delta_chi_inv) < 0.0:
+        if self.c_delta < 0.0:
             raise ValueError("character gradient norms must be >= 0")
         # the kernel shift a = tau_delta + c_delta^2/4 is at most this sum
         try:
@@ -136,14 +131,24 @@ def tau_delta(g: GroupGeometry) -> float:
     return max(g.shift_threshold - 0.25 * g.c_delta**2, 1.0)
 
 
-def tau_chi(g: GroupGeometry) -> float:
+def tau_chi(g: GroupGeometry, c_chi: float, c_delta_chi_inv: float) -> float:
     """Shift max{(2/b)(c_delta_chi_inv + 2D + b0)^2 - c_chi^2/4, 1} for a
-    general character; reduces to tau_delta when c_delta_chi_inv = 0 and
-    c_chi = c_delta."""
-    return max(
-        2.0 / g.b * (g.c_delta_chi_inv + 2.0 * g.D + g.b0) ** 2 - 0.25 * g.c_chi**2,
-        1.0,
-    )
+    character with gradient norm c_chi whose quotient with the modular
+    function has gradient norm c_delta_chi_inv; reduces to tau_delta when
+    c_delta_chi_inv = 0 and c_chi = c_delta."""
+    for name, v in (("c_chi", c_chi), ("c_delta_chi_inv", c_delta_chi_inv)):
+        if not (math.isfinite(v) and v >= 0.0):
+            raise ValueError(f"{name} must be a finite gradient norm >= 0, got {v}")
+    try:
+        shift = 2.0 / g.b * (c_delta_chi_inv + 2.0 * g.D + g.b0) ** 2 - 0.25 * c_chi**2
+    except OverflowError:
+        shift = math.inf
+    if not math.isfinite(shift):
+        raise ValueError(
+            f"tau_chi leaves double range for c_chi={c_chi}, "
+            f"c_delta_chi_inv={c_delta_chi_inv} and {g}"
+        )
+    return max(shift, 1.0)
 
 
 def s_chi(c_chi_delta_inv: float) -> float:

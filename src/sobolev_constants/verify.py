@@ -13,7 +13,7 @@ reductions run in a fixed order, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -56,6 +56,7 @@ from .params import (
     ParameterGrid,
     conjugate_exponent,
     make_grid,
+    refine_grid,
     tau_delta,
 )
 from .report import ResultTable
@@ -190,11 +191,11 @@ def _band(ratios: List[Tuple[int, float]], d: int) -> float:
     return max(values) / min(values)
 
 
-def check_constants(grid: ParameterGrid, refined: ParameterGrid) -> CheckResult:
+def check_constants(grid: ParameterGrid) -> CheckResult:
     result = CheckResult()
     reports = [constant_report(pair) for pair in make_grid(grid)]
     ratios = [(r.pair.d, r.ratio_EH_over_S) for r in reports]
-    refined_ratios = [(p.d, lieb_upper_bound(p) / s_constant(p)) for p in make_grid(refined)]
+    refined_ratios = [(p.d, lieb_upper_bound(p) / s_constant(p)) for p in make_grid(refine_grid(grid))]
     result.tables.append(constants_table(reports))
 
     check_duality(result)
@@ -286,7 +287,7 @@ def interpolation_table(pairs: List[ExponentPair]) -> Tuple[ResultTable, List[Tu
     return table, ratios
 
 
-def check_interpolation(grid: ParameterGrid, refined: ParameterGrid) -> CheckResult:
+def check_interpolation(grid: ParameterGrid) -> CheckResult:
     result = CheckResult()
     pairs = make_grid(grid)
     table, ratios = interpolation_table(pairs)
@@ -296,7 +297,7 @@ def check_interpolation(grid: ParameterGrid, refined: ParameterGrid) -> CheckRes
         f"{_violations(table)} violations over {len(pairs)} pairs",
     )
 
-    refined_ratios = [(p.d, assemble(p).ratio) for p in make_grid(refined)]
+    refined_ratios = [(p.d, assemble(p).ratio) for p in make_grid(refine_grid(grid))]
     global_max = max(r for _, r in ratios)
     stable = abs(max(r for _, r in refined_ratios) - global_max) / global_max <= 0.05
     for d in grid.d_values:
@@ -362,9 +363,8 @@ def check_kernel(geometry: GroupGeometry) -> CheckResult:
 
     global_table = ResultTable("kernel_global", ("d", "alpha", "a", "sup", "pass"))
     for d in (1, 2, 3):
-        geom = replace(geometry, d=d)
-        kp = green_kernel_params_from_geometry(0.5 * d, geom)
-        v = global_bound_constant(kp, geom)
+        kp = green_kernel_params_from_geometry(0.5 * d, d, geometry)
+        v = global_bound_constant(kp, geometry)
         global_table.append((d, 0.5 * d, kp.a, v, math.isfinite(v)))
         result.fitted[f"kernel_global_sup_d{d}"] = (v, 0.02)
     result.record_table(global_table, "global kernel envelope finite under the shift precondition")
@@ -399,17 +399,13 @@ def check_kernel(geometry: GroupGeometry) -> CheckResult:
 
     cutoff_table = ResultTable("cutoff", ("mode", "p", "q", "alpha", "d", "max_s", "pass"))
     t_grid = np.geomspace(1e-6, 1e6, 61)
-    for (p_t, frac, d) in ((2.0, 0.5, 4), (1.5, 0.3, 2), (4.0, 0.8, 3)):
-        alpha = frac * d / p_t
+    cases = [(p_t, frac * d / p_t, d) for p_t, frac, d in ((2.0, 0.5, 4), (1.5, 0.3, 2), (4.0, 0.8, 3))]
+    for p_t, alpha, d in cases + [(1.0, 1.0, 3), (1.0, 0.5, 1)]:
         q_t = 1.0 / (1.0 / p_t - alpha / d)
-        sched = CutoffSchedule("integrable", p_t, q_t, alpha, d)
+        sched = CutoffSchedule(p_t, q_t, alpha, d)
         max_s = max(cutoff_s(float(t), sched) for t in t_grid)
-        cutoff_table.append(("integrable", p_t, q_t, alpha, d, max_s, max_s <= 1.0 + 1e-15))
-    for (alpha, d) in ((1.0, 3), (0.5, 1)):
-        q_t = 1.0 / (1.0 - alpha / d)
-        sched = CutoffSchedule("endpoint", 1.0, q_t, alpha, d)
-        max_s = max(cutoff_s(float(t), sched) for t in t_grid)
-        cutoff_table.append(("endpoint", 1.0, q_t, alpha, d, max_s, max_s <= 1.0 + 1e-15))
+        mode = "endpoint" if p_t == 1.0 else "integrable"
+        cutoff_table.append((mode, p_t, q_t, alpha, d, max_s, max_s <= 1.0 + 1e-15))
     result.record_table(cutoff_table, "cutoff schedules stay at or below 1")
 
     shell_table = ResultTable("shell_sums", ("r_exp", "tilde_k", "chi_global", "pass"))
@@ -648,14 +644,11 @@ def check_spectral(geometry: GroupGeometry, tau_override: Optional[float] = None
 
 
 def run_all_checks(
-    grid: ParameterGrid,
-    refined: ParameterGrid,
-    geometry: GroupGeometry,
-    tau_override: Optional[float] = None,
+    grid: ParameterGrid, geometry: GroupGeometry, tau_override: Optional[float] = None
 ) -> CheckResult:
     result = CheckResult()
-    result.merge(check_constants(grid, refined))
-    result.merge(check_interpolation(grid, refined))
+    result.merge(check_constants(grid))
+    result.merge(check_interpolation(grid))
     result.merge(check_kernel(geometry))
     result.merge(check_series())
     result.merge(check_spectral(geometry, tau_override))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from sobolev_constants.cli import main
-from sobolev_constants.params import GroupGeometry, default_grid, refine_grid
+from sobolev_constants.params import GroupGeometry, default_grid
 from sobolev_constants.verify import (
     CheckResult,
     check_constants,
@@ -22,12 +22,12 @@ REPO_GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
 @pytest.fixture(scope="module")
 def constants_result() -> CheckResult:
-    return check_constants(default_grid(), refine_grid(default_grid()))
+    return check_constants(default_grid())
 
 
 @pytest.fixture(scope="module")
 def interpolation_result() -> CheckResult:
-    return check_interpolation(default_grid(), refine_grid(default_grid()))
+    return check_interpolation(default_grid())
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ import pytest
 
 from sobolev_constants import cli, verify
 from sobolev_constants.cli import main
-from sobolev_constants.params import GroupGeometry, default_grid, grid_fingerprint, refine_grid
+from sobolev_constants.params import GroupGeometry, default_grid, grid_fingerprint
 from sobolev_constants.report import (
     GoldenSnapshot,
     ResultTable,
@@ -202,6 +202,25 @@ class TestCli:
         assert main(["interp", "--geom-d", "2", "--out", str(tmp_path)]) == 2
         assert main(["kernel", "--config", "x", "--out", str(tmp_path)]) == 2
         assert main(["embed", "--config", "x", "--out", str(tmp_path)]) == 2
+        for sub in ("kernel", "embed", "verify-all"):
+            for flag in ("--geom-d", "--geom-c-chi", "--geom-c-delta-chi-inv"):
+                assert main([sub, flag, "2", "--out", str(tmp_path)]) == 2, (sub, flag)
+
+    def test_every_geometry_flag_changes_the_output(self, tmp_path):
+        subparsers = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+        flags = [
+            option
+            for action in subparsers.choices["embed"]._actions
+            for option in action.option_strings
+            if option.startswith("--geom-")
+        ]
+        assert flags
+        assert main(["embed", "--out", str(tmp_path / "default")]) == 0
+        baseline = (tmp_path / "default" / "embed.csv").read_bytes()
+        for i, flag in enumerate(flags):
+            out = tmp_path / f"flag{i}"
+            assert main(["embed", flag, "2", "--out", str(out)]) == 0, flag
+            assert (out / "embed.csv").read_bytes() != baseline, f"{flag} changes nothing"
 
     def test_mt_subcommand(self, tmp_path):
         assert main(["mt", "--out", str(tmp_path)]) == 0
@@ -252,6 +271,18 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: shift threshold"), err
+
+    def test_underflowing_kernel_envelope_exits_two(self, tmp_path, capsys):
+        # growth 6 needs the shift a = 312.5, and the envelope underflows before r = 30
+        assert main(["kernel", "--geom-growth", "6", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: kernel envelope underflows"), err
+
+    def test_point_conjugates_rounding_to_one_name_the_inputs(self, tmp_path, capsys):
+        argv = ["constants", "--p", "1e300", "--q", "2e300", "--d", "3", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "p=1e+300, q=2e+300" in err[0] and "rounds to 1" in err[0], err
 
     def test_underflowing_euclidean_bound_exits_two(self, tmp_path, capsys):
         argv = ["constants", "--p", "1.05", "--alpha", "257", "--d", "300", "--out", str(tmp_path)]
@@ -339,7 +370,7 @@ class TestCli:
         # each tolerance is attached where its constant is fitted; on the
         # default grid and geometry they match the repository snapshot key by key
         grid = default_grid()
-        result = verify.run_all_checks(grid, refine_grid(grid), GroupGeometry())
+        result = verify.run_all_checks(grid, GroupGeometry())
         data = json.loads((REPO_GOLDEN / "fitted_constants.json").read_text())
         assert sorted(result.fitted) == sorted(data["values"])
         for key, entry in data["values"].items():

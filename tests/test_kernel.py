@@ -97,7 +97,7 @@ class TestLocalBound:
 
 
 class TestGlobalBound:
-    GEOMETRY = GroupGeometry(d=3, D=0.0, b=4.0)
+    GEOMETRY = GroupGeometry(D=0.0, b=4.0)
 
     def test_frozen_value(self):
         kp = GreenKernelParams(1.0, 3, 1.0, 4.0)
@@ -105,14 +105,14 @@ class TestGlobalBound:
         assert global_bound_constant(kp, self.GEOMETRY) == pytest.approx(GLOBAL_SUP_REF, rel=1e-6)
 
     def test_below_threshold_rejected(self):
-        geometry = GroupGeometry(d=3, D=1.0, b=1.0)  # threshold (2/b)(2D+b0)^2 = 12.5
+        geometry = GroupGeometry(D=1.0, b=1.0)  # threshold (2/b)(2D+b0)^2 = 12.5
         kp = GreenKernelParams(1.0, 3, 1.0, 1.0)
         with pytest.raises(ValueError, match="tau_delta"):
             global_bound_constant(kp, geometry)
 
     def test_geometry_params_accepted(self):
-        geometry = GroupGeometry(d=3, D=1.0, b=1.0)
-        kp = green_kernel_params_from_geometry(1.0, geometry)
+        geometry = GroupGeometry(D=1.0, b=1.0)
+        kp = green_kernel_params_from_geometry(1.0, 3, geometry)
         assert kp.a == pytest.approx(tau_delta(geometry))
         assert math.isfinite(global_bound_constant(kp, geometry))
 
@@ -168,40 +168,38 @@ class TestKalphaNorms:
 
 class TestCutoff:
     def test_integrable_limit_at_zero(self):
-        sched = CutoffSchedule("integrable", 2.0, 4.0, 1.0, 4)
+        sched = CutoffSchedule(2.0, 4.0, 1.0, 4)
         values = [cutoff_s(t, sched) for t in (1e-6, 1e-3, 1e-1)]
         assert all(v <= 1.0 for v in values)
         assert values[0] == pytest.approx(1.0, abs=1e-5)
         assert values[0] > values[1] > values[2]
 
     def test_endpoint_branch(self):
-        sched = CutoffSchedule("endpoint", 1.0, 1.5, 1.0, 3)
+        sched = CutoffSchedule(1.0, 1.5, 1.0, 3)
         assert cutoff_s(1.0, sched) == 1.0
         assert cutoff_s(2.0, sched) == pytest.approx(2.0**-0.5, rel=1e-14)
 
     def test_below_one_on_log_grid(self):
-        integrable = CutoffSchedule("integrable", 1.5, 3.0, 1.0, 3)
-        endpoint = CutoffSchedule("endpoint", 1.0, 1.5, 1.0, 3)
+        integrable = CutoffSchedule(1.5, 3.0, 1.0, 3)
+        endpoint = CutoffSchedule(1.0, 1.5, 1.0, 3)
         for t in np.geomspace(1e-6, 1e6, 100):
             assert cutoff_s(float(t), integrable) <= 1.0
             assert cutoff_s(float(t), endpoint) <= 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CutoffSchedule("other", 2.0, 4.0, 1.0, 4)
+            CutoffSchedule(2.0, 5.0, 1.0, 4)  # scaling violated
         with pytest.raises(ValueError):
-            CutoffSchedule("integrable", 2.0, 5.0, 1.0, 4)  # scaling violated
+            CutoffSchedule(0.5, 4.0 / 3.0, 1.0, 4)  # p < 1, though 1/q = 1/p - alpha/d
         with pytest.raises(ValueError):
-            CutoffSchedule("endpoint", 1.5, 4.0, 1.0, 4)
+            CutoffSchedule(1.0, 4.0, 1.0, 4)  # 1/q = 1 - alpha/d violated
         with pytest.raises(ValueError):
-            CutoffSchedule("endpoint", 1.0, 4.0, 1.0, 4)  # 1/q = 1 - alpha/d violated
-        with pytest.raises(ValueError):
-            CutoffSchedule("integrable", 2.0, 4.0, 4.0, 4)  # alpha = d
+            CutoffSchedule(2.0, 4.0, 4.0, 4)  # alpha = d
         for q in (0.0, -4.0, float("nan")):  # no ZeroDivisionError, no silent pass
             with pytest.raises(ValueError):
-                CutoffSchedule("integrable", 2.0, q, 3.0, 4)
+                CutoffSchedule(2.0, q, 3.0, 4)
         with pytest.raises(ValueError):
-            cutoff_s(0.0, CutoffSchedule("endpoint", 1.0, 1.5, 1.0, 3))
+            cutoff_s(0.0, CutoffSchedule(1.0, 1.5, 1.0, 3))
 
 
 class TestWeakTypeConstant:
@@ -225,23 +223,22 @@ class TestWeakTypeConstant:
 
 class TestShellSums:
     def test_frozen_reference(self):
-        g = GroupGeometry(d=1, D=0.0, b=4.0)  # b0 = 1
+        g = GroupGeometry(D=0.0, b=4.0)  # b0 = 1
         assert tilde_k_norm(1.0, g) == pytest.approx(TILDE_K_REF, rel=1e-12)
 
     def test_monotone_in_r(self):
-        g = GroupGeometry(d=1, D=0.5, b=1.0)
+        g = GroupGeometry(D=0.5, b=1.0)
         values = [tilde_k_norm(r, g) for r in (1.0, 1.5, 2.0, 4.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_growth_dominated_case(self):
-        g = GroupGeometry(d=2, D=1.0, b=4.0)  # exponent -r(2D+b0)2^k + D 2^{k+1} < 0
+        g = GroupGeometry(D=1.0, b=4.0)  # exponent -r(2D+b0)2^k + D 2^{k+1} < 0
         assert math.isfinite(tilde_k_norm(2.0, g))
 
     def test_chi_global_cancellation(self):
-        for c in (0.0, 0.5, 2.0):
-            g = GroupGeometry(d=2, D=1.0, b=1.0, c_delta_chi_inv=c)
-            for r in (1.0, 1.5):
-                assert chi_global_norm(r, g) == tilde_k_norm(r, g)
+        g = GroupGeometry(D=1.0, b=1.0)
+        for r in (1.0, 1.5):
+            assert chi_global_norm(r, g) == tilde_k_norm(r, g)
 
 
 class TestChiLocalNorm:

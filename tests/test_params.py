@@ -93,16 +93,15 @@ class TestExponentPair:
 
 class TestGeometry:
     def test_tau_delta_examples(self):
-        assert tau_delta(GroupGeometry(d=3, D=0.0, b=4.0)) == 1.0
-        assert tau_delta(GroupGeometry(d=3, D=1.0, b=4.0)) == pytest.approx(4.5, rel=1e-15)
-        assert tau_delta(GroupGeometry(d=3, D=1.0, b=4.0, c_delta=4.0)) == 1.0
-        assert GroupGeometry(d=3, D=1.0, b=4.0).shift_threshold == pytest.approx(4.5, rel=1e-15)
+        assert tau_delta(GroupGeometry(D=0.0, b=4.0)) == 1.0
+        assert tau_delta(GroupGeometry(D=1.0, b=4.0)) == pytest.approx(4.5, rel=1e-15)
+        assert tau_delta(GroupGeometry(D=1.0, b=4.0, c_delta=4.0)) == 1.0
+        assert GroupGeometry(D=1.0, b=4.0).shift_threshold == pytest.approx(4.5, rel=1e-15)
 
     def test_tau_delta_enables_global_decay(self):
         rng = np.random.default_rng(5)
         for _ in range(500):
             g = GroupGeometry(
-                d=2,
                 D=float(rng.uniform(0.0, 5.0)),
                 b=float(math.exp(rng.uniform(-2.0, 2.0))),
                 c_delta=float(rng.uniform(0.0, 4.0)),
@@ -113,14 +112,22 @@ class TestGeometry:
             assert 0.5 * math.sqrt(2.0 * a * g.b) >= (2.0 * g.D + g.b0) * (1.0 - 1e-12)
 
     def test_tau_chi_reduces_to_tau_delta(self):
-        g = GroupGeometry(d=3, D=1.0, b=4.0, c_delta=0.7, c_chi=0.7, c_delta_chi_inv=0.0)
-        assert tau_chi(g) == tau_delta(g)
+        g = GroupGeometry(D=1.0, b=4.0, c_delta=0.7)
+        assert tau_chi(g, c_chi=0.7, c_delta_chi_inv=0.0) == tau_delta(g)
 
     def test_tau_chi_examples(self):
-        g = GroupGeometry(d=3, D=1.0, b=4.0, c_delta_chi_inv=1.0, c_chi=0.0)
-        assert tau_chi(g) == pytest.approx(8.0, rel=1e-15)
-        clamp = GroupGeometry(d=3, D=0.0, b=1.0, c_delta_chi_inv=0.0, c_chi=10.0)
-        assert tau_chi(clamp) == 1.0
+        g = GroupGeometry(D=1.0, b=4.0)
+        assert tau_chi(g, c_chi=0.0, c_delta_chi_inv=1.0) == pytest.approx(8.0, rel=1e-15)
+        clamp = GroupGeometry(D=0.0, b=1.0)
+        assert tau_chi(clamp, c_chi=10.0, c_delta_chi_inv=0.0) == 1.0
+
+    @pytest.mark.parametrize(
+        "c_chi, c_delta_chi_inv", [(0.0, 1e200), (1e200, 0.0), (0.0, 1e154), (-1.0, 0.0), (0.0, math.nan)]
+    )
+    def test_tau_chi_rejects_bad_norms_and_overflow(self, c_chi, c_delta_chi_inv):
+        # the squares overflow (a raw OverflowError) or leave double range, or a norm is invalid
+        with pytest.raises(ValueError):
+            tau_chi(GroupGeometry(), c_chi, c_delta_chi_inv)
 
     def test_s_chi(self):
         assert s_chi(0.0) == 1.0
@@ -131,11 +138,11 @@ class TestGeometry:
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
-            GroupGeometry(d=0)
-        with pytest.raises(ValueError):
             GroupGeometry(b=0.0)
         with pytest.raises(ValueError):
             GroupGeometry(D=-1.0)
+        with pytest.raises(ValueError):
+            GroupGeometry(c_delta=-1.0)
 
     @pytest.mark.parametrize(
         "kwargs", [{"D": 1e200}, {"b": 1e-320}, {"D": 1e154, "b": 1e-10}, {"c_delta": 1e200}]
