@@ -7,7 +7,6 @@ rows are listed), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .constants import constant_report
 from .kernel import GreenKernelParams
-from .spectral import TorusGrid, gaussian_field
+from .spectral import TRIAL_WIDTHS, TorusGrid, gaussian_field
 from .params import (
     ExponentPair,
     GroupGeometry,
@@ -111,27 +110,19 @@ def _point_constants(args) -> int:
         raise ValueError("point mode needs --q or --alpha")
     if args.p is None or args.p <= 1.0:
         raise ValueError(f"--p must be > 1, got {args.p}")
-    if args.alpha is not None:
-        alpha = args.alpha
-        if args.q is not None:
-            implied = args.d * (1.0 / args.p - 1.0 / args.q)
-            if abs(implied - alpha) > 1e-9:
-                raise ValueError(
-                    f"--q {args.q} and --alpha {alpha} disagree: the scaling relation "
-                    f"gives alpha = {implied:g}"
-                )
-    else:
-        if args.q < args.p:
+    alpha = args.alpha
+    if args.q is not None:
+        if not args.q >= args.p:
             raise ValueError(f"--q must be >= --p, got q={args.q} < p={args.p}")
-        alpha = args.d * (1.0 / args.p - 1.0 / args.q)
-        alpha = max(alpha, 0.0)
+        implied = args.d * (1.0 / args.p - 1.0 / args.q)
+        if alpha is None:
+            alpha = implied
+        elif abs(implied - alpha) > 1e-9:
+            raise ValueError(
+                f"--q {args.q} and --alpha {alpha} disagree: the scaling relation "
+                f"gives alpha = {implied:g}"
+            )
     pair = ExponentPair(args.p, alpha, args.d)
-    if math.isfinite(pair.q) and pair.q_conj == 1.0:
-        q = args.q if args.q is not None else pair.q
-        raise ValueError(
-            f"p={args.p:g}, q={q:g}: the conjugate exponent q' = q/(q - 1) rounds to 1, "
-            "so the dual pair (q', p') is undefined"
-        )
     report = constant_report(pair)
     write_table(constants_table([report]), args.out, args.format)
     print(f"p={pair.p:g} q={pair.q:g} alpha={pair.alpha:g} d={pair.d}")
@@ -172,7 +163,7 @@ def _run_embed(args) -> int:
     if args.dump_profiles:
         grid = TorusGrid(1, 128)
         table = ResultTable("field_profiles", ("width", "x", "abs_f"))
-        for width in (0.5, 1.0, 2.0):
+        for width in TRIAL_WIDTHS:
             f = gaussian_field(grid, width)
             xs = grid.axis_coordinates()
             for x, v in zip(xs, np.abs(np.asarray(f.values))):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ExponentPair, conjugate_exponent
+from .params import ExponentPair, conjugate_exponent, solve_q
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,8 @@ def endpoints(pair: ExponentPair) -> tuple[float, float, float, float]:
     """
     if pair.alpha <= 0.0:
         raise ValueError("endpoints need alpha > 0 (for alpha = 0 nothing is interpolated)")
-    ad = pair.alpha / pair.d
-    q1 = 1.0 / (1.0 - ad)
-    p2 = 1.0 / (ad + 1.0 / (pair.q + 1.0))
+    q1 = solve_q(1.0, pair.alpha, pair.d)
+    p2 = 1.0 / (pair.alpha / pair.d + 1.0 / (pair.q + 1.0))
     return 1.0, q1, p2, pair.q + 1.0
 
 

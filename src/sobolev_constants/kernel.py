@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .params import GroupGeometry, conjugate_exponent, tau_delta
+from .params import GroupGeometry, conjugate_exponent, solve_q, tau_delta
 
 # The local envelope sweep runs over [R_LOCAL_MIN, R_SPLIT], the global one
 # over [R_SPLIT, R_GLOBAL_MAX]; beyond R_GLOBAL_MAX the weighted envelope is
@@ -29,15 +29,6 @@ R_GLOBAL_MAX = 30.0
 def _check_order(alpha: float, d: int) -> None:
     if not (0.0 < alpha < d):
         raise ValueError(f"need 0 < alpha < d, got alpha={alpha}, d={d}")
-
-
-def _check_scaling(p: float, q: float, alpha: float, d: int) -> None:
-    """q > 0 and 1/q = 1/p - alpha/d to 1e-9 (p = 1: the endpoint relation); a nan fails."""
-    if not (q > 0.0 and abs(1.0 / q - (1.0 / p - alpha / d)) <= 1e-9):
-        raise ValueError(
-            f"(p, q) must satisfy 1/q = 1/p - alpha/d, got p={p}, q={q}, "
-            f"alpha={alpha}, d={d}"
-        )
 
 
 @dataclass(frozen=True)
@@ -231,7 +222,6 @@ class CutoffSchedule:
     for inputs with p > 1, the endpoint schedule for L^1 inputs (p = 1)."""
 
     p_t: float
-    q_t: float
     alpha: float
     d: int
 
@@ -239,7 +229,12 @@ class CutoffSchedule:
         _check_order(self.alpha, self.d)
         if not self.p_t >= 1.0:
             raise ValueError(f"need p >= 1, got {self.p_t}")
-        _check_scaling(self.p_t, self.q_t, self.alpha, self.d)
+        solve_q(self.p_t, self.alpha, self.d)  # raises once alpha >= d/p
+
+    @property
+    def q_t(self) -> float:
+        """q of the scaling relation 1/q = 1/p - alpha/d."""
+        return solve_q(self.p_t, self.alpha, self.d)
 
 
 def cutoff_s(t: float, sched: CutoffSchedule) -> float:
@@ -258,17 +253,14 @@ def cutoff_s(t: float, sched: CutoffSchedule) -> float:
     return (1.0 + (sched.d * pp / sched.q_t) * (0.5 * t) ** pp) ** exponent
 
 
-def weak_type_constant(p_t: float, q_t: float, alpha: float, d: int) -> float:
+def weak_type_constant(p_t: float, alpha: float, d: int) -> float:
     """Shape of the weak-(p, q) norm of convolution with the singular kernel
-    piece (prefactor normalized to 1):
+    piece (prefactor normalized to 1), with 1/q = 1/p - alpha/d:
 
         alpha^{p alpha/d - 1} (q/(d p'))^{(p - 1) alpha/d}   for p > 1,
         alpha^{-1/q}                                          at p = 1.
     """
-    _check_order(alpha, d)
-    if not (p_t >= 1.0 and q_t > p_t):
-        raise ValueError(f"need 1 <= p < q, got p={p_t}, q={q_t}")
-    _check_scaling(p_t, q_t, alpha, d)
+    q_t = CutoffSchedule(p_t, alpha, d).q_t  # checks 0 < alpha < d, p >= 1 and alpha < d/p
     if p_t == 1.0:
         return alpha ** (-1.0 / q_t)
     pp = conjugate_exponent(p_t)
@@ -280,7 +272,10 @@ def tilde_k_norm(r_exp: float, g: GroupGeometry) -> float:
     exponentially decaying outer kernel raised to the r-th power.
 
     Every exponent is at most -b0 2^k, so the terms decay doubly
-    exponentially; summation stops once a term drops below 1e-18.
+    exponentially; summation stops once a term drops below 1e-18.  The same
+    sum bounds the global norm of the character-weighted outer kernel: its
+    weight e^{c (1/p - 1/2) r} cancels against the extra e^{-c r} kernel
+    decay.
     """
     if not r_exp >= 1.0:
         raise ValueError(f"need r_exp >= 1, got {r_exp}")
@@ -310,10 +305,3 @@ def chi_weighted_local_norm(p: float, q: float, d: int, s_factor: float) -> floa
     pp = conjugate_exponent(p)
     r = 1.0 / (1.0 / q + 1.0 / pp)
     return (s_factor / (p - 1.0)) * (q / (d * r)) ** (1.0 / r)
-
-
-def chi_global_norm(r_exp: float, g: GroupGeometry) -> float:
-    """Global norm of the character-weighted outer kernel: the weight
-    e^{c (1/p - 1/2) r} cancels against the extra e^{-c r} kernel decay,
-    leaving exactly the unweighted shell sum."""
-    return tilde_k_norm(r_exp, g)

@@ -21,32 +21,73 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
+def solve_q(p: float, alpha: float, d: int) -> float:
+    """The exponent q of the scaling relation 1/q = 1/p - alpha/d; alpha = 0
+    gives q = p exactly.  A gap 1/p - alpha/d that is not positive (alpha at
+    d/p or above, also after rounding) has no q and raises ValueError."""
+    gap = 1.0 / p - alpha / d
+    if not gap > 0.0:
+        raise ValueError(
+            f"1/q = 1/p - alpha/d is not positive for p={p}, alpha={alpha}, d={d}: "
+            "alpha must stay below d/p"
+        )
+    return p if alpha == 0.0 else 1.0 / gap
+
+
+def _usable_q(p: float, alpha: float, d: int) -> float:
+    """q for exponents (p, alpha, d) that are usable in double precision:
+    p in (1, inf), alpha in [0, d/p), a positive alpha moves q above p, q is
+    finite and its conjugate q' = q/(q - 1) stays above 1."""
+    if not (math.isfinite(p) and p > 1.0):
+        raise ValueError(f"p must lie in (1, inf), got {p}")
+    if not (math.isfinite(alpha) and 0.0 <= alpha < d / p):
+        raise ValueError(f"alpha must lie in [0, d/p) = [0, {d / p:g}), got {alpha}")
+    q = solve_q(p, alpha, d)
+    if alpha > 0.0 and not q > p:
+        raise ValueError(
+            f"alpha={alpha} is too small to move q above p={p} in double precision (d={d})"
+        )
+    if not math.isfinite(q):
+        raise ValueError(f"q = 1/(1/p - alpha/d) overflows for p={p}, alpha={alpha}, d={d}")
+    if not q / (q - 1.0) > 1.0:
+        raise ValueError(
+            f"p={p:g}, q={q:g}: the conjugate exponent q' = q/(q - 1) rounds to 1, "
+            "so the dual pair (q', p') is undefined"
+        )
+    return q
+
+
 @dataclass(frozen=True)
 class ExponentPair:
     """A (p, q, alpha, d) quadruple locked to the scaling relation
     1/q = 1/p - alpha/d.
 
-    q is always recomputed from (p, alpha, d) at construction, so the
-    relation cannot drift; alpha = 0 collapses to q = p exactly.
+    q is always derived from (p, alpha, d) at construction, so the relation
+    cannot drift; alpha = 0 collapses to q = p exactly.  Construction raises
+    ValueError unless the exponents of the pair and of its dual are usable in
+    double precision, so dual() never fails.
     """
 
     p: float
     alpha: float
     d: int
     q: float = field(init=False, default=0.0)
-    _predual: Optional["ExponentPair"] = field(default=None, repr=False, compare=False)
+    _predual: Optional["ExponentPair"] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (isinstance(self.d, int) and self.d >= 1):
             raise ValueError(f"d must be a positive integer, got {self.d!r}")
-        if not (math.isfinite(self.p) and self.p > 1.0):
-            raise ValueError(f"p must lie in (1, inf), got {self.p}")
-        if not (math.isfinite(self.alpha) and 0.0 <= self.alpha < self.d / self.p):
-            raise ValueError(
-                f"alpha must lie in [0, d/p) = [0, {self.d / self.p:g}), got {self.alpha}"
-            )
-        q = self.p if self.alpha == 0.0 else 1.0 / (1.0 / self.p - self.alpha / self.d)
+        q = _usable_q(self.p, self.alpha, self.d)
         object.__setattr__(self, "q", q)
+        if self._predual is None:  # a dual's own dual is its predual, already usable
+            q_conj = conjugate_exponent(q)
+            try:
+                _usable_q(q_conj, self.alpha, self.d)
+            except ValueError as exc:
+                raise ValueError(
+                    f"p={self.p}, alpha={self.alpha}, d={self.d}: the dual pair (q', p') "
+                    f"with q' = {q_conj} is not usable in double precision ({exc})"
+                ) from None
 
     @property
     def p_conj(self) -> float:
@@ -60,7 +101,10 @@ class ExponentPair:
         """The pair (q', p', alpha, d); the dual of the dual is this object."""
         if self._predual is not None:
             return self._predual
-        return ExponentPair(conjugate_exponent(self.q), self.alpha, self.d, _predual=self)
+        dual = object.__new__(ExponentPair)
+        object.__setattr__(dual, "_predual", self)  # set before __post_init__ reads it
+        dual.__init__(self.q_conj, self.alpha, self.d)
+        return dual
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .constants import s_constant
 from .params import ExponentPair
 
 BOX_LENGTH = 16.0  # side of the periodic box; trial fields stay much narrower
+TRIAL_WIDTHS = (0.5, 1.0, 2.0)  # widths of the Gaussian trial fields, ascending
 
 
 @dataclass(frozen=True)
@@ -90,26 +91,11 @@ def gaussian_field(grid: TorusGrid, width: float) -> SpectralField:
     return SpectralField(grid, np.exp(-rho2 / (2.0 * width**2)))
 
 
-@dataclass(frozen=True)
-class TrialFamily:
-    """A family of Gaussian trial fields, one per width."""
-
-    widths: tuple
-
-    def __post_init__(self) -> None:
-        widths = tuple(sorted(float(w) for w in self.widths))
-        if not widths or any(w <= 0.0 for w in widths):
-            raise ValueError("widths must be a nonempty list of positive reals")
-        object.__setattr__(self, "widths", widths)
-
-    def members(self, grid: TorusGrid) -> List[Tuple[float, SpectralField]]:
-        return [(w, gaussian_field(grid, w)) for w in self.widths]
-
-    def refined(self) -> "TrialFamily":
-        """Insert geometric midpoints between consecutive widths."""
-        widths = list(self.widths)
-        mids = [math.sqrt(a * b) for a, b in zip(widths, widths[1:])]
-        return TrialFamily(tuple(widths + mids))
+def refined_widths(widths: Tuple[float, ...]) -> Tuple[float, ...]:
+    """Ascending widths with the geometric midpoint of each consecutive pair
+    inserted."""
+    mids = [math.sqrt(a * b) for a, b in zip(widths, widths[1:])]
+    return tuple(sorted(widths + tuple(mids)))
 
 
 def bessel_apply(f: SpectralField, tau: float, alpha: float) -> SpectralField:
@@ -148,20 +134,21 @@ def embedding_ratio(f: SpectralField, pair: ExponentPair, tau: float) -> float:
 
 
 def embedding_sweep(
-    family: TrialFamily,
+    widths: Iterable[float],
     pairs: Iterable[ExponentPair],
     tau: float,
     grid: TorusGrid,
 ) -> Tuple[List[tuple], float]:
-    """Per (member, pair): the embedding ratio and ratio/S.  Returns the rows
-    ("gaussian", width, d, p, q, alpha, ratio, ratio_over_S) and the fitted
-    constant max(ratio/S) over the table."""
+    """Per (Gaussian trial width, pair): the embedding ratio and ratio/S.
+    Returns the rows ("gaussian", width, d, p, q, alpha, ratio, ratio_over_S)
+    and the fitted constant max(ratio/S) over the table."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("embedding sweep needs at least one exponent pair")
     rows: List[tuple] = []
     fitted = 0.0
-    for width, f in family.members(grid):
+    for width in widths:
+        f = gaussian_field(grid, width)
         for pair in pairs:
             ratio = embedding_ratio(f, pair, tau)
             rel = ratio / s_constant(pair)

@@ -40,7 +40,6 @@ from .kernel import (
     R_SPLIT,
     CutoffSchedule,
     GreenKernelParams,
-    chi_global_norm,
     cutoff_s,
     global_bound_constant,
     green_kernel_params_from_geometry,
@@ -68,8 +67,8 @@ from .series import (
     term_ratios,
 )
 from .spectral import (
+    TRIAL_WIDTHS,
     TorusGrid,
-    TrialFamily,
     bessel_apply,
     embedding_ratio,
     embedding_sweep,
@@ -78,6 +77,7 @@ from .spectral import (
     interpolation_check,
     lp_norm,
     mt_functional,
+    refined_widths,
 )
 
 REL_SLACK = 1e-12  # multiplicative slack for proved pointwise inequalities
@@ -317,7 +317,7 @@ def check_interpolation(grid: ParameterGrid) -> CheckResult:
     for _ in range(50):
         p_t = 1.0 + math.exp(rng.uniform(math.log(0.02), math.log(20.0)))
         frac = float(rng.uniform(0.05, 0.95))
-        q_t = p_t / (1.0 - frac)
+        q_t = ExponentPair(p_t, frac / p_t, 1).q
         v = weak_sup_factor(p_t, q_t)
         sup_table.append((p_t, q_t, v, (1.0 - 1e-6) <= v <= 1.0 + 1e-12))
     result.record_table(sup_table, "weak-type supremum factor equals 1 from below")
@@ -401,19 +401,17 @@ def check_kernel(geometry: GroupGeometry) -> CheckResult:
     t_grid = np.geomspace(1e-6, 1e6, 61)
     cases = [(p_t, frac * d / p_t, d) for p_t, frac, d in ((2.0, 0.5, 4), (1.5, 0.3, 2), (4.0, 0.8, 3))]
     for p_t, alpha, d in cases + [(1.0, 1.0, 3), (1.0, 0.5, 1)]:
-        q_t = 1.0 / (1.0 / p_t - alpha / d)
-        sched = CutoffSchedule(p_t, q_t, alpha, d)
+        sched = CutoffSchedule(p_t, alpha, d)
         max_s = max(cutoff_s(float(t), sched) for t in t_grid)
         mode = "endpoint" if p_t == 1.0 else "integrable"
-        cutoff_table.append((mode, p_t, q_t, alpha, d, max_s, max_s <= 1.0 + 1e-15))
+        cutoff_table.append((mode, p_t, sched.q_t, alpha, d, max_s, max_s <= 1.0 + 1e-15))
     result.record_table(cutoff_table, "cutoff schedules stay at or below 1")
 
-    shell_table = ResultTable("shell_sums", ("r_exp", "tilde_k", "chi_global", "pass"))
+    shell_table = ResultTable("shell_sums", ("r_exp", "tilde_k", "pass"))
     for r_exp in (1.0, 1.5, 2.0):
         t = tilde_k_norm(r_exp, geometry)
-        c = chi_global_norm(r_exp, geometry)
-        shell_table.append((r_exp, t, c, math.isfinite(t) and t == c))
-    result.record_table(shell_table, "shell sums finite; weighted global norm cancels to the plain one")
+        shell_table.append((r_exp, t, math.isfinite(t)))
+    result.record_table(shell_table, "shell sums finite")
 
     result.tables.append(envelope_table(GreenKernelParams(1.0, 3), geometry))
     return result
@@ -493,14 +491,6 @@ def check_series() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _spectral_pairs(dim: int) -> List[ExponentPair]:
-    return [
-        ExponentPair(p, frac * dim / p, dim)
-        for p in (1.05, 1.5, 2.0, 4.0)
-        for frac in (0.3, 0.6, 0.9)
-    ]
-
-
 def check_spectral(geometry: GroupGeometry, tau_override: Optional[float] = None) -> CheckResult:
     result = CheckResult()
     tau = tau_override if tau_override is not None else tau_delta(geometry)
@@ -533,20 +523,19 @@ def check_spectral(geometry: GroupGeometry, tau_override: Optional[float] = None
         ok_contract = ok_contract and lp_norm(smoothed, 2.0) <= lp_norm(f, 2.0) * (1.0 + 1e-9)
     result.record("order-zero and inverse-operator contraction at p = 2", ok_contract)
 
-    family = TrialFamily((0.5, 1.0, 2.0))
     sweep_table = ResultTable(
         "embed", ("kind", "width", "d", "p", "q", "alpha", "ratio", "ratio_over_S")
     )
     ok_sweep = True
     fitted_note = []
     for dim, grid in grids.items():
-        pairs = _spectral_pairs(dim)
-        rows, fitted = embedding_sweep(family, pairs, tau, grid)
+        pairs = make_grid(ParameterGrid((1.05, 1.5, 2.0, 4.0), (0.3, 0.6, 0.9), (dim,)))
+        rows, fitted = embedding_sweep(TRIAL_WIDTHS, pairs, tau, grid)
         for row in rows:
             sweep_table.append(row)
             ok_sweep = ok_sweep and math.isfinite(row[6]) and row[6] > 0.0
-        _, fitted_doubled = embedding_sweep(family, pairs, tau, doubled[dim])
-        _, fitted_refined = embedding_sweep(family.refined(), pairs, tau, grid)
+        _, fitted_doubled = embedding_sweep(TRIAL_WIDTHS, pairs, tau, doubled[dim])
+        _, fitted_refined = embedding_sweep(refined_widths(TRIAL_WIDTHS), pairs, tau, grid)
         stable = (
             abs(fitted_doubled - fitted) / fitted <= 0.10
             and abs(fitted_refined - fitted) / fitted <= 0.10
@@ -577,7 +566,7 @@ def check_spectral(geometry: GroupGeometry, tau_override: Optional[float] = None
     interp_table = ResultTable("interp_ratios", ("p", "theta", "alpha", "width", "ratio", "pass"))
     ok_interp = True
     c4 = 0.0
-    for width in family.widths:
+    for width in TRIAL_WIDTHS:
         f1 = gaussian_field(grids[1], width)
         lhs, rhs, ratio2 = interpolation_check(f1, 2.0, 1.0, 0.5, tau)
         ok = ratio2 <= 1.0 + 1e-9

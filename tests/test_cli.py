@@ -284,6 +284,66 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "p=1e+300, q=2e+300" in err[0] and "rounds to 1" in err[0], err
 
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            # 1/p - alpha/d rounds to 0 although alpha < d/p: a raw ZeroDivisionError
+            pytest.param(
+                ["constants", "--p", "3", "--alpha", "0.9999999999999999", "--d", "3"],
+                None,
+                "1/q = 1/p - alpha/d is not positive for p=3.0",
+                id="point-gap-rounds-to-zero",
+            ),
+            pytest.param(
+                ["constants"],
+                "p_values = 3\nalpha_fractions = 0.9999999999999999\nd_values = 3\n",
+                "1/q = 1/p - alpha/d is not positive for p=3.0",
+                id="constants-grid-gap-rounds-to-zero",
+            ),
+            pytest.param(
+                ["interp"],
+                "p_values = 3\nalpha_fractions = 0.9999999999999999\nd_values = 3\n",
+                "1/q = 1/p - alpha/d is not positive for p=3.0",
+                id="interp-grid-gap-rounds-to-zero",
+            ),
+            # alpha too small to move q: m1 raised a raw OverflowError
+            pytest.param(
+                ["interp"],
+                "p_values = 2\nalpha_fractions = 1e-310\nd_values = 2\n",
+                "alpha=1e-310 is too small to move q above p=2.0",
+                id="interp-grid-alpha-too-small",
+            ),
+            # the grid path names the user's p, not the rounded conjugates
+            pytest.param(
+                ["constants"],
+                "p_values = 2, 1e20\nalpha_fractions = 0.5\nd_values = 3\n",
+                "p=1e+20, q=2e+20: the conjugate exponent q' = q/(q - 1) rounds to 1",
+                id="constants-grid-conjugate-rounds-to-one",
+            ),
+            # 1/q with q = 0 raised a raw ZeroDivisionError, and q = nan was ignored
+            pytest.param(
+                ["constants", "--p", "2", "--q", "0", "--alpha", "1", "--d", "3"],
+                None,
+                "--q must be >= --p, got q=0.0 < p=2.0",
+                id="point-q-zero-with-alpha",
+            ),
+            pytest.param(
+                ["constants", "--p", "2", "--q", "nan", "--alpha", "1", "--d", "4"],
+                None,
+                "--q must be >= --p, got q=nan",
+                id="point-q-nan-with-alpha",
+            ),
+        ],
+    )
+    def test_unusable_exponents_exit_two_with_one_error_line(self, argv, config, message, tmp_path, capsys):
+        if config is not None:
+            cfg = tmp_path / "grid.cfg"
+            cfg.write_text(config)
+            argv = argv + ["--config", str(cfg)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+
     def test_underflowing_euclidean_bound_exits_two(self, tmp_path, capsys):
         argv = ["constants", "--p", "1.05", "--alpha", "257", "--d", "300", "--out", str(tmp_path)]
         assert main(argv) == 2

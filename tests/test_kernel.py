@@ -1,12 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from sobolev_constants.kernel import (
     CutoffSchedule,
     GreenKernelParams,
-    chi_global_norm,
     chi_weighted_local_norm,
     cutoff_s,
     global_bound_constant,
@@ -21,23 +21,59 @@ from sobolev_constants.kernel import (
 from sobolev_constants.constants import a2_bound_factor
 from sobolev_constants.params import GroupGeometry, tau_delta
 
-# envelope values computed with a 40-digit adaptive reference before the build
-GREEN_REF = {
-    (1.0, 1.0, 3, 1.0, 1.0): 0.202037916872645186,
-    (0.05, 0.5, 1, 1.0, 1.0): 3.14596346081818969,
-    (2.0, 2.4, 3, 12.5, 1.0): 6.18949259374202448e-7,
-    (0.3, 0.2, 2, 1.0, 4.0): 0.143081737418715997,
-}
+# (r, alpha, d, a, b): radii from 1e-3 to 29 and shifts from 1 to 220.5 (the
+# shift of growth rate D = 5), each where the envelope is still a normal double
+ORACLE_CASES = (
+    (1.0, 1.0, 3, 1.0, 1.0),
+    (0.05, 0.5, 1, 1.0, 1.0),
+    (2.0, 2.4, 3, 12.5, 1.0),
+    (0.3, 0.2, 2, 1.0, 4.0),
+    (29.0, 1.0, 3, 12.5, 1.0),
+    (29.0, 0.1, 1, 12.5, 1.0),
+    (1e-3, 2.7, 3, 12.5, 1.0),
+    (5.0, 0.5, 1, 40.0, 1.0),
+    (0.01, 1.5, 2, 40.0, 1.0),
+    (10.0, 1.5, 2, 220.5, 1.0),
+    (0.2, 0.3, 3, 220.5, 1.0),
+    (1e-3, 0.9, 1, 220.5, 1.0),
+)
 LOCAL_SUP_REF = 1.1283638992488583  # alpha=1, d=3, a=1, b=1 sweep, frozen at build
 GLOBAL_SUP_REF = 0.05061440517890041  # alpha=1, d=3, a=1, b=4, D=0 geometry
 TILDE_K_REF = 0.521865938459879089  # r=1, D=0, b0=1 shell sum
 
 
+def green_oracle(r, alpha, d, a, b):
+    """The envelope at 30 digits, split as in DLMF 10.32.10 with c = b r^2:
+
+        Gamma(alpha/2) green = 2 (c/a)^{alpha/4} K_{alpha/2}(2 sqrt(a c))
+            + int_0^1 (t^{(alpha-d)/2-1} - t^{alpha/2-1}) e^{-a t - c/t} dt.
+
+    The remainder is integrated in x = log t, with breakpoints every
+    (a c)^{-1/4}/sqrt(2) (the width of the saddle of e^{-a t - c/t}) around
+    x = log sqrt(c/a).  It starts where c/t = 2000: the integrand is below
+    e^{-2000} times a power of c there, far under double precision."""
+    with mp.workdps(30):
+        r, alpha, a, b = mp.mpf(r), mp.mpf(alpha), mp.mpf(a), mp.mpf(b)
+        c = b * r * r
+        bessel = 2 * (c / a) ** (alpha / 4) * mp.besselk(alpha / 2, 2 * mp.sqrt(a * c))
+        lo, hi = (alpha - d) / 2, alpha / 2
+
+        def remainder(x):
+            return (mp.exp(lo * x) - mp.exp(hi * x)) * mp.exp(-a * mp.exp(x) - c * mp.exp(-x))
+
+        centre = mp.log(mp.sqrt(c / a))
+        step = (a * c) ** mp.mpf(-0.25) / mp.sqrt(2)
+        x_lo = mp.log(c / 2000)
+        knots = [centre + k * step for k in range(-8, 9)]
+        points = [x_lo] + [x for x in knots if x_lo < x < 0] + [mp.mpf(0)]
+        return float((bessel + mp.quad(remainder, points)) / mp.gamma(alpha / 2))
+
+
 class TestGreenKernelUpper:
-    def test_frozen_reference_values(self):
-        for (r, alpha, d, a, b), ref in GREEN_REF.items():
-            kp = GreenKernelParams(alpha, d, a, b)
-            assert green_kernel_upper(r, kp, rel_tol=1e-8) == pytest.approx(ref, rel=1e-8)
+    def test_matches_mpmath_oracle(self):
+        for r, alpha, d, a, b in ORACLE_CASES:
+            got = green_kernel_upper(r, GreenKernelParams(alpha, d, a, b), rel_tol=1e-8)
+            assert got == pytest.approx(green_oracle(r, alpha, d, a, b), rel=1e-10), (r, alpha, d, a, b)
 
     def test_strictly_decreasing_in_r(self):
         kp = GreenKernelParams(1.0, 3, 1.0, 1.0)
@@ -168,57 +204,61 @@ class TestKalphaNorms:
 
 class TestCutoff:
     def test_integrable_limit_at_zero(self):
-        sched = CutoffSchedule(2.0, 4.0, 1.0, 4)
+        sched = CutoffSchedule(2.0, 1.0, 4)
+        assert sched.q_t == 4.0
         values = [cutoff_s(t, sched) for t in (1e-6, 1e-3, 1e-1)]
         assert all(v <= 1.0 for v in values)
         assert values[0] == pytest.approx(1.0, abs=1e-5)
         assert values[0] > values[1] > values[2]
 
     def test_endpoint_branch(self):
-        sched = CutoffSchedule(1.0, 1.5, 1.0, 3)
+        sched = CutoffSchedule(1.0, 1.0, 3)
+        assert sched.q_t == pytest.approx(1.5, rel=1e-15)
         assert cutoff_s(1.0, sched) == 1.0
         assert cutoff_s(2.0, sched) == pytest.approx(2.0**-0.5, rel=1e-14)
 
     def test_below_one_on_log_grid(self):
-        integrable = CutoffSchedule(1.5, 3.0, 1.0, 3)
-        endpoint = CutoffSchedule(1.0, 1.5, 1.0, 3)
+        integrable = CutoffSchedule(1.5, 1.0, 3)
+        endpoint = CutoffSchedule(1.0, 1.0, 3)
         for t in np.geomspace(1e-6, 1e6, 100):
             assert cutoff_s(float(t), integrable) <= 1.0
             assert cutoff_s(float(t), endpoint) <= 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CutoffSchedule(2.0, 5.0, 1.0, 4)  # scaling violated
+            CutoffSchedule(0.5, 1.0, 4)  # p < 1, though 1/q = 1/p - alpha/d > 0
         with pytest.raises(ValueError):
-            CutoffSchedule(0.5, 4.0 / 3.0, 1.0, 4)  # p < 1, though 1/q = 1/p - alpha/d
+            CutoffSchedule(2.0, 4.0, 4)  # alpha = d
+        # alpha >= d/p, also when only rounding puts 1/p - alpha/d at 0: no ZeroDivisionError
+        for p, alpha, d in ((2.0, 2.0, 4), (2.0, 3.0, 4), (3.0, 0.9999999999999999, 3)):
+            with pytest.raises(ValueError, match="not positive"):
+                CutoffSchedule(p, alpha, d)
         with pytest.raises(ValueError):
-            CutoffSchedule(1.0, 4.0, 1.0, 4)  # 1/q = 1 - alpha/d violated
-        with pytest.raises(ValueError):
-            CutoffSchedule(2.0, 4.0, 4.0, 4)  # alpha = d
-        for q in (0.0, -4.0, float("nan")):  # no ZeroDivisionError, no silent pass
-            with pytest.raises(ValueError):
-                CutoffSchedule(2.0, q, 3.0, 4)
-        with pytest.raises(ValueError):
-            cutoff_s(0.0, CutoffSchedule(1.0, 1.5, 1.0, 3))
+            cutoff_s(0.0, CutoffSchedule(1.0, 1.0, 3))
 
 
 class TestWeakTypeConstant:
     def test_endpoint_example(self):
-        assert weak_type_constant(1.0, 4.0 / 3.0, 1.0, 4) == 1.0
+        assert weak_type_constant(1.0, 1.0, 4) == 1.0
+        assert weak_type_constant(1.0, 2.0, 4) == pytest.approx(2.0**-0.5, rel=1e-15)  # q = 2
 
     def test_interior_example(self):
-        assert weak_type_constant(2.0, 4.0, 1.0, 4) == pytest.approx(2.0**-0.25, rel=1e-14)
+        assert weak_type_constant(2.0, 1.0, 4) == pytest.approx(2.0**-0.25, rel=1e-14)
 
     def test_matches_endpoint_limit(self):
-        p = 1.0 + 1e-6
-        q = 1.0 / (1.0 / p - 0.25)
-        near = weak_type_constant(p, q, 1.0, 4)
-        at = weak_type_constant(1.0, 4.0 / 3.0, 1.0, 4)
+        near = weak_type_constant(1.0 + 1e-6, 1.0, 4)
+        at = weak_type_constant(1.0, 1.0, 4)
         assert near == pytest.approx(at, abs=1e-4)
 
     def test_scaling_violation_rejected(self):
+        # no q solves 1/q = 1/p - alpha/d > 0 once alpha >= d/p
+        for p, alpha, d in ((2.0, 2.0, 4), (2.0, 3.0, 4), (3.0, 0.9999999999999999, 3)):
+            with pytest.raises(ValueError, match="not positive"):
+                weak_type_constant(p, alpha, d)
         with pytest.raises(ValueError):
-            weak_type_constant(2.0, 5.0, 1.0, 4)
+            weak_type_constant(0.5, 1.0, 4)
+        with pytest.raises(ValueError):
+            weak_type_constant(2.0, 4.0, 4)  # alpha = d
 
 
 class TestShellSums:
@@ -234,11 +274,6 @@ class TestShellSums:
     def test_growth_dominated_case(self):
         g = GroupGeometry(D=1.0, b=4.0)  # exponent -r(2D+b0)2^k + D 2^{k+1} < 0
         assert math.isfinite(tilde_k_norm(2.0, g))
-
-    def test_chi_global_cancellation(self):
-        g = GroupGeometry(D=1.0, b=1.0)
-        for r in (1.0, 1.5):
-            assert chi_global_norm(r, g) == tilde_k_norm(r, g)
 
 
 class TestChiLocalNorm:

@@ -1,8 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sobolev_constants.constants import constant_report
+from sobolev_constants.interpolation import assemble
 from sobolev_constants.params import (
     ExponentPair,
     GroupGeometry,
@@ -14,6 +19,7 @@ from sobolev_constants.params import (
     read_grid_config,
     refine_grid,
     s_chi,
+    solve_q,
     tau_chi,
     tau_delta,
 )
@@ -89,6 +95,92 @@ class TestExponentPair:
             back = pair.dual().dual()
             assert back is pair
             assert (back.p, back.q, back.alpha, back.d) == (pair.p, pair.q, pair.alpha, pair.d)
+
+    def test_solver(self):
+        assert solve_q(2.0, 1.0, 4) == 4.0
+        assert solve_q(3.7, 0.0, 2) == 3.7
+        assert solve_q(1.0, 1.0, 3) == 1.0 / (1.0 - 1.0 / 3.0)  # the endpoint p = 1
+        for p, alpha, d in ((2.0, 2.0, 4), (2.0, 3.0, 4), (3.0, 0.9999999999999999, 3)):
+            with pytest.raises(ValueError, match="not positive"):
+                solve_q(p, alpha, d)
+
+    @pytest.mark.parametrize(
+        "p, alpha, d, message",
+        [
+            # 1/p - alpha/d rounds to 0 although alpha < d/p
+            pytest.param(
+                3.0, 0.9999999999999999, 3, "1/q = 1/p - alpha/d is not positive for p=3.0",
+                id="gap-rounds-to-zero",
+            ),
+            pytest.param(
+                2.0, 1e-310, 2, "alpha=1e-310 is too small to move q above p=2.0", id="alpha-too-small"
+            ),
+            pytest.param(
+                1e300, math.nextafter(1e-300, 0.0), 1, "q = 1/(1/p - alpha/d) overflows for p=1e+300",
+                id="q-overflows",
+            ),
+            pytest.param(
+                1e20, 1.5e-20, 3, "p=1e+20, q=2e+20: the conjugate exponent q' = q/(q - 1) rounds to 1",
+                id="conjugate-rounds-to-one",
+            ),
+            # usable as given, but alpha cannot move the dual's q above q'
+            pytest.param(
+                60648.77935417341, 2.891906369995894e-16, 284, "the dual pair (q', p')", id="dual-unusable"
+            ),
+        ],
+    )
+    def test_exponents_unusable_in_double_precision_rejected(self, p, alpha, d, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExponentPair(p, alpha, d)
+
+    def test_predual_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            ExponentPair(2.0, 1.0, 4, None)
+
+
+@st.composite
+def exponent_inputs(draw):
+    """(p, alpha, d) with p in (1, 1e16], d in 1..300 and alpha at 0, one
+    step below d/p, d/p (1 - 10^-u), or 10^-v down to the subnormals."""
+    p = draw(
+        st.one_of(
+            st.floats(min_value=1.0, max_value=1e16, exclude_min=True),
+            st.floats(min_value=0.0, max_value=16.0).map(lambda w: 1.0 + 10.0**-w),
+        ).filter(lambda p: p > 1.0)
+    )
+    d = draw(st.integers(min_value=1, max_value=300))
+    alpha = draw(
+        st.one_of(
+            st.just(0.0),
+            st.just(math.nextafter(d / p, 0.0)),
+            st.floats(min_value=0.0, max_value=17.0).map(lambda u: d / p * (1.0 - 10.0**-u)),
+            st.floats(min_value=0.0, max_value=324.0).map(lambda v: 10.0**-v),
+        )
+    )
+    return p, alpha, d
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(exponent_inputs())
+def test_pair_rules_hold_on_every_accepted_pair(inputs):
+    # anything but ValueError escapes and fails the test
+    try:
+        pair = ExponentPair(*inputs)
+    except ValueError:
+        return
+    assert math.isfinite(pair.q)
+    assert (pair.q > pair.p) == (pair.alpha > 0.0)
+    assert pair.q / (pair.q - 1.0) > 1.0
+    assert pair.dual().dual() is pair
+    try:
+        constant_report(pair)
+    except ValueError:
+        pass
+    if pair.alpha > 0.0:
+        try:
+            assemble(pair)
+        except ValueError:
+            pass
 
 
 class TestGeometry:

@@ -7,8 +7,8 @@ from sobolev_constants.params import ExponentPair, GroupGeometry, tau_delta
 from sobolev_constants.spectral import (
     BOX_LENGTH,
     SpectralField,
+    TRIAL_WIDTHS,
     TorusGrid,
-    TrialFamily,
     bessel_apply,
     embedding_ratio,
     embedding_sweep,
@@ -17,6 +17,7 @@ from sobolev_constants.spectral import (
     interpolation_check,
     lp_norm,
     mt_functional,
+    refined_widths,
 )
 
 TAU = tau_delta(GroupGeometry())  # 12.5 for the default geometry
@@ -162,33 +163,24 @@ class TestEmbeddingSweep:
     ]
 
     def test_rows_finite_and_positive(self):
-        family = TrialFamily((0.5, 1.0, 2.0))
-        rows, fitted = embedding_sweep(family, self.PAIRS, TAU, GRID1)
-        assert len(rows) == len(family.widths) * len(self.PAIRS)
+        rows, fitted = embedding_sweep(TRIAL_WIDTHS, self.PAIRS, TAU, GRID1)
+        assert len(rows) == len(TRIAL_WIDTHS) * len(self.PAIRS)
         assert all(math.isfinite(r[6]) and r[6] > 0.0 for r in rows)
         assert 0.0 < fitted < 10.0
 
     def test_fitted_stable_under_width_refinement(self):
-        family = TrialFamily((0.5, 1.0, 2.0))
-        _, fitted = embedding_sweep(family, self.PAIRS, TAU, GRID1)
-        _, refined = embedding_sweep(family.refined(), self.PAIRS, TAU, GRID1)
+        assert refined_widths(TRIAL_WIDTHS) == (0.5, math.sqrt(0.5), 1.0, math.sqrt(2.0), 2.0)
+        _, fitted = embedding_sweep(TRIAL_WIDTHS, self.PAIRS, TAU, GRID1)
+        _, refined = embedding_sweep(refined_widths(TRIAL_WIDTHS), self.PAIRS, TAU, GRID1)
         assert abs(refined - fitted) <= 0.10 * fitted
 
     def test_no_blowup_toward_p_one(self):
         # ratio/S stays comparable between p = 1.05 and p = 2 rows: the
         # 1/(p-1) growth lives entirely in S
-        family = TrialFamily((1.0,))
-        rows, _ = embedding_sweep(family, self.PAIRS, TAU, GRID1)
+        rows, _ = embedding_sweep((1.0,), self.PAIRS, TAU, GRID1)
         low_p = max(r[7] for r in rows if r[3] == 1.05)
         mid_p = max(r[7] for r in rows if r[3] == 2.0)
         assert low_p <= 10.0 * mid_p
-
-    def test_family_validation(self):
-        assert TrialFamily((2.0, 0.5, 1.0)).widths == (0.5, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            TrialFamily(())
-        with pytest.raises(ValueError):
-            TrialFamily((1.0, -1.0))
 
 
 class TestMtFunctional:
