@@ -7,6 +7,7 @@ rows are listed), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -115,9 +116,10 @@ def _point_constants(args) -> int:
         if not args.q >= args.p:
             raise ValueError(f"--q must be >= --p, got q={args.q} < p={args.p}")
         implied = args.d * (1.0 / args.p - 1.0 / args.q)
+        # agreement relative to alpha, with a few ulps of 1/p for the rounding of 1/p - 1/q
         if alpha is None:
             alpha = implied
-        elif abs(implied - alpha) > 1e-9:
+        elif abs(implied - alpha) > 1e-9 * abs(alpha) + 4.0 * args.d * math.ulp(1.0 / args.p):
             raise ValueError(
                 f"--q {args.q} and --alpha {alpha} disagree: the scaling relation "
                 f"gives alpha = {implied:g}"

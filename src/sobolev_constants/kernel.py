@@ -1,6 +1,12 @@
 """Radial envelope of the subordinated Bessel-Green kernel, and the norm
 machinery built on a radial volume-growth model.
 
+The envelope sweeps behind the local and global suprema use one vectorized
+rule in log space (log_green_kernel): an exact split into a Bessel K term,
+summed by the trapezoid rule, plus a smooth remainder, summed by
+Gauss-Legendre.  The adaptive-quadrature envelope green_kernel_upper is its
+cross-check, and it computes the plot-ready envelope profile.
+
 No group is ever discretized.  Integrals over the group are replaced by
 radial integrals: the unit-mass density d r^{d-1} inside the unit ball and
 exponential shell bounds exp(D 2^{k+1}) on the dyadic annuli outside,
@@ -10,7 +16,9 @@ assembled from.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +32,16 @@ from .params import GroupGeometry, conjugate_exponent, solve_q, tau_delta
 R_LOCAL_MIN = 1e-3
 R_SPLIT = 1.0
 R_GLOBAL_MAX = 30.0
+
+# Nodes per radius of the split envelope rule (log_green_kernel), and where
+# it cuts its integrands: e^{-750} of the saddle value is far below double
+# precision.  120/96 nodes lost 6e-11 of accuracy at a = 12.5.
+_TRAPEZOID_NODES = 200
+_GL_NODES = 128
+_TAIL_EXPONENT = 750.0
+# the logs of the least and greatest normal doubles
+_LOG_NORMAL_MIN = math.log(sys.float_info.min)
+_LOG_NORMAL_MAX = math.log(sys.float_info.max)
 
 
 def _check_order(alpha: float, d: int) -> None:
@@ -68,8 +86,9 @@ def _quad_piece(f, lo, hi, eps: float) -> tuple[float, float]:
 
 def green_kernel_upper(r: float, kp: GreenKernelParams, rel_tol: float = 1e-8) -> float:
     """Envelope (1/Gamma(alpha/2)) int_0^inf t^{alpha/2-1} min(1,t)^{-d/2}
-    e^{-a t} e^{-b r^2/t} dt by adaptive quadrature; strictly decreasing in
-    r and in a.
+    e^{-a t} e^{-b r^2/t} dt by adaptive quadrature at one radius; strictly
+    decreasing in r and in a.  It cross-checks the split rule of
+    log_green_kernel and computes the envelope profile table.
 
     The integral is split at t = min(1, b r^2) and t = 1.  On (0, min(1,
     b r^2)] the substitution u = b r^2 / t trades the essential singularity
@@ -133,21 +152,104 @@ def green_kernel_upper(r: float, kp: GreenKernelParams, rel_tol: float = 1e-8) -
     return total / math.gamma(0.5 * al)
 
 
-def local_bound_constant(kp: GreenKernelParams, rel_tol: float = 1e-8) -> float:
-    """sup over r in [R_LOCAL_MIN, R_SPLIT] of green(r) r^{d - alpha}
-    (d - alpha)/alpha on a log-spaced grid; finite because the envelope
-    matches the r^{alpha - d} singularity at small r."""
-    scale = (kp.d - kp.alpha) / kp.alpha
-    radii = np.geomspace(R_LOCAL_MIN, R_SPLIT, 200)
-    return max(
-        green_kernel_upper(float(r), kp, rel_tol) * float(r) ** (kp.d - kp.alpha) * scale
-        for r in radii
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    # built on first use: leggauss(128) takes ~20 ms, and most commands never
+    # evaluate the envelope
+    return np.polynomial.legendre.leggauss(_GL_NODES)
+
+
+def _log_sum_exp(v: np.ndarray) -> np.ndarray:
+    """log sum_j exp(v[i, j]) as a column; every row holds a finite value."""
+    m = v.max(axis=1, keepdims=True)
+    return m + np.log(np.exp(v - m).sum(axis=1, keepdims=True))
+
+
+def log_green_kernel(radii, kp: GreenKernelParams) -> np.ndarray:
+    """log green_kernel_upper(r, kp) at every r in radii, in one array pass.
+
+    The envelope splits exactly (DLMF 10.32.10), with nu = (alpha - d)/2,
+    c = b r^2 and z = 2 sqrt(a c), into
+
+        Gamma(alpha/2) green = 2 (c/a)^{nu/2} K_nu(z)
+            + int_1^inf (t^{alpha/2-1} - t^{nu-1}) e^{-a t - c/t} dt.
+
+    Around the saddle t* = sqrt(c/a), t = t* e^u turns a t + c/t into
+    z cosh u, and both pieces are cut at u = +-U, where z (cosh U - 1) = 750.
+    K_nu(z) = int_0^inf e^{-z cosh u} cosh(nu u) du (DLMF 10.32.9) is summed
+    by the trapezoid rule on [0, U]: the integrand is analytic and decays
+    double-exponentially, so the rule converges geometrically.  The remainder
+    is smooth on t >= 1 and goes to Gauss-Legendre in x = log t on
+    [max(0, log t* - U), max(log t* + U, log 2)].  Both node sets scale with
+    U, so one node count serves every shift a and radius r; the sums are
+    taken in logs, so envelopes far below the double range stay finite.
+    green_kernel_upper is the adaptive-quadrature cross-check of this rule.
+    """
+    r = np.asarray(radii, dtype=float)[:, None]
+    if not np.all(r > 0.0):
+        raise ValueError("radii must be positive: the envelope diverges at r = 0 for alpha < d")
+    x_gl, w_gl = _gauss_legendre()
+    half_alpha, half_d, nu = 0.5 * kp.alpha, 0.5 * kp.d, 0.5 * (kp.alpha - kp.d)
+    c = kp.b * r * r
+    z = 2.0 * np.sqrt(kp.a * c)
+    log_t_star = 0.5 * np.log(c / kp.a)
+    # z (cosh U - 1) = 2 z sinh^2(U/2) = 750, solved without cancellation at large z
+    cut = 2.0 * np.arcsinh(np.sqrt(0.5 * _TAIL_EXPONENT / z))
+
+    # log(K_nu(z) e^z), with log cosh(nu u) = |nu u| + log1p(e^{-2 |nu u|}) - log 2
+    h = cut / (_TRAPEZOID_NODES - 1)
+    u = h * np.arange(_TRAPEZOID_NODES)
+    nu_u = abs(nu) * u
+    log_f = -2.0 * z * np.sinh(0.5 * u) ** 2 + nu_u + np.log1p(np.exp(-2.0 * nu_u)) - math.log(2.0)
+    log_f[:, [0, -1]] -= math.log(2.0)  # trapezoid end weights h/2
+    log_bessel = math.log(2.0) + nu * log_t_star + np.log(h) + _log_sum_exp(log_f)
+
+    # remainder e^z: t^{alpha/2} - t^nu = t^{alpha/2} (1 - t^{-d/2}) at x = log t > 0;
+    # the log 2 floor keeps the interval nonempty, and past log t* + U the
+    # integrand is below e^-750 of its saddle value, so widening costs nothing
+    x_lo = np.maximum(0.0, log_t_star - cut)
+    x_hi = np.maximum(log_t_star + cut, math.log(2.0))
+    half_width = 0.5 * (x_hi - x_lo)
+    x = x_lo + half_width * (x_gl + 1.0)
+    log_g = (
+        np.log(w_gl)
+        + half_alpha * x
+        + np.log(-np.expm1(-half_d * x))
+        - 2.0 * z * np.sinh(0.5 * (x - log_t_star)) ** 2
     )
+    log_remainder = np.log(half_width) + _log_sum_exp(log_g)
+
+    return (np.logaddexp(log_bessel, log_remainder) - z)[:, 0] - math.lgamma(half_alpha)
+
+
+def _normal_exp(log_value: float, what: str, kp: GreenKernelParams) -> float:
+    if not _LOG_NORMAL_MIN <= log_value < _LOG_NORMAL_MAX:
+        raise ValueError(f"{what} e^{log_value:.6g} is not a normal double with {kp}")
+    return math.exp(log_value)
+
+
+def local_envelope_peak(kp: GreenKernelParams) -> tuple[float, float]:
+    """(r*, sup): where on a log-spaced grid of [R_LOCAL_MIN, R_SPLIT] the
+    normalized envelope green(r) r^{d - alpha} (d - alpha)/alpha peaks, and
+    its value there; finite because the envelope matches the r^{alpha - d}
+    singularity at small r."""
+    radii = np.geomspace(R_LOCAL_MIN, R_SPLIT, 200)
+    log_values = log_green_kernel(radii, kp) + (kp.d - kp.alpha) * np.log(radii)
+    i = int(np.argmax(log_values))
+    sup = _normal_exp(float(log_values[i]), "local envelope sup", kp)
+    return float(radii[i]), sup * (kp.d - kp.alpha) / kp.alpha
+
+
+def local_bound_constant(kp: GreenKernelParams) -> float:
+    """sup over r in [R_LOCAL_MIN, R_SPLIT] of green(r) r^{d - alpha}
+    (d - alpha)/alpha on a log-spaced grid (see local_envelope_peak)."""
+    return local_envelope_peak(kp)[1]
 
 
 def global_bound_constant(kp: GreenKernelParams, g: GroupGeometry) -> float:
     """sup over r in [R_SPLIT, R_GLOBAL_MAX] of green(r) e^{(2D + b0) r} on a
-    log-spaced grid.
+    log-spaced grid, taken as the max of log green + (2D + b0) r; ValueError
+    when that sup is not a normal double.
 
     Requires a >= (2/b)(2D + b0)^2 -- guaranteed when a is tau_delta plus
     c_delta^2/4 -- otherwise the exponential weight beats the kernel decay
@@ -161,9 +263,9 @@ def global_bound_constant(kp: GreenKernelParams, g: GroupGeometry) -> float:
             f"a={kp.a} is below (2/b)(2D + b0)^2 = {threshold:g}; "
             "take a = tau_delta(geometry) + c_delta^2/4 or larger"
         )
-    rate = g.weight_rate
     radii = np.geomspace(R_SPLIT, R_GLOBAL_MAX, 120)
-    return max(green_kernel_upper(float(r), kp) * math.exp(rate * float(r)) for r in radii)
+    log_values = log_green_kernel(radii, kp) + g.weight_rate * radii
+    return _normal_exp(float(log_values.max()), "weighted global envelope sup", kp)
 
 
 def _check_kalpha_args(alpha: float, d: int, s: float, r_exp: float) -> None:

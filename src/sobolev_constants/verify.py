@@ -46,7 +46,7 @@ from .kernel import (
     green_kernel_upper,
     kalpha_norms,
     kalpha_norms_quadrature,
-    local_bound_constant,
+    local_envelope_peak,
     tilde_k_norm,
 )
 from .params import (
@@ -340,7 +340,15 @@ def envelope_table(kp: GreenKernelParams, g: GroupGeometry, n_points: int = 80) 
         r = float(r)
         green = green_kernel_upper(r, kp)
         loc = green * r ** (kp.d - kp.alpha) * scale if r <= R_SPLIT else None
-        glob = green * math.exp(rate * r) if r >= R_SPLIT else None
+        glob = None
+        if r >= R_SPLIT:
+            try:
+                glob = math.exp(math.log(green) + rate * r)
+            except OverflowError:
+                raise ValueError(
+                    f"the weighted profile green(r) e^((2D + b0) r) overflows the double "
+                    f"range at r={r:g} with 2D + b0 = {rate:g}"
+                ) from None
         table.append((r, green, loc, glob))
     return table
 
@@ -354,8 +362,10 @@ def check_kernel(geometry: GroupGeometry) -> CheckResult:
     for d in (1, 2, 3):
         for frac in _LOCAL_FRACTIONS:
             kp = GreenKernelParams(frac * d, d)
-            v = local_bound_constant(kp, rel_tol=1e-8)
-            v_tight = local_bound_constant(kp, rel_tol=1e-9)
+            # the fast split rule against adaptive quad at its arg-sup radius
+            r_star, v = local_envelope_peak(kp)
+            green_tight = green_kernel_upper(r_star, kp, rel_tol=1e-9)
+            v_tight = green_tight * r_star ** (d - kp.alpha) * (d - kp.alpha) / kp.alpha
             change = abs(v_tight - v) / v
             local_table.append((d, frac * d, v, v_tight, change, math.isfinite(v) and change <= 0.02))
             result.fitted[f"kernel_local_sup_d{d}_f{int(round(frac * 10))}"] = (v, 0.02)

@@ -163,6 +163,18 @@ class TestCli:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--p", "2", "--q", "4", "--alpha", "1", "--d", "4"],
+            # q within 1e-12 of p: alpha = 1/2 - 1/2.000000000001 to 14 digits
+            ["--p", "2", "--q", "2.000000000001", "--alpha", "2.49999999999875e-13", "--d", "1"],
+        ],
+        ids=["q-and-alpha", "q-and-alpha-near-p"],
+    )
+    def test_consistent_q_and_alpha_accepted(self, argv, tmp_path):
+        assert main(["constants"] + argv + ["--out", str(tmp_path)]) == 0
+
     def test_bad_p_exits_two(self, tmp_path):
         assert main(["constants", "--p", "0.5", "--q", "4", "--d", "4", "--out", str(tmp_path)]) == 2
 
@@ -272,11 +284,24 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: shift threshold"), err
 
+    def test_kernel_envelope_below_the_double_range_runs(self, tmp_path, capsys):
+        # growth 6 needs the shift a = 312.5: the envelope leaves the double
+        # range before r = 30, but the weighted global sup (about e^-24) does not
+        assert main(["kernel", "--geom-growth", "6", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_underflowing_kernel_envelope_exits_two(self, tmp_path, capsys):
-        # growth 6 needs the shift a = 312.5, and the envelope underflows before r = 30
-        assert main(["kernel", "--geom-growth", "6", "--out", str(tmp_path)]) == 2
+        # growth 200: the weighted global sup itself, about e^-735, is below
+        # the normal doubles
+        assert main(["kernel", "--geom-growth", "200", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: kernel envelope underflows"), err
+        assert len(err) == 1 and err[0].startswith("error: weighted global envelope sup"), err
+
+    def test_overflowing_kernel_profile_exits_two(self, tmp_path, capsys):
+        # growth 13: the unshifted profile weighted by e^{26.5 r} overflows at r = 30
+        assert main(["kernel", "--geom-growth", "13", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the weighted profile"), err
 
     def test_point_conjugates_rounding_to_one_name_the_inputs(self, tmp_path, capsys):
         argv = ["constants", "--p", "1e300", "--q", "2e300", "--d", "3", "--out", str(tmp_path)]
@@ -332,6 +357,13 @@ class TestCli:
                 None,
                 "--q must be >= --p, got q=nan",
                 id="point-q-nan-with-alpha",
+            ),
+            # a small alpha that disagrees with --q passed an absolute 1e-9 check
+            pytest.param(
+                ["constants", "--p", "2", "--q", "2.000000000002", "--alpha", "2e-12", "--d", "1"],
+                None,
+                "--q 2.000000000002 and --alpha 2e-12 disagree",
+                id="point-small-alpha-disagrees-with-q",
             ),
         ],
     )

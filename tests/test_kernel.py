@@ -15,6 +15,8 @@ from sobolev_constants.kernel import (
     kalpha_norms,
     kalpha_norms_quadrature,
     local_bound_constant,
+    local_envelope_peak,
+    log_green_kernel,
     tilde_k_norm,
     weak_type_constant,
 )
@@ -42,8 +44,9 @@ GLOBAL_SUP_REF = 0.05061440517890041  # alpha=1, d=3, a=1, b=4, D=0 geometry
 TILDE_K_REF = 0.521865938459879089  # r=1, D=0, b0=1 shell sum
 
 
-def green_oracle(r, alpha, d, a, b):
-    """The envelope at 30 digits, split as in DLMF 10.32.10 with c = b r^2:
+def green_oracle(r, alpha, d, a, b, log=False):
+    """The envelope at 30 digits, or its log with log=True (for envelopes
+    below the double range), split as in DLMF 10.32.10 with c = b r^2:
 
         Gamma(alpha/2) green = 2 (c/a)^{alpha/4} K_{alpha/2}(2 sqrt(a c))
             + int_0^1 (t^{(alpha-d)/2-1} - t^{alpha/2-1}) e^{-a t - c/t} dt.
@@ -66,14 +69,18 @@ def green_oracle(r, alpha, d, a, b):
         x_lo = mp.log(c / 2000)
         knots = [centre + k * step for k in range(-8, 9)]
         points = [x_lo] + [x for x in knots if x_lo < x < 0] + [mp.mpf(0)]
-        return float((bessel + mp.quad(remainder, points)) / mp.gamma(alpha / 2))
+        green = (bessel + mp.quad(remainder, points)) / mp.gamma(alpha / 2)
+        return float(mp.log(green) if log else green)
 
 
 class TestGreenKernelUpper:
     def test_matches_mpmath_oracle(self):
+        # the adaptive envelope and the split rule it cross-checks
         for r, alpha, d, a, b in ORACLE_CASES:
-            got = green_kernel_upper(r, GreenKernelParams(alpha, d, a, b), rel_tol=1e-8)
-            assert got == pytest.approx(green_oracle(r, alpha, d, a, b), rel=1e-10), (r, alpha, d, a, b)
+            kp = GreenKernelParams(alpha, d, a, b)
+            expected = green_oracle(r, alpha, d, a, b)
+            assert green_kernel_upper(r, kp, rel_tol=1e-8) == pytest.approx(expected, rel=1e-10), kp
+            assert math.exp(log_green_kernel([r], kp)[0]) == pytest.approx(expected, rel=1e-10), kp
 
     def test_strictly_decreasing_in_r(self):
         kp = GreenKernelParams(1.0, 3, 1.0, 1.0)
@@ -104,16 +111,34 @@ class TestGreenKernelUpper:
             GreenKernelParams(1.0, 3, b=0.0)
 
 
+class TestLogGreenKernel:
+    RADII = (1e-3, 0.1, 1.0, 10.0, 30.0)
+
+    # a = 840.5 is the shift of growth rate D = 10, where the envelope leaves
+    # the double range at r = 30
+    @pytest.mark.parametrize("a", (1.0, 12.5, 220.5, 840.5))
+    @pytest.mark.parametrize("frac", (0.1, 0.5, 0.9))
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_matches_log_oracle(self, d, frac, a):
+        got = log_green_kernel(self.RADII, GreenKernelParams(frac * d, d, a, 1.0))
+        for r, log_green in zip(self.RADII, got):
+            expected = green_oracle(r, frac * d, d, a, 1.0, log=True)
+            assert abs(math.expm1(log_green - expected)) <= 1e-10, (r, log_green, expected)
+
+
 class TestLocalBound:
     def test_frozen_sweep_value(self):
         kp = GreenKernelParams(1.0, 3, 1.0, 1.0)
         assert local_bound_constant(kp) == pytest.approx(LOCAL_SUP_REF, rel=1e-6)
 
     def test_stable_under_tighter_quadrature(self):
+        # the fast sup against adaptive quad at the arg-sup radius
         kp = GreenKernelParams(1.0, 3, 1.0, 1.0)
-        v = local_bound_constant(kp, rel_tol=1e-8)
-        v_tight = local_bound_constant(kp, rel_tol=1e-9)
-        assert abs(v - v_tight) <= 0.02 * v
+        r_star, v = local_envelope_peak(kp)
+        assert v == local_bound_constant(kp)
+        # normalized by r^{d - alpha} (d - alpha)/alpha = 2 r^2
+        v_tight = green_kernel_upper(r_star, kp, rel_tol=1e-9) * r_star**2 * 2.0
+        assert v == pytest.approx(v_tight, rel=1e-10)
 
     def test_normalization_stable_across_alpha(self):
         # normalized sups for alpha/d from 1/12 to 11/12 stay within one
@@ -151,6 +176,19 @@ class TestGlobalBound:
         kp = green_kernel_params_from_geometry(1.0, 3, geometry)
         assert kp.a == pytest.approx(tau_delta(geometry))
         assert math.isfinite(global_bound_constant(kp, geometry))
+
+    def test_log_space_sup_below_the_envelope_range(self):
+        # growth 6: the weighted sup is about e^-24, though the envelope
+        # itself leaves the double range before r = 30
+        geometry = GroupGeometry(D=6.0, b=1.0)
+        kp = green_kernel_params_from_geometry(0.5, 1, geometry)
+        assert 1e-12 < global_bound_constant(kp, geometry) < 1e-9
+
+    def test_sup_outside_the_double_range_rejected(self):
+        geometry = GroupGeometry(D=200.0, b=1.0)
+        kp = green_kernel_params_from_geometry(0.5, 1, geometry)
+        with pytest.raises(ValueError, match="not a normal double"):
+            global_bound_constant(kp, geometry)
 
     def test_mismatched_b_rejected(self):
         kp = GreenKernelParams(1.0, 3, 1.0, 1.0)
