@@ -22,7 +22,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .params import GroupGeometry, conjugate_exponent, solve_q, tau_delta
 
@@ -79,6 +78,15 @@ def green_kernel_params_from_geometry(alpha: float, d: int, g: GroupGeometry) ->
     return GreenKernelParams(alpha, d, tau_delta(g) + 0.25 * g.c_delta**2, g.b)
 
 
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad, imported on the first call: only the adaptive
+    cross-checks integrate, and importing scipy.integrate would cost a
+    closed-form query most of its start-up time."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
+
+
 def _quad_piece(f, lo, hi, eps: float) -> tuple[float, float]:
     out = quad(f, lo, hi, epsabs=0.0, epsrel=eps, limit=200, full_output=1)
     return out[0], out[1]
@@ -94,9 +102,10 @@ def green_kernel_upper(r: float, kp: GreenKernelParams, rel_tol: float = 1e-8) -
     b r^2)] the substitution u = b r^2 / t trades the essential singularity
     at t = 0 for an exponentially damped tail at u = inf, which the adaptive
     rule handles without special weights.  The summed quadrature error
-    estimates must come in below rel_tol times the value.  A value that
-    underflows to 0 (a shift a or a radius too large for doubles) raises
-    ValueError.
+    estimates must come in below rel_tol times the value.  On [u1, inf) the
+    integrand peaks at u* = sqrt(a b r^2); when u* > u1 that piece is broken
+    there.  A value below the normal doubles (a shift a or a radius too
+    large), whose subnormal digits could not hold rel_tol, raises ValueError.
     """
     if not r > 0.0:
         raise ValueError("r must be positive: the envelope diverges at r = 0 for alpha < d")
@@ -115,9 +124,14 @@ def green_kernel_upper(r: float, kp: GreenKernelParams, rel_tol: float = 1e-8) -
     def tail_integrand(u: float) -> float:
         return math.exp(half_dma * math.log(u) - a * br2 / u - u)
 
-    v, e = _quad_piece(tail_integrand, u1, np.inf, eps)
-    values.append(prefactor * v)
-    errors.append(prefactor * e)
+    # a narrow peak far out at u* = sqrt(a b r^2) slips between the nodes of
+    # one [u1, inf) piece (quad then underestimates without noticing), so the
+    # piece is broken there
+    u_star = math.sqrt(a * br2)
+    for lo, hi in ((u1, u_star), (u_star, np.inf)) if u_star > u1 else ((u1, np.inf),):
+        v, e = _quad_piece(tail_integrand, lo, hi, eps)
+        values.append(prefactor * v)
+        errors.append(prefactor * e)
 
     # t in [t1, 1], only present when b r^2 < 1; integrated in x = log t so the
     # power-law run toward t1 gets equal resolution per decade (the direct
@@ -143,13 +157,14 @@ def green_kernel_upper(r: float, kp: GreenKernelParams, rel_tol: float = 1e-8) -
     errors.append(e)
 
     total = math.fsum(values)
-    if not total > 0.0:
+    green = total / math.gamma(0.5 * al)
+    if not green >= sys.float_info.min:
         raise ValueError(f"kernel envelope underflows the double range at r={r} with {kp}")
     if math.fsum(errors) > rel_tol * total:
         raise RuntimeError(
             f"kernel quadrature did not reach relative tolerance {rel_tol} at r={r}"
         )
-    return total / math.gamma(0.5 * al)
+    return green
 
 
 @functools.cache

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sobolev_constants import cli, verify
+from sobolev_constants import cli, kernel, verify
 from sobolev_constants.cli import main
 from sobolev_constants.params import GroupGeometry, default_grid, grid_fingerprint
 from sobolev_constants.report import (
@@ -22,6 +22,16 @@ from sobolev_constants.report import (
 
 REPO_GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
+TRACED_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
+
+
+def run_python(*args):
+    """Run a fresh interpreter with the package's src/ on its path."""
+    paths = [str(REPO_SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300
+    )
 
 
 class TestFormatting:
@@ -143,6 +153,42 @@ class TestGolden:
         assert any("k: got nan" in f for f in cmp.failures)
 
 
+class TestImportBoundary:
+    """scipy is imported by the first adaptive quadrature, not by the CLI."""
+
+    @pytest.mark.parametrize(
+        "argv, imports_scipy",
+        [
+            (["constants", "--p", "2", "--q", "4", "--d", "4"], False),
+            (["interp"], False),
+            (["kernel", "--alpha", "1", "--d", "3"], True),
+        ],
+    )
+    def test_scipy_imported_only_by_quadrature(self, argv, imports_scipy, tmp_path):
+        script = (
+            "import sys\n"
+            "from sobolev_constants import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, 'scipy' in sys.modules)\n"
+        )
+        out = run_python("-c", script, *argv, "--out", str(tmp_path))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == f"0 {imports_scipy}"
+
+    def test_quad_returns_scipy_full_output(self):
+        # the benchmark's tracer reads the evaluation count from the infodict
+        value, abserr, info = kernel.quad(lambda x: x * x, 0.0, 1.0, full_output=1)
+        assert value == pytest.approx(1.0 / 3.0, rel=1e-14) and abserr < 1e-12
+        assert isinstance(info["neval"], int) and info["neval"] > 0
+
+    def test_tracer_installs_after_the_cli_import(self, tmp_path):
+        spans = tmp_path / "spans.json"
+        argv = ["constants", "--p", "2", "--q", "4", "--d", "4", "--out", str(tmp_path / "o")]
+        out = run_python(str(TRACED_CLI), str(spans), "--", *argv)
+        assert out.returncode == 0, out.stderr
+        assert spans.exists()
+
+
 class TestCli:
     def test_point_constants(self, tmp_path, capsys):
         code = main(["constants", "--p", "2", "--q", "4", "--d", "4", "--out", str(tmp_path)])
@@ -258,15 +304,7 @@ class TestCli:
 
     def test_overflowing_spectral_shift_prints_only_the_error(self, tmp_path):
         # run as a program: numpy's overflow warnings would reach stderr there
-        paths = [str(REPO_SRC), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        out = subprocess.run(
-            [sys.executable, "-m", "sobolev_constants.cli", "embed", "--tau", "1e300", "--out", str(tmp_path)],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=300,
-        )
+        out = run_python("-m", "sobolev_constants.cli", "embed", "--tau", "1e300", "--out", str(tmp_path))
         assert out.returncode == 2
         assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: L^"), out.stderr
 

@@ -23,8 +23,9 @@ from sobolev_constants.kernel import (
 from sobolev_constants.constants import a2_bound_factor
 from sobolev_constants.params import GroupGeometry, tau_delta
 
-# (r, alpha, d, a, b): radii from 1e-3 to 29 and shifts from 1 to 220.5 (the
-# shift of growth rate D = 5), each where the envelope is still a normal double
+# (r, alpha, d, a, b): radii from 1e-3 to 29 and shifts from 1 to 840.5 (the
+# shift of growth rate D = 10), each where the envelope is still a normal
+# double; the last two put a narrow saddle far out on the first quad piece
 ORACLE_CASES = (
     (1.0, 1.0, 3, 1.0, 1.0),
     (0.05, 0.5, 1, 1.0, 1.0),
@@ -38,6 +39,8 @@ ORACLE_CASES = (
     (10.0, 1.5, 2, 220.5, 1.0),
     (0.2, 0.3, 3, 220.5, 1.0),
     (1e-3, 0.9, 1, 220.5, 1.0),
+    (8.0, 0.1, 1, 840.5, 1.0),
+    (10.4, 0.1, 1, 840.5, 1.0),
 )
 LOCAL_SUP_REF = 1.1283638992488583  # alpha=1, d=3, a=1, b=1 sweep, frozen at build
 GLOBAL_SUP_REF = 0.05061440517890041  # alpha=1, d=3, a=1, b=4, D=0 geometry
@@ -45,32 +48,58 @@ TILDE_K_REF = 0.521865938459879089  # r=1, D=0, b0=1 shell sum
 
 
 def green_oracle(r, alpha, d, a, b, log=False):
-    """The envelope at 30 digits, or its log with log=True (for envelopes
-    below the double range), split as in DLMF 10.32.10 with c = b r^2:
+    """The envelope at 20 digits, or its log with log=True (for envelopes
+    below the double range), split as in DLMF 10.32.10 with c = b r^2 and
+    z = 2 sqrt(a c):
 
-        Gamma(alpha/2) green = 2 (c/a)^{alpha/4} K_{alpha/2}(2 sqrt(a c))
+        Gamma(alpha/2) green = 2 (c/a)^{alpha/4} K_{alpha/2}(z)
             + int_0^1 (t^{(alpha-d)/2-1} - t^{alpha/2-1}) e^{-a t - c/t} dt.
 
+    Both terms are taken times e^z, which puts the saddle value of
+    e^{-a t - c/t} at 1: mpmath's quadrature stops on an absolute error, so
+    the integrand must not be far below 1.
     The remainder is integrated in x = log t, with breakpoints every
-    (a c)^{-1/4}/sqrt(2) (the width of the saddle of e^{-a t - c/t}) around
-    x = log sqrt(c/a).  It starts where c/t = 2000: the integrand is below
-    e^{-2000} times a power of c there, far under double precision."""
-    with mp.workdps(30):
+    (a c)^{-1/4}/sqrt(2) (the width of the saddle) around x = log sqrt(c/a).
+    It starts where c/t = a + c + 2000, which lies below both t = 1 and the
+    saddle: there the integrand is below e^-2000 of its value at t = 1."""
+    with mp.workdps(20):
         r, alpha, a, b = mp.mpf(r), mp.mpf(alpha), mp.mpf(a), mp.mpf(b)
         c = b * r * r
-        bessel = 2 * (c / a) ** (alpha / 4) * mp.besselk(alpha / 2, 2 * mp.sqrt(a * c))
+        z = 2 * mp.sqrt(a * c)
+        bessel = 2 * (c / a) ** (alpha / 4) * mp.besselk(alpha / 2, z) * mp.exp(z)
         lo, hi = (alpha - d) / 2, alpha / 2
 
         def remainder(x):
-            return (mp.exp(lo * x) - mp.exp(hi * x)) * mp.exp(-a * mp.exp(x) - c * mp.exp(-x))
+            return (mp.exp(lo * x) - mp.exp(hi * x)) * mp.exp(z - a * mp.exp(x) - c * mp.exp(-x))
 
-        centre = mp.log(mp.sqrt(c / a))
+        centre = mp.log(c / a) / 2
         step = (a * c) ** mp.mpf(-0.25) / mp.sqrt(2)
-        x_lo = mp.log(c / 2000)
+        x_lo = mp.log(c / (a + c + 2000))
         knots = [centre + k * step for k in range(-8, 9)]
         points = [x_lo] + [x for x in knots if x_lo < x < 0] + [mp.mpf(0)]
-        green = (bessel + mp.quad(remainder, points)) / mp.gamma(alpha / 2)
-        return float(mp.log(green) if log else green)
+        scaled = (bessel + mp.quad(remainder, points)) / mp.gamma(alpha / 2)
+        return float(mp.log(scaled) - z if log else scaled * mp.exp(-z))
+
+
+def green_direct_log(r, alpha, d, a, b):
+    """log of the envelope at 40 digits by direct integration of
+    t^{alpha/2} min(1, t)^{-d/2} e^{-a t - c/t} in x = log t, over the x where
+    e^{-a t - c/t} is within e^-3000 of its value at t = 1, with breakpoints
+    every half saddle width out to 20 widths: an independent check of
+    green_oracle's split and its limits of integration."""
+    with mp.workdps(40):
+        r, alpha, a, b = mp.mpf(r), mp.mpf(alpha), mp.mpf(a), mp.mpf(b)
+        c = b * r * r
+
+        def integrand(x):
+            return mp.exp(alpha / 2 * x - d / 2 * min(x, 0) - a * mp.exp(x) - c * mp.exp(-x))
+
+        centre = mp.log(c / a) / 2
+        step = (a * c) ** mp.mpf(-0.25) / mp.sqrt(2)
+        x_lo, x_hi = mp.log(c / (a + c + 3000)), mp.log((a + c + 3000) / a)
+        knots = [centre + k * step / 2 for k in range(-40, 41)] + [mp.mpf(0)]
+        points = [x_lo] + sorted(x for x in knots if x_lo < x < x_hi) + [x_hi]
+        return float(mp.log(mp.quad(integrand, points) / mp.gamma(alpha / 2)))
 
 
 class TestGreenKernelUpper:
@@ -81,6 +110,16 @@ class TestGreenKernelUpper:
             expected = green_oracle(r, alpha, d, a, b)
             assert green_kernel_upper(r, kp, rel_tol=1e-8) == pytest.approx(expected, rel=1e-10), kp
             assert math.exp(log_green_kernel([r], kp)[0]) == pytest.approx(expected, rel=1e-10), kp
+
+    def test_subnormal_envelope_raises(self):
+        # e^-712.3 is below the normal doubles, whose last digits could not
+        # hold the relative tolerance; e^-700.7 at r = 12 is returned
+        kp = GreenKernelParams(0.1, 1, 840.5, 1.0)
+        assert math.log(green_kernel_upper(12.0, kp)) == pytest.approx(
+            green_oracle(12.0, 0.1, 1, 840.5, 1.0, log=True), rel=1e-10
+        )
+        with pytest.raises(ValueError, match="underflows the double range"):
+            green_kernel_upper(12.2, kp)
 
     def test_strictly_decreasing_in_r(self):
         kp = GreenKernelParams(1.0, 3, 1.0, 1.0)
@@ -124,6 +163,26 @@ class TestLogGreenKernel:
         for r, log_green in zip(self.RADII, got):
             expected = green_oracle(r, frac * d, d, a, 1.0, log=True)
             assert abs(math.expm1(log_green - expected)) <= 1e-10, (r, log_green, expected)
+
+
+class TestGreenOracle:
+    # c = b r^2 > 2000, where the remainder's lower limit must stay below
+    # t = 1 and the saddle, and envelopes of e^-60 and less, where an
+    # unscaled integrand would meet mpmath's absolute error test at once
+    @pytest.mark.parametrize(
+        "r, alpha, d, a, b",
+        (
+            (30.0, 1.0, 3, 1.0, 100.0),
+            (30.0, 1.5, 2, 1.0, 5000.0),
+            (30.0, 0.5, 1, 840.5, 10.0),
+            (1.0, 0.1, 1, 840.5, 1.0),
+            (1e-3, 0.9, 1, 840.5, 1.0),
+        ),
+    )
+    def test_matches_direct_integration(self, r, alpha, d, a, b):
+        expected = green_direct_log(r, alpha, d, a, b)
+        got = green_oracle(r, alpha, d, a, b, log=True)
+        assert got == pytest.approx(expected, rel=1e-15, abs=1e-13)
 
 
 class TestLocalBound:
