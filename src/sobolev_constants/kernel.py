@@ -78,18 +78,117 @@ def green_kernel_params_from_geometry(alpha: float, d: int, g: GroupGeometry) ->
     return GreenKernelParams(alpha, d, tau_delta(g) + 0.25 * g.c_delta**2, g.b)
 
 
-def quad(func, a, b, **kwargs):
-    """scipy.integrate.quad, imported on the first call: only the adaptive
-    cross-checks integrate, and importing scipy.integrate would cost a
-    closed-form query most of its start-up time."""
-    from scipy.integrate import quad as scipy_quad
+# The 15-point Kronrod rule on [-1, 1] and the 7-point Gauss rule inside it
+# (QUADPACK qk15): abscissae x_0 > ... > x_7 = 0, mirrored to -x_0, ..., x_0;
+# the Gauss rule uses x_1, x_3, x_5, x_7.
+_GK15_HALF_NODES = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+)
+_K15_HALF_WEIGHTS = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_G7_HALF_WEIGHTS = (
+    0.0,
+    0.129484966168869693270611432679082,
+    0.0,
+    0.279705391489276667901467771423780,
+    0.0,
+    0.381830050505118944950369775488975,
+    0.0,
+    0.417959183673469387755102040816327,
+)
 
-    return scipy_quad(func, a, b, **kwargs)
+
+def _mirror(half, sign: float = 1.0) -> np.ndarray:
+    half = np.array(half)
+    return np.concatenate((sign * half[:7], half[::-1]))
+
+
+_GK15_NODES = _mirror(_GK15_HALF_NODES, -1.0)
+_K15_WEIGHTS = _mirror(_K15_HALF_WEIGHTS)
+_G7_WEIGHTS = _mirror(_G7_HALF_WEIGHTS)
+# An interval this narrow relative to its ends is not bisected: the nodes of
+# its halves would round onto their ends, where an integrand may be singular.
+_MIN_RELATIVE_WIDTH = 1e-12
+
+
+def _gk15(func, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod value and QUADPACK error estimate of func on each [lo[i], hi[i]],
+    from one call of func on all the nodes."""
+    half = 0.5 * (hi - lo)
+    f = func((lo + half)[:, None] + half[:, None] * _GK15_NODES)
+    kronrod = f @ _K15_WEIGHTS
+    error = np.abs(kronrod - f @ _G7_WEIGHTS)
+    # QUADPACK's estimate: the Kronrod-Gauss difference e, which overstates
+    # the Kronrod rule's error, becomes spread min(1, 200 e / spread)^1.5,
+    # where spread integrates |f - mean f|; it is floored at 50 eps times the
+    # integral of |f|, the rounding error of the sum
+    spread = np.abs(f - 0.5 * kronrod[:, None]) @ _K15_WEIGHTS
+    ratio = np.divide(200.0 * error, spread, out=np.zeros_like(error), where=spread > 0.0)
+    error = np.where(spread > 0.0, spread * np.minimum(1.0, ratio**1.5), error)
+    error = np.maximum(error, 50.0 * sys.float_info.epsilon * (np.abs(f) @ _K15_WEIGHTS))
+    return half * kronrod, half * error
+
+
+def quad(func, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, full_output=0):
+    """Adaptive 7/15-point Gauss-Kronrod integral of func over [a, b]:
+    (value, abserr), or (value, abserr, {"neval": n}) with full_output.
+
+    func is vectorized: it maps an array of nodes to the array of its values.
+    An infinite end maps to (0, 1] by x = a + (1 - t)/t (or b - (1 - t)/t),
+    so the integrand is func(x(t))/t^2, and the nodes never reach t = 0.  The
+    interval with the largest error estimate is bisected next, until the
+    summed estimate is at most max(epsabs, epsrel |value|), limit intervals
+    are in use, or the worst interval is too narrow to bisect; the caller
+    compares abserr with its tolerance.
+    """
+    if not (a < b and (math.isfinite(a) or math.isfinite(b)) and limit >= 1):
+        raise ValueError(f"need a < b with one end finite and limit >= 1, got [{a}, {b}], {limit}")
+    f, start, stop = func, a, b
+    if math.isinf(b):
+        f, start, stop = (lambda t: func(a + (1.0 - t) / t) / (t * t)), 0.0, 1.0
+    elif math.isinf(a):
+        f, start, stop = (lambda t: func(b - (1.0 - t) / t) / (t * t)), 0.0, 1.0
+    lo, hi, value, error = np.zeros(limit), np.zeros(limit), np.zeros(limit), np.zeros(limit)
+    lo[0], hi[0] = start, stop
+    value[:1], error[:1] = _gk15(f, lo[:1], hi[:1])
+    n = 1
+    while n < limit and error[:n].sum() > max(epsabs, epsrel * abs(value[:n].sum())):
+        i = int(np.argmax(error[:n]))
+        if hi[i] - lo[i] <= _MIN_RELATIVE_WIDTH * max(abs(lo[i]), abs(hi[i])):
+            break
+        lo[n], hi[n] = 0.5 * (lo[i] + hi[i]), hi[i]
+        hi[i] = lo[n]
+        pair = [i, n]
+        value[pair], error[pair] = _gk15(f, lo[pair], hi[pair])
+        n += 1
+    result = (float(value[:n].sum()), float(error[:n].sum()))
+    return result + ({"neval": 15 * (2 * n - 1)},) if full_output else result
 
 
 def _quad_piece(f, lo, hi, eps: float) -> tuple[float, float]:
     out = quad(f, lo, hi, epsabs=0.0, epsrel=eps, limit=200, full_output=1)
     return out[0], out[1]
+
+
+def _split_at_peak(lo: float, peak: float) -> tuple[tuple[float, float], ...]:
+    # a narrow peak far out on [lo, inf) slips between the nodes of one piece
+    # (quad then underestimates without noticing), so the piece is broken there
+    return ((lo, peak), (peak, math.inf)) if peak > lo else ((lo, math.inf),)
 
 
 def green_kernel_upper(r: float, kp: GreenKernelParams, rel_tol: float = 1e-8) -> float:
@@ -102,9 +201,10 @@ def green_kernel_upper(r: float, kp: GreenKernelParams, rel_tol: float = 1e-8) -
     b r^2)] the substitution u = b r^2 / t trades the essential singularity
     at t = 0 for an exponentially damped tail at u = inf, which the adaptive
     rule handles without special weights.  The summed quadrature error
-    estimates must come in below rel_tol times the value.  On [u1, inf) the
-    integrand peaks at u* = sqrt(a b r^2); when u* > u1 that piece is broken
-    there.  A value below the normal doubles (a shift a or a radius too
+    estimates must come in below rel_tol times the value, else RuntimeError.
+    On [u1, inf) the integrand peaks at u* = sqrt(a b r^2), on [1, inf) at
+    t* = sqrt(b r^2 / a); each piece is broken at its peak when the peak lies
+    inside it.  A value below the normal doubles (a shift a or a radius too
     large), whose subnormal digits could not hold rel_tol, raises ValueError.
     """
     if not r > 0.0:
@@ -121,26 +221,21 @@ def green_kernel_upper(r: float, kp: GreenKernelParams, rel_tol: float = 1e-8) -
     prefactor = math.exp(0.5 * (al - d) * math.log(br2))
     half_dma = 0.5 * (d - al) - 1.0
 
-    def tail_integrand(u: float) -> float:
-        return math.exp(half_dma * math.log(u) - a * br2 / u - u)
+    def tail_integrand(u):
+        return np.exp(half_dma * np.log(u) - a * br2 / u - u)
 
-    # a narrow peak far out at u* = sqrt(a b r^2) slips between the nodes of
-    # one [u1, inf) piece (quad then underestimates without noticing), so the
-    # piece is broken there
-    u_star = math.sqrt(a * br2)
-    for lo, hi in ((u1, u_star), (u_star, np.inf)) if u_star > u1 else ((u1, np.inf),):
+    for lo, hi in _split_at_peak(u1, math.sqrt(a * br2)):
         v, e = _quad_piece(tail_integrand, lo, hi, eps)
         values.append(prefactor * v)
         errors.append(prefactor * e)
 
     # t in [t1, 1], only present when b r^2 < 1; integrated in x = log t so the
-    # power-law run toward t1 gets equal resolution per decade (the direct
-    # form spans many decades and defeats the adaptive extrapolation)
+    # power-law run toward t1 gets equal resolution per decade
     if t1 < 1.0:
         half_amd = 0.5 * (al - d)
 
-        def middle_integrand(x: float) -> float:
-            return math.exp(half_amd * x - a * math.exp(x) - br2 * math.exp(-x))
+        def middle_integrand(x):
+            return np.exp(half_amd * x - a * np.exp(x) - br2 * np.exp(-x))
 
         v, e = _quad_piece(middle_integrand, math.log(t1), 0.0, eps)
         values.append(v)
@@ -149,12 +244,13 @@ def green_kernel_upper(r: float, kp: GreenKernelParams, rel_tol: float = 1e-8) -
     # t in [1, inf)
     half_a = 0.5 * al - 1.0
 
-    def outer_integrand(t: float) -> float:
-        return math.exp(half_a * math.log(t) - a * t - br2 / t)
+    def outer_integrand(t):
+        return np.exp(half_a * np.log(t) - a * t - br2 / t)
 
-    v, e = _quad_piece(outer_integrand, 1.0, np.inf, eps)
-    values.append(v)
-    errors.append(e)
+    for lo, hi in _split_at_peak(1.0, math.sqrt(br2 / a)):
+        v, e = _quad_piece(outer_integrand, lo, hi, eps)
+        values.append(v)
+        errors.append(e)
 
     total = math.fsum(values)
     green = total / math.gamma(0.5 * al)
@@ -318,7 +414,11 @@ def kalpha_norms_quadrature(alpha: float, d: int, s: float, r_exp: float) -> tup
     """Direct-quadrature twin of kalpha_norms: the same radial integrals with
     no closed form, for cross-checking."""
     _check_kalpha_args(alpha, d, s, r_exp)
-    inner, _ = quad(lambda r: r ** (alpha - 1.0), 0.0, s, epsabs=0.0, epsrel=1e-12, limit=200)
+    # the inner piece r^{alpha - 1} on [0, s] in x = log r, as e^{alpha x} on
+    # (-inf, log s], where its endpoint singularity at r = 0 is gone
+    inner, _ = quad(
+        lambda x: np.exp(alpha * x), -math.inf, math.log(s), epsabs=0.0, epsrel=1e-12, limit=200
+    )
     if s == 1.0:
         return inner, 0.0
     outer, _ = quad(

@@ -17,6 +17,7 @@ from sobolev_constants.kernel import (
     local_bound_constant,
     local_envelope_peak,
     log_green_kernel,
+    quad,
     tilde_k_norm,
     weak_type_constant,
 )
@@ -137,6 +138,19 @@ class TestGreenKernelUpper:
         right = green_kernel_upper(1.3 * math.sqrt(2.0), GreenKernelParams(1.0, 3, 1.0, 1.0))
         assert left == pytest.approx(right, rel=1e-10)
 
+    @pytest.mark.parametrize("r", (170.0, 190.0, 340.0))
+    def test_far_peak_on_the_last_piece(self, r):
+        # the [1, inf) integrand peaks far out at t* = r; e^-340 to e^-680
+        kp = GreenKernelParams(1.0, 3, 1.0, 1.0)
+        expected = log_green_kernel([r], kp)[0]
+        assert math.log(green_kernel_upper(r, kp)) == pytest.approx(expected, rel=1e-10)
+
+    def test_unreachable_tolerance_raises(self):
+        # each interval's error estimate is floored at 50 eps times its
+        # absolute integral, which stays above 1e-16 of the value
+        with pytest.raises(RuntimeError, match="did not reach relative tolerance"):
+            green_kernel_upper(1.0, GreenKernelParams(1.0, 3), rel_tol=1e-16)
+
     def test_r_zero_rejected(self):
         with pytest.raises(ValueError):
             green_kernel_upper(0.0, GreenKernelParams(1.0, 3))
@@ -148,6 +162,70 @@ class TestGreenKernelUpper:
             GreenKernelParams(1.0, 3, a=0.5)
         with pytest.raises(ValueError):
             GreenKernelParams(1.0, 3, b=0.0)
+
+
+class TestQuad:
+    """The adaptive Gauss-Kronrod rule against closed forms; on every case
+    the reported abserr bounds the true error."""
+
+    @pytest.mark.parametrize("k", range(23))
+    def test_one_rule_integrates_polynomials_exactly(self, k):
+        lo, hi = -0.3, 1.7
+        value, abserr = quad(lambda x: x**k, lo, hi, limit=1)
+        expected = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+        assert abs(value - expected) <= min(abserr, 1e-14 * abs(expected))
+
+    @pytest.mark.parametrize("s", (0.5, 0.75, 1.0, 1.5, 2.5, 5.0))
+    def test_gamma_function(self, s):
+        # for s < 1 the integrable singularity at the finite end maps to
+        # t = 1, where bisection stops at intervals 1e-12 wide: the value
+        # holds about 8 digits, and abserr says so
+        value, abserr = quad(
+            lambda t: t ** (s - 1.0) * np.exp(-t),
+            0.0,
+            math.inf,
+            epsabs=0.0,
+            epsrel=1e-10,
+            limit=200,
+        )
+        expected = math.gamma(s)
+        assert abs(value - expected) <= min(abserr, 1e-7 * expected)
+        if s >= 1.0:
+            assert abserr <= 1e-10 * value
+
+    @pytest.mark.parametrize("alpha", (0.01, 1.0, 100.0))
+    def test_exponential_on_a_left_half_line(self, alpha):
+        value, abserr = quad(
+            lambda x: np.exp(alpha * x), -math.inf, 0.0, epsabs=0.0, epsrel=1e-12, limit=200
+        )
+        assert abs(value - 1.0 / alpha) <= min(abserr, 1e-12 / alpha)
+
+    def test_narrow_peak(self):
+        # int_0^inf t^{-1/2} e^{-a t - c/t} dt = sqrt(pi/a) e^{-z}, z = 2 sqrt(a c)
+        # (K_{1/2} in closed form); a = 840.5, c = 64 puts a peak of relative
+        # width about 0.05 at t* = sqrt(c/a) = 0.28
+        a, c = 840.5, 64.0
+        z = 2.0 * math.sqrt(a * c)
+        value, abserr = quad(
+            lambda t: np.exp(z - a * t - c / t) / np.sqrt(t),
+            0.0,
+            math.inf,
+            epsabs=0.0,
+            epsrel=1e-12,
+            limit=200,
+        )
+        expected = math.sqrt(math.pi / a)
+        assert abs(value - expected) <= min(abserr, 1e-12 * expected)
+
+    def test_limit_one_reports_the_unmet_tolerance(self):
+        value, abserr = quad(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=1)
+        assert abserr > 1e-10 * abs(value)
+        assert abserr >= abs(value - 2.0)
+
+    @pytest.mark.parametrize("a, b", ((1.0, 1.0), (2.0, 1.0), (-math.inf, math.inf), (0.0, math.nan)))
+    def test_bad_interval_rejected(self, a, b):
+        with pytest.raises(ValueError, match="need a < b"):
+            quad(np.exp, a, b)
 
 
 class TestLogGreenKernel:
