@@ -33,7 +33,6 @@ from .verify import (
     check_series,
     check_spectral,
     constants_table,
-    envelope_table,
     run_all_checks,
 )
 
@@ -152,12 +151,8 @@ def _run_interp(args) -> int:
 def _run_kernel(args) -> int:
     geometry = _geometry_from_args(args)
     # validate the profile's order before the slow checks run
-    profile_params = GreenKernelParams(args.alpha, args.d)
-    result = check_kernel(geometry)
-    profile = envelope_table(profile_params, geometry)
-    profile.name = "envelope_profile"
-    result.tables.append(profile)
-    return _finish(result, args)
+    profile = GreenKernelParams(args.alpha, args.d)
+    return _finish(check_kernel(geometry, profile), args)
 
 
 def _run_embed(args) -> int:

@@ -78,6 +78,12 @@ def green_kernel_params_from_geometry(alpha: float, d: int, g: GroupGeometry) ->
     return GreenKernelParams(alpha, d, tau_delta(g) + 0.25 * g.c_delta**2, g.b)
 
 
+def _normal_exp(log_value: float, what: str, kp: GreenKernelParams) -> float:
+    if not _LOG_NORMAL_MIN <= log_value < _LOG_NORMAL_MAX:
+        raise ValueError(f"{what} e^{log_value:.6g} is not a normal double with {kp}")
+    return math.exp(log_value)
+
+
 # The 15-point Kronrod rule on [-1, 1] and the 7-point Gauss rule inside it
 # (QUADPACK qk15): abscissae x_0 > ... > x_7 = 0, mirrored to -x_0, ..., x_0;
 # the Gauss rule uses x_1, x_3, x_5, x_7.
@@ -124,6 +130,8 @@ _G7_WEIGHTS = _mirror(_G7_HALF_WEIGHTS)
 # An interval this narrow relative to its ends is not bisected: the nodes of
 # its halves would round onto their ends, where an integrand may be singular.
 _MIN_RELATIVE_WIDTH = 1e-12
+# the most intervals one quad call bisects its range into
+_QUAD_LIMIT = 200
 
 
 def _gk15(func, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,30 +152,31 @@ def _gk15(func, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return half * kronrod, half * error
 
 
-def quad(func, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, full_output=0):
+def quad(func, a, b, rel_tol: float) -> tuple[float, float, dict]:
     """Adaptive 7/15-point Gauss-Kronrod integral of func over [a, b]:
-    (value, abserr), or (value, abserr, {"neval": n}) with full_output.
+    (value, abserr, {"neval": n}).
 
     func is vectorized: it maps an array of nodes to the array of its values.
     An infinite end maps to (0, 1] by x = a + (1 - t)/t (or b - (1 - t)/t),
     so the integrand is func(x(t))/t^2, and the nodes never reach t = 0.  The
     interval with the largest error estimate is bisected next, until the
-    summed estimate is at most max(epsabs, epsrel |value|), limit intervals
-    are in use, or the worst interval is too narrow to bisect; the caller
-    compares abserr with its tolerance.
+    summed estimate is at most rel_tol |value|, _QUAD_LIMIT intervals are in
+    use, or the worst interval is too narrow to bisect; the caller compares
+    abserr with its tolerance.
     """
-    if not (a < b and (math.isfinite(a) or math.isfinite(b)) and limit >= 1):
-        raise ValueError(f"need a < b with one end finite and limit >= 1, got [{a}, {b}], {limit}")
+    if not (a < b and (math.isfinite(a) or math.isfinite(b))):
+        raise ValueError(f"need a < b with one end finite, got [{a}, {b}]")
     f, start, stop = func, a, b
     if math.isinf(b):
         f, start, stop = (lambda t: func(a + (1.0 - t) / t) / (t * t)), 0.0, 1.0
     elif math.isinf(a):
         f, start, stop = (lambda t: func(b - (1.0 - t) / t) / (t * t)), 0.0, 1.0
-    lo, hi, value, error = np.zeros(limit), np.zeros(limit), np.zeros(limit), np.zeros(limit)
+    lo, hi = np.zeros(_QUAD_LIMIT), np.zeros(_QUAD_LIMIT)
+    value, error = np.zeros(_QUAD_LIMIT), np.zeros(_QUAD_LIMIT)
     lo[0], hi[0] = start, stop
     value[:1], error[:1] = _gk15(f, lo[:1], hi[:1])
     n = 1
-    while n < limit and error[:n].sum() > max(epsabs, epsrel * abs(value[:n].sum())):
+    while n < _QUAD_LIMIT and error[:n].sum() > rel_tol * abs(value[:n].sum()):
         i = int(np.argmax(error[:n]))
         if hi[i] - lo[i] <= _MIN_RELATIVE_WIDTH * max(abs(lo[i]), abs(hi[i])):
             break
@@ -176,19 +185,15 @@ def quad(func, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, full_output=0):
         pair = [i, n]
         value[pair], error[pair] = _gk15(f, lo[pair], hi[pair])
         n += 1
-    result = (float(value[:n].sum()), float(error[:n].sum()))
-    return result + ({"neval": 15 * (2 * n - 1)},) if full_output else result
+    return float(value[:n].sum()), float(error[:n].sum()), {"neval": 15 * (2 * n - 1)}
 
 
-def _quad_piece(f, lo, hi, eps: float) -> tuple[float, float]:
-    out = quad(f, lo, hi, epsabs=0.0, epsrel=eps, limit=200, full_output=1)
-    return out[0], out[1]
-
-
-def _split_at_peak(lo: float, peak: float) -> tuple[tuple[float, float], ...]:
-    # a narrow peak far out on [lo, inf) slips between the nodes of one piece
-    # (quad then underestimates without noticing), so the piece is broken there
-    return ((lo, peak), (peak, math.inf)) if peak > lo else ((lo, math.inf),)
+def _log_peak(k: float, a: float, c: float) -> float:
+    """The x = log y that maximizes k x - a e^x - c e^{-x}: the positive root
+    of a y^2 - k y - c = 0, in the form without cancellation for the sign of
+    k."""
+    s = math.hypot(k, 2.0 * math.sqrt(a) * math.sqrt(c))
+    return math.log(2.0 * c / (s - k)) if k < 0.0 else math.log((k + s) / (2.0 * a))
 
 
 def green_kernel_upper(r: float, kp: GreenKernelParams, rel_tol: float = 1e-8) -> float:
@@ -197,70 +202,43 @@ def green_kernel_upper(r: float, kp: GreenKernelParams, rel_tol: float = 1e-8) -
     decreasing in r and in a.  It cross-checks the split rule of
     log_green_kernel and computes the envelope profile table.
 
-    The integral is split at t = min(1, b r^2) and t = 1.  On (0, min(1,
-    b r^2)] the substitution u = b r^2 / t trades the essential singularity
-    at t = 0 for an exponentially damped tail at u = inf, which the adaptive
-    rule handles without special weights.  The summed quadrature error
-    estimates must come in below rel_tol times the value, else RuntimeError.
-    On [u1, inf) the integrand peaks at u* = sqrt(a b r^2), on [1, inf) at
-    t* = sqrt(b r^2 / a); each piece is broken at its peak when the peak lies
-    inside it.  A value below the normal doubles (a shift a or a radius too
-    large), whose subnormal digits could not hold rel_tol, raises ValueError.
+    In x = log t the integrand is e^{phi(x)}, phi(x) = k x - a e^x - c e^{-x}
+    with c = b r^2 and slope k = (alpha - d)/2 for x < 0, alpha/2 for x > 0.
+    phi is concave on each side of the kink x = 0, so each side peaks once,
+    inside it or at 0 (_log_peak).  The integral is broken at the kink and at
+    those peaks, and e^{phi - max phi} is integrated: every piece is
+    monotone with its largest value, at most 1, at an end, so no peak slips
+    between the nodes and nothing overflows.  Each piece is integrated to
+    rel_tol/4, and the summed quadrature error estimates must come in below
+    rel_tol times the value, else RuntimeError; a value outside the normal
+    doubles raises ValueError.
     """
     if not r > 0.0:
         raise ValueError("r must be positive: the envelope diverges at r = 0 for alpha < d")
-    al, d, a, b = kp.alpha, float(kp.d), kp.a, kp.b
-    br2 = b * r * r
-    t1 = min(1.0, br2)
-    eps = rel_tol / 4.0
-    values = []
-    errors = []
+    a, c = kp.a, kp.b * r * r
+    k_left, k_right = 0.5 * (kp.alpha - kp.d), 0.5 * kp.alpha
+    x_left = min(_log_peak(k_left, a, c), 0.0)
+    x_right = max(_log_peak(k_right, a, c), 0.0)
 
-    # t in (0, t1], via u = b r^2 / t in [max(1, b r^2), inf)
-    u1 = br2 / t1
-    prefactor = math.exp(0.5 * (al - d) * math.log(br2))
-    half_dma = 0.5 * (d - al) - 1.0
+    def phi(k, x):
+        return k * x - a * np.exp(x) - c * np.exp(-x)
 
-    def tail_integrand(u):
-        return np.exp(half_dma * np.log(u) - a * br2 / u - u)
-
-    for lo, hi in _split_at_peak(u1, math.sqrt(a * br2)):
-        v, e = _quad_piece(tail_integrand, lo, hi, eps)
-        values.append(prefactor * v)
-        errors.append(prefactor * e)
-
-    # t in [t1, 1], only present when b r^2 < 1; integrated in x = log t so the
-    # power-law run toward t1 gets equal resolution per decade
-    if t1 < 1.0:
-        half_amd = 0.5 * (al - d)
-
-        def middle_integrand(x):
-            return np.exp(half_amd * x - a * np.exp(x) - br2 * np.exp(-x))
-
-        v, e = _quad_piece(middle_integrand, math.log(t1), 0.0, eps)
-        values.append(v)
-        errors.append(e)
-
-    # t in [1, inf)
-    half_a = 0.5 * al - 1.0
-
-    def outer_integrand(t):
-        return np.exp(half_a * np.log(t) - a * t - br2 / t)
-
-    for lo, hi in _split_at_peak(1.0, math.sqrt(br2 / a)):
-        v, e = _quad_piece(outer_integrand, lo, hi, eps)
-        values.append(v)
-        errors.append(e)
-
-    total = math.fsum(values)
-    green = total / math.gamma(0.5 * al)
-    if not green >= sys.float_info.min:
-        raise ValueError(f"kernel envelope underflows the double range at r={r} with {kp}")
-    if math.fsum(errors) > rel_tol * total:
+    phi_max = max(phi(k_left, x_left), phi(k_right, x_right))
+    breaks = (-math.inf,) + tuple(sorted({x_left, 0.0, x_right})) + (math.inf,)
+    pieces = []
+    # far out on the infinite pieces e^{+-x} overflows to inf, and the
+    # integrand rightly to 0
+    with np.errstate(over="ignore"):
+        for lo, hi in zip(breaks, breaks[1:]):
+            k = k_left if hi <= 0.0 else k_right
+            pieces.append(quad(lambda x: np.exp(phi(k, x) - phi_max), lo, hi, rel_tol / 4.0))
+    total = math.fsum(value for value, _, _ in pieces)
+    if math.fsum(error for _, error, _ in pieces) > rel_tol * total:
         raise RuntimeError(
             f"kernel quadrature did not reach relative tolerance {rel_tol} at r={r}"
         )
-    return green
+    log_green = phi_max + math.log(total) - math.lgamma(0.5 * kp.alpha)
+    return _normal_exp(log_green, "kernel envelope", kp)
 
 
 @functools.cache
@@ -303,7 +281,8 @@ def log_green_kernel(radii, kp: GreenKernelParams) -> np.ndarray:
     half_alpha, half_d, nu = 0.5 * kp.alpha, 0.5 * kp.d, 0.5 * (kp.alpha - kp.d)
     c = kp.b * r * r
     z = 2.0 * np.sqrt(kp.a * c)
-    log_t_star = 0.5 * np.log(c / kp.a)
+    # c/a itself may underflow (b = 1e-300 with a = 8e300)
+    log_t_star = 0.5 * (np.log(c) - math.log(kp.a))
     # z (cosh U - 1) = 2 z sinh^2(U/2) = 750, solved without cancellation at large z
     cut = 2.0 * np.arcsinh(np.sqrt(0.5 * _TAIL_EXPONENT / z))
 
@@ -328,15 +307,12 @@ def log_green_kernel(radii, kp: GreenKernelParams) -> np.ndarray:
         + np.log(-np.expm1(-half_d * x))
         - 2.0 * z * np.sinh(0.5 * (x - log_t_star)) ** 2
     )
-    log_remainder = np.log(half_width) + _log_sum_exp(log_g)
+    # at very large z the interval rounds to zero width, and its remainder,
+    # rightly, to e^-inf
+    with np.errstate(divide="ignore"):
+        log_remainder = np.log(half_width) + _log_sum_exp(log_g)
 
     return (np.logaddexp(log_bessel, log_remainder) - z)[:, 0] - math.lgamma(half_alpha)
-
-
-def _normal_exp(log_value: float, what: str, kp: GreenKernelParams) -> float:
-    if not _LOG_NORMAL_MIN <= log_value < _LOG_NORMAL_MAX:
-        raise ValueError(f"{what} e^{log_value:.6g} is not a normal double with {kp}")
-    return math.exp(log_value)
 
 
 def local_envelope_peak(kp: GreenKernelParams) -> tuple[float, float]:
@@ -416,19 +392,10 @@ def kalpha_norms_quadrature(alpha: float, d: int, s: float, r_exp: float) -> tup
     _check_kalpha_args(alpha, d, s, r_exp)
     # the inner piece r^{alpha - 1} on [0, s] in x = log r, as e^{alpha x} on
     # (-inf, log s], where its endpoint singularity at r = 0 is gone
-    inner, _ = quad(
-        lambda x: np.exp(alpha * x), -math.inf, math.log(s), epsabs=0.0, epsrel=1e-12, limit=200
-    )
+    inner = quad(lambda x: np.exp(alpha * x), -math.inf, math.log(s), 1e-12)[0]
     if s == 1.0:
         return inner, 0.0
-    outer, _ = quad(
-        lambda r: d * r ** ((alpha - d) * r_exp + d - 1.0),
-        s,
-        1.0,
-        epsabs=0.0,
-        epsrel=1e-12,
-        limit=200,
-    )
+    outer = quad(lambda r: d * r ** ((alpha - d) * r_exp + d - 1.0), s, 1.0, 1e-12)[0]
     return inner, outer ** (1.0 / r_exp)
 
 

@@ -289,8 +289,12 @@ def read_grid_config(path) -> ParameterGrid:
     comma-separated decimals.  '#' starts a comment; blank lines ignored.
     A repeated key is an error.
     """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read grid config {path}: {exc}") from exc
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

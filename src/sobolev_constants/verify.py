@@ -353,7 +353,10 @@ def envelope_table(kp: GreenKernelParams, g: GroupGeometry, n_points: int = 80) 
     return table
 
 
-def check_kernel(geometry: GroupGeometry) -> CheckResult:
+def check_kernel(
+    geometry: GroupGeometry, profile: GreenKernelParams = GreenKernelParams(1.0, 3)
+) -> CheckResult:
+    """The kernel checks, plus the envelope profile table of `profile`."""
     result = CheckResult()
 
     local_table = ResultTable(
@@ -423,7 +426,7 @@ def check_kernel(geometry: GroupGeometry) -> CheckResult:
         shell_table.append((r_exp, t, math.isfinite(t)))
     result.record_table(shell_table, "shell sums finite")
 
-    result.tables.append(envelope_table(GreenKernelParams(1.0, 3), geometry))
+    result.tables.append(envelope_table(profile, geometry))
     return result
 
 

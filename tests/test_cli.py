@@ -182,7 +182,7 @@ class TestImportBoundary:
 
     def test_quad_returns_value_abserr_and_infodict(self):
         # the benchmark's tracer reads the evaluation count from the infodict
-        value, abserr, info = kernel.quad(lambda x: x * x, 0.0, 1.0, full_output=1)
+        value, abserr, info = kernel.quad(lambda x: x * x, 0.0, 1.0, 1e-8)
         assert value == pytest.approx(1.0 / 3.0, rel=1e-14) and abserr < 1e-12
         assert info == {"neval": 15}  # one 15-node rule integrates x^2 exactly
 
@@ -290,11 +290,15 @@ class TestCli:
         assert (tmp_path / "mt_radius.csv").exists()
 
     def test_kernel_envelope_profile(self, tmp_path):
-        code = main(["kernel", "--alpha", "1", "--d", "3", "--out", str(tmp_path)])
-        assert code == 0
-        header, rows = read_csv_cells(tmp_path / "envelope_profile.csv")
+        # one envelope.csv, of the --alpha/--d profile
+        assert main(["kernel", "--alpha", "1", "--d", "3", "--out", str(tmp_path / "a")]) == 0
+        assert sorted(p.name for p in (tmp_path / "a").glob("envelope*")) == ["envelope.csv"]
+        header, rows = read_csv_cells(tmp_path / "a" / "envelope.csv")
         assert header == ("r", "green", "normalized_local", "normalized_global")
         assert len(rows) == 80
+        assert main(["kernel", "--alpha", "0.5", "--d", "1", "--out", str(tmp_path / "b")]) == 0
+        other = (tmp_path / "b" / "envelope.csv").read_bytes()
+        assert other != (tmp_path / "a" / "envelope.csv").read_bytes()
 
     def test_bad_kernel_profile_exits_two_before_the_checks(self, tmp_path, monkeypatch):
         def must_not_run(geometry):
@@ -345,6 +349,35 @@ class TestCli:
         assert main(["kernel", "--geom-growth", "13", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: the weighted profile"), err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["kernel", "--alpha", "1", "--d", "300"], "error: kernel envelope e^"),
+            (["constants", "--config", "MISSING"], "error: cannot read grid config"),
+            (["interp", "--config", "MISSING"], "error: cannot read grid config"),
+            (["verify-all", "--config", "MISSING"], "error: cannot read grid config"),
+        ],
+    )
+    def test_extreme_sizes_exit_two_with_one_error_line(self, argv, message, tmp_path):
+        # run as a program, so a traceback or a numpy warning would show on stderr
+        argv = [str(tmp_path / "missing.cfg") if a == "MISSING" else a for a in argv]
+        out = run_python("-m", "sobolev_constants.cli", *argv, "--out", str(tmp_path / "out"))
+        assert out.returncode == 2
+        assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith(message), out.stderr
+
+    @pytest.mark.parametrize("b, code", [("1e-300", 0), ("1e100", 2), ("1e300", 2)])
+    def test_extreme_gaussian_rate_prints_no_warning(self, b, code, tmp_path):
+        # b = 1e-300 once underflowed c/a in the split rule; 1e100 and 1e300
+        # round its remainder interval to zero width
+        argv = ["kernel", "--geom-b", b, "--out", str(tmp_path)]
+        out = run_python("-m", "sobolev_constants.cli", *argv)
+        assert out.returncode == code, out.stderr
+        if code == 0:
+            assert out.stderr == ""
+        else:
+            assert len(out.stderr.splitlines()) == 1, out.stderr
+            assert out.stderr.startswith("error: weighted global envelope sup"), out.stderr
 
     def test_point_conjugates_rounding_to_one_name_the_inputs(self, tmp_path, capsys):
         argv = ["constants", "--p", "1e300", "--q", "2e300", "--d", "3", "--out", str(tmp_path)]
