@@ -20,6 +20,7 @@ from .params import (
     ExponentPair,
     GroupGeometry,
     ParameterGrid,
+    check_dimension,
     default_grid,
     grid_fingerprint,
     read_grid_config,
@@ -114,6 +115,7 @@ def _point_constants(args) -> int:
     if args.q is not None:
         if not args.q >= args.p:
             raise ValueError(f"--q must be >= --p, got q={args.q} < p={args.p}")
+        check_dimension(args.d)
         implied = args.d * (1.0 / args.p - 1.0 / args.q)
         # agreement relative to alpha, with a few ulps of 1/p for the rounding of 1/p - 1/q
         if alpha is None:

@@ -1,22 +1,13 @@
-"""Closed-form constants: embedding factors, the Euclidean comparison bound,
-multiplier total variation, and exponential-integrability thresholds."""
+"""Closed-form constants: embedding factors, the Euclidean comparison bound
+and multiplier total variation."""
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .params import ExponentPair, conjugate_exponent
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0; Gamma is accurate to well under 1e-12
-    relative on (0, 50]."""
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"log_gamma needs x > 0, got {x}")
-    return math.lgamma(x)
+from .params import LOG_NORMAL_MAX, LOG_NORMAL_MIN, ExponentPair, conjugate_exponent
 
 
 def _check_pq(p: float, q: float) -> None:
@@ -30,13 +21,18 @@ def q_constant(p: float, q: float) -> float:
     return q ** (1.0 - 1.0 / p) / (p - 1.0)
 
 
+def _embedding_factors(pair: ExponentPair) -> tuple[float, float, float]:
+    """(S, Q, Q_dual): the one-sided factors Q of the pair and Q_dual of its
+    dual, and the smaller of the two."""
+    qv = q_constant(pair.p, pair.q)
+    qd = q_constant(conjugate_exponent(pair.q), conjugate_exponent(pair.p))
+    return min(qv, qd), qv, qd
+
+
 def s_constant(pair: ExponentPair) -> float:
     """min(q^{1/p'}/(p - 1), p'^{1/q}/(q' - 1)), i.e. the smaller of the two
     one-sided factors of a pair and its dual; symmetric under dualization."""
-    return min(
-        q_constant(pair.p, pair.q),
-        q_constant(conjugate_exponent(pair.q), conjugate_exponent(pair.p)),
-    )
+    return _embedding_factors(pair)[0]
 
 
 def f_constant(p: float, q: float) -> float:
@@ -51,10 +47,6 @@ def f_constant(p: float, q: float) -> float:
 def _logaddexp(a: float, b: float) -> float:
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))
-
-
-_LOG_MIN = math.log(sys.float_info.min)  # smallest normal double
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 def lieb_upper_bound(pair: ExponentPair) -> float:
@@ -78,18 +70,18 @@ def lieb_upper_bound(pair: ExponentPair) -> float:
     pp = conjugate_exponent(p)
     qq = conjugate_exponent(q)
     e = 1.0 / pp + 1.0 / q  # = 1 - alpha/d
-    log_omega = math.log(2.0) + 0.5 * d * math.log(math.pi) - log_gamma(0.5 * d)
+    log_omega = math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
     log_val = (
         -a * math.log(2.0 * math.pi)
-        + log_gamma(0.5 * (d - a))
-        - log_gamma(0.5 * a)
+        + math.lgamma(0.5 * (d - a))
+        - math.lgamma(0.5 * a)
         + math.log(d / a)
         + (1.0 - a / d) * (log_omega - math.log(d))
         + (1.0 - a / d) * math.log1p(-a / d)
         - math.log(p * qq)
         + _logaddexp(e * math.log(pp), e * math.log(q))
     )
-    if not _LOG_MIN < log_val < _LOG_MAX:
+    if not LOG_NORMAL_MIN < log_val < LOG_NORMAL_MAX:
         raise ValueError(f"Euclidean bound exp({log_val:.6g}) leaves double range for {pair}")
     return math.exp(log_val)
 
@@ -109,9 +101,7 @@ class ConstantReport:
 
 
 def constant_report(pair: ExponentPair) -> ConstantReport:
-    qv = q_constant(pair.p, pair.q)
-    qd = q_constant(conjugate_exponent(pair.q), conjugate_exponent(pair.p))
-    s = min(qv, qd)
+    s, qv, qd = _embedding_factors(pair)
     f = f_constant(pair.p, pair.q)
     if pair.alpha > 0.0:
         eh = lieb_upper_bound(pair)
@@ -120,31 +110,6 @@ def constant_report(pair: ExponentPair) -> ConstantReport:
         eh = None
         ratio = None
     return ConstantReport(pair, s, qv, qd, f, eh, ratio)
-
-
-def gamma_one(p: float, cp: float, a1: float) -> float:
-    """Exponential-integrability threshold [e (cp a1 (p' - 1))^{p'} p']^{-1}
-    for the global functional; decreasing in cp and a1."""
-    if not p > 1.0:
-        raise ValueError(f"need p > 1, got {p}")
-    if not cp >= 1.0:
-        raise ValueError(f"need cp >= 1, got {cp}")
-    if not a1 > 0.0:
-        raise ValueError(f"need a1 > 0, got {a1}")
-    pp = conjugate_exponent(p)
-    return 1.0 / (math.e * (cp * a1 * (pp - 1.0)) ** pp * pp)
-
-
-def gamma_two(p: float, a2: float, s: float) -> float:
-    """Local threshold [e (a2 s^2 / (p - 1))^{p'}]^{-1}; decreasing in s."""
-    if not p > 1.0:
-        raise ValueError(f"need p > 1, got {p}")
-    if not a2 > 0.0:
-        raise ValueError(f"need a2 > 0, got {a2}")
-    if not s >= 1.0:
-        raise ValueError(f"need s >= 1, got {s}")
-    pp = conjugate_exponent(p)
-    return 1.0 / (math.e * (a2 * s * s / (p - 1.0)) ** pp)
 
 
 _B1_TERMS = 60  # explicitly summed coefficients of the multiplier bound
@@ -176,13 +141,3 @@ def b1_multiplier_bound(alpha: float) -> float:
         absolute += abs(a)
         signed += a
     return 1.0 + absolute + abs(1.0 + signed)
-
-
-def a2_bound_factor(p: float, q: float, s: float = 1.0) -> float:
-    """Shape (s/(p - 1)) (1 + q/p')^{1/q + 1/p'} of the weighted-measure
-    embedding bound; linear in s."""
-    _check_pq(p, q)
-    if not s >= 1.0:
-        raise ValueError(f"need s >= 1, got {s}")
-    pp = conjugate_exponent(p)
-    return (s / (p - 1.0)) * (1.0 + q / pp) ** (1.0 / q + 1.0 / pp)

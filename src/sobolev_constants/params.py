@@ -9,9 +9,21 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
+
+# the logs of the least and greatest normal doubles
+LOG_NORMAL_MIN = math.log(sys.float_info.min)
+LOG_NORMAL_MAX = math.log(sys.float_info.max)
+
+
+def check_dimension(d) -> None:
+    """Raise ValueError unless d is a positive integer that a double holds
+    exactly (at most 2^53), so that every formula may take d as a float."""
+    if not (isinstance(d, int) and 1 <= d <= 2**53):
+        raise ValueError(f"d must be a positive integer of at most 2^53, got {d!r}")
 
 
 def conjugate_exponent(p: float) -> float:
@@ -75,8 +87,7 @@ class ExponentPair:
     _predual: Optional["ExponentPair"] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.d, int) and self.d >= 1):
-            raise ValueError(f"d must be a positive integer, got {self.d!r}")
+        check_dimension(self.d)
         q = _usable_q(self.p, self.alpha, self.d)
         object.__setattr__(self, "q", q)
         if self._predual is None:  # a dual's own dual is its predual, already usable
@@ -173,33 +184,6 @@ def tau_delta(g: GroupGeometry) -> float:
     kernel envelope.
     """
     return max(g.shift_threshold - 0.25 * g.c_delta**2, 1.0)
-
-
-def tau_chi(g: GroupGeometry, c_chi: float, c_delta_chi_inv: float) -> float:
-    """Shift max{(2/b)(c_delta_chi_inv + 2D + b0)^2 - c_chi^2/4, 1} for a
-    character with gradient norm c_chi whose quotient with the modular
-    function has gradient norm c_delta_chi_inv; reduces to tau_delta when
-    c_delta_chi_inv = 0 and c_chi = c_delta."""
-    for name, v in (("c_chi", c_chi), ("c_delta_chi_inv", c_delta_chi_inv)):
-        if not (math.isfinite(v) and v >= 0.0):
-            raise ValueError(f"{name} must be a finite gradient norm >= 0, got {v}")
-    try:
-        shift = 2.0 / g.b * (c_delta_chi_inv + 2.0 * g.D + g.b0) ** 2 - 0.25 * c_chi**2
-    except OverflowError:
-        shift = math.inf
-    if not math.isfinite(shift):
-        raise ValueError(
-            f"tau_chi leaves double range for c_chi={c_chi}, "
-            f"c_delta_chi_inv={c_delta_chi_inv} and {g}"
-        )
-    return max(shift, 1.0)
-
-
-def s_chi(c_chi_delta_inv: float) -> float:
-    """Unit-ball supremum exp(c) of a character quotient with gradient norm c."""
-    if not (math.isfinite(c_chi_delta_inv) and c_chi_delta_inv >= 0.0):
-        raise ValueError(f"gradient norm must be >= 0, got {c_chi_delta_inv}")
-    return math.exp(c_chi_delta_inv)
 
 
 @dataclass(frozen=True)

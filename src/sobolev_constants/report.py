@@ -99,16 +99,6 @@ def _json_cell(v) -> str:
     return format_value(v)
 
 
-def read_csv_cells(path) -> Tuple[Tuple[str, ...], List[Tuple[str, ...]]]:
-    """Read back a CSV table as raw string cells (header, rows)."""
-    with Path(path).open(newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [tuple(r) for r in reader]
-    if not rows:
-        raise ValueError(f"{path}: empty table file")
-    return rows[0], rows[1:]
-
-
 @dataclass
 class GoldenSnapshot:
     """Named collection of fitted values with per-key relative tolerances,

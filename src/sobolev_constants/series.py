@@ -1,8 +1,8 @@
-"""Exponential-series analytics: partial sums, convergence-radius estimation,
+"""Exponential-series analytics: term ratios, convergence-radius estimation,
 and the scaling-divergence comparison.
 
-All terms are built in log space and summed compensated, so no individual
-term can overflow before the sum itself leaves double range.
+Term ratios are built in log space, so no individual term has to be a
+double.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .constants import s_constant
 from .params import ExponentPair, conjugate_exponent
 
 
-K_MAX = 2000  # largest term index of any partial sum or ratio sequence
+K_MAX = 2000  # largest term index of any ratio sequence
 
 
 @dataclass(frozen=True)
@@ -41,27 +41,19 @@ class MTSeriesSpec:
     def start_index(self) -> int:
         return max(math.ceil(self.p - 1.0), 1)
 
+    @property
+    def threshold(self) -> float:
+        """The exponential-integrability threshold gamma_1 = [e c^{p'} p']^{-1},
+        the series' convergence radius in gamma; with c = cp a1 (p' - 1) it is
+        [e (cp a1 (p' - 1))^{p'} p']^{-1}, decreasing in c."""
+        pp = self.p_conj
+        return 1.0 / (math.e * self.c**pp * pp)
+
 
 def _log_coefficient(spec: MTSeriesSpec, k: int) -> float:
     """log of the gamma-free coefficient c^{p'k} (p'k)^k / k!."""
     pp = spec.p_conj
     return pp * k * math.log(spec.c) + k * math.log(pp * k) - math.lgamma(k + 1.0)
-
-
-def mt_series_partial(spec: MTSeriesSpec, gamma: float, K: int) -> float:
-    """Partial sum sum_{k=start}^{K} gamma^k c^{p'k} (p'k)^k / k!;
-    nondecreasing in K and in gamma."""
-    if not gamma >= 0.0:
-        raise ValueError(f"need gamma >= 0, got {gamma}")
-    if K > K_MAX:
-        raise ValueError(f"K={K} exceeds K_MAX={K_MAX}")
-    if gamma == 0.0 or K < spec.start_index:
-        return 0.0
-    log_gamma_factor = math.log(gamma)
-    logs = [k * log_gamma_factor + _log_coefficient(spec, k) for k in range(spec.start_index, K + 1)]
-    if max(logs) >= 700.0:
-        raise ValueError(f"series term overflows double range at gamma={gamma}")
-    return math.fsum(math.exp(v) for v in logs)
 
 
 def term_ratios(spec: MTSeriesSpec, gamma: float, K: int) -> list:
@@ -82,7 +74,7 @@ def mt_series_radius(spec: MTSeriesSpec) -> float:
     The gamma-free ratio c^{p'} p' (1 + 1/k)^k approaches L = c^{p'} p' e
     like L (1 - 1/(2k)); two-point Richardson extrapolation in 1/k at
     K_MAX/2 and K_MAX cancels the leading bias, leaving O(k^-2).  The result
-    matches the closed form [e c^{p'} p']^{-1} well within 2 percent.
+    matches the closed form `threshold` well within 2 percent.
     """
     k2 = K_MAX
     k1 = k2 // 2

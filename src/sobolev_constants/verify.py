@@ -332,23 +332,16 @@ _LOCAL_FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
 def envelope_table(kp: GreenKernelParams, g: GroupGeometry, n_points: int = 80) -> ResultTable:
-    """Plot-ready (r, green, normalized_local, normalized_global) profile."""
-    table = ResultTable("envelope", ("r", "green", "normalized_local", "normalized_global"))
-    rate = g.weight_rate
+    """Plot-ready (r, green, normalized_local, log_normalized_global) profile;
+    the global column is log(green e^{(2D + b0) r}), which stays finite where
+    the weighted envelope itself leaves the double range."""
+    table = ResultTable("envelope", ("r", "green", "normalized_local", "log_normalized_global"))
     scale = (kp.d - kp.alpha) / kp.alpha
     for r in np.geomspace(R_LOCAL_MIN, R_GLOBAL_MAX, n_points):
         r = float(r)
         green = green_kernel_upper(r, kp)
         loc = green * r ** (kp.d - kp.alpha) * scale if r <= R_SPLIT else None
-        glob = None
-        if r >= R_SPLIT:
-            try:
-                glob = math.exp(math.log(green) + rate * r)
-            except OverflowError:
-                raise ValueError(
-                    f"the weighted profile green(r) e^((2D + b0) r) overflows the double "
-                    f"range at r={r:g} with 2D + b0 = {rate:g}"
-                ) from None
+        glob = math.log(green) + g.weight_rate * r if r >= R_SPLIT else None
         table.append((r, green, loc, glob))
     return table
 
@@ -443,10 +436,9 @@ def check_series() -> CheckResult:
     for p in (1.5, 2.0, 3.0, 4.0):
         for c in (0.5, 1.0, 2.0):
             spec = MTSeriesSpec(p, c)
-            pp = spec.p_conj
             radius = mt_series_radius(spec)
-            closed = 1.0 / (math.e * c**pp * pp)
-            product = radius * (math.e * c**pp * pp)
+            closed = spec.threshold
+            product = radius / closed
             radius_table.append((p, c, radius, closed, product, 0.98 <= product <= 1.02))
     result.record_table(radius_table, "series radius matches the closed-form threshold (2%)")
 

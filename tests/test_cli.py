@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -16,13 +17,22 @@ from sobolev_constants.report import (
     ResultTable,
     compare_golden,
     format_value,
-    read_csv_cells,
     write_table,
 )
 
 REPO_GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 TRACED_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
+
+
+def read_csv_cells(path) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
+    """Read back a CSV table as raw string cells (header, rows)."""
+    with Path(path).open(newline="") as handle:
+        reader = csv.reader(handle)
+        rows = [tuple(r) for r in reader]
+    if not rows:
+        raise ValueError(f"{path}: empty table file")
+    return rows[0], rows[1:]
 
 
 def run_python(*args):
@@ -294,7 +304,7 @@ class TestCli:
         assert main(["kernel", "--alpha", "1", "--d", "3", "--out", str(tmp_path / "a")]) == 0
         assert sorted(p.name for p in (tmp_path / "a").glob("envelope*")) == ["envelope.csv"]
         header, rows = read_csv_cells(tmp_path / "a" / "envelope.csv")
-        assert header == ("r", "green", "normalized_local", "normalized_global")
+        assert header == ("r", "green", "normalized_local", "log_normalized_global")
         assert len(rows) == 80
         assert main(["kernel", "--alpha", "0.5", "--d", "1", "--out", str(tmp_path / "b")]) == 0
         other = (tmp_path / "b" / "envelope.csv").read_bytes()
@@ -344,11 +354,16 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: weighted global envelope sup"), err
 
-    def test_overflowing_kernel_profile_exits_two(self, tmp_path, capsys):
-        # growth 13: the unshifted profile weighted by e^{26.5 r} overflows at r = 30
-        assert main(["kernel", "--geom-growth", "13", "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: the weighted profile"), err
+    @pytest.mark.parametrize("growth", ["13", "190"])
+    def test_weighted_kernel_profile_stays_in_logs(self, growth, tmp_path, capsys):
+        # the unshifted profile weighted by e^{(2D + b0) r} is e^735 at r = 30
+        # for growth 13, past the doubles, and is written as its log
+        assert main(["kernel", "--geom-growth", growth, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        header, rows = read_csv_cells(tmp_path / "envelope.csv")
+        r, green, _, log_global = rows[-1]
+        rate = 2.0 * float(growth) + 0.5
+        assert float(log_global) == pytest.approx(math.log(float(green)) + rate * float(r), rel=1e-11)
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -357,6 +372,9 @@ class TestCli:
             (["constants", "--config", "MISSING"], "error: cannot read grid config"),
             (["interp", "--config", "MISSING"], "error: cannot read grid config"),
             (["verify-all", "--config", "MISSING"], "error: cannot read grid config"),
+            (["constants", "--p", "2", "--alpha", "1", "--d", "1" + "0" * 400], "error: d must be"),
+            (["constants", "--p", "2", "--q", "4", "--d", "1" + "0" * 400], "error: d must be"),
+            (["kernel", "--alpha", "1", "--d", "1" + "0" * 400], "error: d must be"),
         ],
     )
     def test_extreme_sizes_exit_two_with_one_error_line(self, argv, message, tmp_path):

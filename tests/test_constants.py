@@ -1,52 +1,23 @@
 import math
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 from sobolev_constants.constants import (
-    a2_bound_factor,
     b1_multiplier_bound,
     constant_report,
     f_constant,
-    gamma_one,
-    gamma_two,
     lieb_upper_bound,
-    log_gamma,
     q_constant,
     s_constant,
 )
 from sobolev_constants.params import ExponentPair
+from sobolev_constants.series import MTSeriesSpec
 
 from test_params import random_pairs
 
 # direct high-precision evaluation of the Euclidean bound, frozen before the build
 EH_2_4_1_4 = 1.43657193253959383
-
-
-class TestLogGamma:
-    def test_identities(self):
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-14)
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-
-    def test_domain(self):
-        for bad in (0.0, -1.0, -0.5):
-            with pytest.raises(ValueError):
-                log_gamma(bad)
-
-    def test_accuracy_against_mpmath(self):
-        mp.mp.dps = 30
-        for x in np.geomspace(1e-3, 50.0, 200):
-            ref = float(mp.log(mp.gamma(mp.mpf(float(x)))))
-            # relative error of Gamma itself is |exp(delta) - 1| ~ |delta|
-            assert abs(log_gamma(float(x)) - ref) <= 1e-12 * (1.0 + abs(ref))
-
-    def test_reflection(self):
-        for x in (0.1, 0.25, 0.5, 0.75, 0.9):
-            lhs = log_gamma(x) + log_gamma(1.0 - x)
-            rhs = math.log(math.pi / math.sin(math.pi * x))
-            assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 class TestEmbeddingFactors:
@@ -133,27 +104,15 @@ class TestLiebUpperBound:
 
 
 class TestThresholds:
+    # gamma_1 = [e (cp a1 (p' - 1))^{p'} p']^{-1} is MTSeriesSpec.threshold at c = cp a1 (p' - 1)
     def test_gamma_one_examples(self):
-        assert gamma_one(2.0, 1.0, 1.0) == pytest.approx(1.0 / (2.0 * math.e), rel=1e-14)
-        assert gamma_one(2.0, 2.0, 1.0) == pytest.approx(1.0 / (8.0 * math.e), rel=1e-14)
+        assert MTSeriesSpec(2.0, 1.0).threshold == pytest.approx(1.0 / (2.0 * math.e), rel=1e-14)
+        assert MTSeriesSpec(2.0, 2.0).threshold == pytest.approx(1.0 / (8.0 * math.e), rel=1e-14)
 
     def test_gamma_one_monotone_in_a1(self):
-        values = [gamma_one(2.5, 1.0, a1) for a1 in (0.5, 1.0, 2.0, 4.0)]
+        pp = 2.5 / 1.5
+        values = [MTSeriesSpec(2.5, a1 * (pp - 1.0)).threshold for a1 in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_gamma_two_examples(self):
-        assert gamma_two(2.0, 1.0, 1.0) == pytest.approx(1.0 / math.e, rel=1e-14)
-        assert gamma_two(2.0, 1.0, math.sqrt(2.0)) == pytest.approx(1.0 / (4.0 * math.e), rel=1e-14)
-
-    def test_gamma_two_decreasing_in_s(self):
-        values = [gamma_two(3.0, 1.0, s) for s in (1.0, 1.5, 2.0, 4.0)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_threshold_domains(self):
-        with pytest.raises(ValueError):
-            gamma_one(2.0, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            gamma_two(2.0, 1.0, 0.5)
 
 
 class TestMultiplierBound:
@@ -187,14 +146,3 @@ class TestMultiplierBound:
             b1_multiplier_bound(0.0)
         with pytest.raises(ValueError, match="constant-sign tail"):
             b1_multiplier_bound(118.0)
-
-
-class TestA2BoundFactor:
-    def test_examples(self):
-        assert a2_bound_factor(2.0, 2.0, 1.0) == pytest.approx(2.0, rel=1e-14)
-        assert a2_bound_factor(2.0, 4.0, 1.0) == pytest.approx(3.0**0.75, rel=1e-14)
-
-    def test_linear_in_s(self):
-        base = a2_bound_factor(2.5, 3.0, 1.0)
-        for s in (1.5, 2.0, 7.0):
-            assert a2_bound_factor(2.5, 3.0, s) == pytest.approx(s * base, rel=1e-14)

@@ -18,7 +18,7 @@ from sobolev_constants.interpolation import (
     theta,
     weak_sup_factor,
 )
-from sobolev_constants.kernel import weak_type_constant
+from sobolev_constants.kernel import CutoffSchedule
 from sobolev_constants.params import ExponentPair, conjugate_exponent, default_grid, make_grid
 
 PAIR = ExponentPair(2.0, 1.0, 4)  # q = 4
@@ -32,6 +32,44 @@ ASSEMBLED_REF = 1.39028762836104998
 
 def grid_pairs():
     return [p for p in make_grid(default_grid()) if p.alpha > 0.0]
+
+
+def weak_type_constant(p_t: float, alpha: float, d: int) -> float:
+    """Shape of the weak-(p, q) norm of convolution with the singular kernel
+    piece (prefactor normalized to 1), with 1/q = 1/p - alpha/d:
+
+        alpha^{p alpha/d - 1} (q/(d p'))^{(p - 1) alpha/d}   for p > 1,
+        alpha^{-1/q}                                          at p = 1.
+    """
+    q_t = CutoffSchedule(p_t, alpha, d).q_t  # checks 0 < alpha < d, p >= 1 and alpha < d/p
+    if p_t == 1.0:
+        return alpha ** (-1.0 / q_t)
+    pp = conjugate_exponent(p_t)
+    return alpha ** (p_t * alpha / d - 1.0) * (q_t / (d * pp)) ** ((p_t - 1.0) * alpha / d)
+
+
+class TestWeakTypeConstant:
+    def test_endpoint_example(self):
+        assert weak_type_constant(1.0, 1.0, 4) == 1.0
+        assert weak_type_constant(1.0, 2.0, 4) == pytest.approx(2.0**-0.5, rel=1e-15)  # q = 2
+
+    def test_interior_example(self):
+        assert weak_type_constant(2.0, 1.0, 4) == pytest.approx(2.0**-0.25, rel=1e-14)
+
+    def test_matches_endpoint_limit(self):
+        near = weak_type_constant(1.0 + 1e-6, 1.0, 4)
+        at = weak_type_constant(1.0, 1.0, 4)
+        assert near == pytest.approx(at, abs=1e-4)
+
+    def test_scaling_violation_rejected(self):
+        # no q solves 1/q = 1/p - alpha/d > 0 once alpha >= d/p
+        for p, alpha, d in ((2.0, 2.0, 4), (2.0, 3.0, 4), (3.0, 0.9999999999999999, 3)):
+            with pytest.raises(ValueError, match="not positive"):
+                weak_type_constant(p, alpha, d)
+        with pytest.raises(ValueError):
+            weak_type_constant(0.5, 1.0, 4)
+        with pytest.raises(ValueError):
+            weak_type_constant(2.0, 4.0, 4)  # alpha = d
 
 
 class TestEndpoints:

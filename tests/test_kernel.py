@@ -8,7 +8,6 @@ import pytest
 from sobolev_constants.kernel import (
     CutoffSchedule,
     GreenKernelParams,
-    chi_weighted_local_norm,
     cutoff_s,
     global_bound_constant,
     green_kernel_params_from_geometry,
@@ -20,9 +19,7 @@ from sobolev_constants.kernel import (
     log_green_kernel,
     quad,
     tilde_k_norm,
-    weak_type_constant,
 )
-from sobolev_constants.constants import a2_bound_factor
 from sobolev_constants.params import GroupGeometry, tau_delta
 
 # (r, alpha, d, a, b): radii from 1e-3 to 29 and shifts from 1 to 840.5 (the
@@ -419,30 +416,6 @@ class TestCutoff:
             cutoff_s(0.0, CutoffSchedule(1.0, 1.0, 3))
 
 
-class TestWeakTypeConstant:
-    def test_endpoint_example(self):
-        assert weak_type_constant(1.0, 1.0, 4) == 1.0
-        assert weak_type_constant(1.0, 2.0, 4) == pytest.approx(2.0**-0.5, rel=1e-15)  # q = 2
-
-    def test_interior_example(self):
-        assert weak_type_constant(2.0, 1.0, 4) == pytest.approx(2.0**-0.25, rel=1e-14)
-
-    def test_matches_endpoint_limit(self):
-        near = weak_type_constant(1.0 + 1e-6, 1.0, 4)
-        at = weak_type_constant(1.0, 1.0, 4)
-        assert near == pytest.approx(at, abs=1e-4)
-
-    def test_scaling_violation_rejected(self):
-        # no q solves 1/q = 1/p - alpha/d > 0 once alpha >= d/p
-        for p, alpha, d in ((2.0, 2.0, 4), (2.0, 3.0, 4), (3.0, 0.9999999999999999, 3)):
-            with pytest.raises(ValueError, match="not positive"):
-                weak_type_constant(p, alpha, d)
-        with pytest.raises(ValueError):
-            weak_type_constant(0.5, 1.0, 4)
-        with pytest.raises(ValueError):
-            weak_type_constant(2.0, 4.0, 4)  # alpha = d
-
-
 class TestShellSums:
     def test_frozen_reference(self):
         g = GroupGeometry(D=0.0, b=4.0)  # b0 = 1
@@ -456,29 +429,3 @@ class TestShellSums:
     def test_growth_dominated_case(self):
         g = GroupGeometry(D=1.0, b=4.0)  # exponent -r(2D+b0)2^k + D 2^{k+1} < 0
         assert math.isfinite(tilde_k_norm(2.0, g))
-
-
-class TestChiLocalNorm:
-    def test_matches_a2_shape_at_unit_mass(self):
-        # [q/(d r)]^{1/r} d^{1/r} = (1 + q/p')^{1/q + 1/p'}, the a2 shape
-        r = 1.0 / (1.0 / 2.0 + 1.0 / 2.0)
-        assert chi_weighted_local_norm(2.0, 2.0, 2, 1.0) * 2 ** (1.0 / r) == pytest.approx(2.0, rel=1e-14)
-        for (p, q) in ((2.0, 2.0), (2.0, 4.0), (1.5, 3.0)):
-            r = 1.0 / (1.0 / q + 1.0 - 1.0 / p)
-            assert chi_weighted_local_norm(p, q, 3, 1.0) * 3 ** (1.0 / r) == pytest.approx(
-                a2_bound_factor(p, q, 1.0), rel=1e-12
-            )
-
-    def test_radial_exponent_positive(self):
-        for (p, q) in ((1.05, 1.05), (1.05, 10.5), (2.0, 4.0), (16.0, 160.0)):
-            pp = p / (p - 1.0)
-            r = 1.0 / (1.0 / q + 1.0 / pp)
-            d = 3
-            assert (d / p - d) * r + d == pytest.approx(d * r / q, rel=1e-9)
-            assert d * r / q > 0.0
-
-    def test_scales_linearly_with_weight_bound(self):
-        base = chi_weighted_local_norm(2.0, 4.0, 2, 1.0)
-        assert chi_weighted_local_norm(2.0, 4.0, 2, 3.0) == pytest.approx(
-            3.0 * base, rel=1e-14
-        )

@@ -18,9 +18,7 @@ from sobolev_constants.params import (
     make_grid,
     read_grid_config,
     refine_grid,
-    s_chi,
     solve_q,
-    tau_chi,
     tau_delta,
 )
 
@@ -202,31 +200,6 @@ class TestGeometry:
             assert t >= 1.0
             a = t + 0.25 * g.c_delta**2
             assert 0.5 * math.sqrt(2.0 * a * g.b) >= (2.0 * g.D + g.b0) * (1.0 - 1e-12)
-
-    def test_tau_chi_reduces_to_tau_delta(self):
-        g = GroupGeometry(D=1.0, b=4.0, c_delta=0.7)
-        assert tau_chi(g, c_chi=0.7, c_delta_chi_inv=0.0) == tau_delta(g)
-
-    def test_tau_chi_examples(self):
-        g = GroupGeometry(D=1.0, b=4.0)
-        assert tau_chi(g, c_chi=0.0, c_delta_chi_inv=1.0) == pytest.approx(8.0, rel=1e-15)
-        clamp = GroupGeometry(D=0.0, b=1.0)
-        assert tau_chi(clamp, c_chi=10.0, c_delta_chi_inv=0.0) == 1.0
-
-    @pytest.mark.parametrize(
-        "c_chi, c_delta_chi_inv", [(0.0, 1e200), (1e200, 0.0), (0.0, 1e154), (-1.0, 0.0), (0.0, math.nan)]
-    )
-    def test_tau_chi_rejects_bad_norms_and_overflow(self, c_chi, c_delta_chi_inv):
-        # the squares overflow (a raw OverflowError) or leave double range, or a norm is invalid
-        with pytest.raises(ValueError):
-            tau_chi(GroupGeometry(), c_chi, c_delta_chi_inv)
-
-    def test_s_chi(self):
-        assert s_chi(0.0) == 1.0
-        assert s_chi(1.0) == pytest.approx(math.e, rel=1e-15)
-        assert s_chi(math.log(2.0)) == pytest.approx(2.0, rel=1e-15)
-        with pytest.raises(ValueError):
-            s_chi(-0.5)
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
