@@ -7,12 +7,19 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .params import LOG_NORMAL_MAX, LOG_NORMAL_MIN, ExponentPair, conjugate_exponent
+from .params import LOG_NORMAL_MAX, LOG_NORMAL_MIN, ExponentArrays, ExponentPair, conjugate_exponent
 
 
 def _check_pq(p: float, q: float) -> None:
     if not (math.isfinite(p) and math.isfinite(q) and 1.0 < p <= q):
         raise ValueError(f"need 1 < p <= q < inf, got p={p}, q={q}")
+
+
+def _pq_usable(p, q):
+    """The mask of the array entries that _check_pq accepts."""
+    import numpy as np
+
+    return np.isfinite(p) & np.isfinite(q) & (1.0 < p) & (p <= q)
 
 
 def q_constant(p: float, q: float) -> float:
@@ -35,6 +42,17 @@ def s_constant(pair: ExponentPair) -> float:
     return _embedding_factors(pair)[0]
 
 
+def s_constant_array(pairs: ExponentArrays):
+    """s_constant of each pair; nan where s_constant raises."""
+    import numpy as np
+
+    p, q = pairs.p, pairs.q
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pp, qq = p / (p - 1.0), q / (q - 1.0)
+        s = np.minimum(q ** (1.0 - 1.0 / p) / (p - 1.0), pp ** (1.0 - 1.0 / qq) / (qq - 1.0))
+    return np.where(_pq_usable(p, q) & _pq_usable(qq, pp), s, np.nan)
+
+
 def f_constant(p: float, q: float) -> float:
     """Comparison shape [1/(1/p' + 1/q)] [1/(p q')] (p'^{1/q} + q^{1/p'});
     invariant under (p, q) -> (q', p')."""
@@ -42,6 +60,16 @@ def f_constant(p: float, q: float) -> float:
     pp = conjugate_exponent(p)
     qq = conjugate_exponent(q)
     return (1.0 / (1.0 / pp + 1.0 / q)) * (1.0 / (p * qq)) * (pp ** (1.0 / q) + q ** (1.0 / pp))
+
+
+def f_constant_array(p, q):
+    """f_constant over arrays; nan where f_constant raises."""
+    import numpy as np
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pp, qq = p / (p - 1.0), q / (q - 1.0)
+        f = (1.0 / (1.0 / pp + 1.0 / q)) * (1.0 / (p * qq)) * (pp ** (1.0 / q) + q ** (1.0 / pp))
+    return np.where(_pq_usable(p, q), f, np.nan)
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -84,6 +112,32 @@ def lieb_upper_bound(pair: ExponentPair) -> float:
     if not LOG_NORMAL_MIN < log_val < LOG_NORMAL_MAX:
         raise ValueError(f"Euclidean bound exp({log_val:.6g}) leaves double range for {pair}")
     return math.exp(log_val)
+
+
+def lieb_upper_bound_array(pairs: ExponentArrays):
+    """lieb_upper_bound of each pair, by the same operations; nan where
+    lieb_upper_bound raises."""
+    import numpy as np
+
+    lgamma = np.frompyfunc(math.lgamma, 1, 1)
+    a, d, p, q = pairs.alpha, pairs.d, pairs.p, pairs.q
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pp, qq = p / (p - 1.0), q / (q - 1.0)
+        e = 1.0 / pp + 1.0 / q
+        log_omega = math.log(2.0) + 0.5 * d * math.log(math.pi) - lgamma(0.5 * d).astype(float)
+        log_val = (
+            -a * math.log(2.0 * math.pi)
+            + lgamma(0.5 * (d - a)).astype(float)
+            - lgamma(0.5 * np.where(a > 0.0, a, 1.0)).astype(float)  # lgamma has a pole at 0
+            + np.log(d / a)
+            + (1.0 - a / d) * (log_omega - np.log(d))
+            + (1.0 - a / d) * np.log1p(-a / d)
+            - np.log(p * qq)
+            + np.logaddexp(e * np.log(pp), e * np.log(q))
+        )
+        value = np.exp(log_val)
+    usable = (a > 0.0) & (LOG_NORMAL_MIN < log_val) & (log_val < LOG_NORMAL_MAX)
+    return np.where(usable, value, np.nan)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ExponentPair, conjugate_exponent, solve_q
+from .params import ExponentArrays, ExponentPair, conjugate_exponent, solve_q
 
 
 @dataclass(frozen=True)
@@ -160,6 +160,47 @@ def assemble(pair: ExponentPair) -> MarcinkiewiczData:
     if not math.isfinite(ratio):
         raise ValueError(f"non-finite assembly ratio for {pair}")
     return MarcinkiewiczData(pair, *ends, th, v0, v1, v2, assembled, rhs_shape, ratio)
+
+
+def assembly_ratio_array(pairs: ExponentArrays) -> np.ndarray:
+    """assemble(pair).ratio of each pair, by the same operations; nan where
+    assemble raises: a check of endpoints, theta, m0 or m1 fails, an exp
+    overflows, a log meets a value that is not positive, or the ratio is not
+    finite."""
+    p, q, a, d = pairs.p, pairs.q, pairs.alpha, pairs.d
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ad = a / d
+        q1 = 1.0 / (1.0 - ad)
+        q2 = q + 1.0
+        p2 = 1.0 / (ad + 1.0 / q2)
+        denom = 1.0 - ad - 1.0 / q2
+        th = (1.0 - 1.0 / p) / denom
+        grow = np.exp((q2 / p2) * np.log(p2 / p))
+        v0 = q * grow / (q2 - q) + q * np.exp(-q1 * np.log(p)) / (q - q1)
+        v1 = np.exp(-(1.0 - ad) * np.log(a))
+        z = ad + 1.0 / q2
+        e1 = ad / z
+        bracket = (1.0 - z) * q2
+        v2 = np.exp(ad * np.log(d) - np.log(a) + e1 * np.log(ad) + (e1 - ad) * np.log(bracket))
+        assembled = np.exp(np.log(v0) / q + (1.0 - th) * np.log(v1) + th * np.log(v2))
+        rhs_shape = (d - a) / a * (p / (p - 1.0)) * np.exp((1.0 - 1.0 / p) * np.log(q))
+        ratio = assembled / rhs_shape
+    usable = (
+        (ad > 0.0)
+        & (ad < 1.0)
+        & (denom > 0.0)
+        & (q1 < q)
+        & (q < q2)
+        & (bracket > 0.0)
+        & np.isfinite(grow)
+        & np.isfinite(v1)
+        & np.isfinite(v2)
+        & (v0 > 0.0)
+        & (v1 > 0.0)
+        & (v2 > 0.0)
+        & np.isfinite(ratio)
+    )
+    return np.where(usable, ratio, np.nan)
 
 
 def weak_sup_factor(p_t: float, q_t: float) -> float:

@@ -215,7 +215,8 @@ def green_kernel_upper(r: float, kp: GreenKernelParams, rel_tol: float = 1e-8) -
     between the nodes and nothing overflows.  Each piece is integrated to
     rel_tol/4, and the summed quadrature error estimates must come in below
     rel_tol times the value, else RuntimeError; a value outside the normal
-    doubles raises ValueError.
+    doubles raises ValueError, and so does a sum of 0, which a peak too
+    narrow for any node to see leaves (d from about 1e12 up).
     """
     if not r > 0.0:
         raise ValueError("r must be positive: the envelope diverges at r = 0 for alpha < d")
@@ -237,6 +238,11 @@ def green_kernel_upper(r: float, kp: GreenKernelParams, rel_tol: float = 1e-8) -
             k = k_left if hi <= 0.0 else k_right
             pieces.append(quad(lambda x: np.exp(phi(k, x) - phi_max), lo, hi, rel_tol / 4.0))
     total = math.fsum(value for value, _, _ in pieces)
+    if not total > 0.0:
+        raise ValueError(
+            f"kernel envelope at r={r:g} integrates to 0: the peak of the integrand in "
+            f"log t is narrower than the quadrature resolves, with {kp}"
+        )
     if math.fsum(error for _, error, _ in pieces) > rel_tol * total:
         raise RuntimeError(
             f"kernel quadrature did not reach relative tolerance {rel_tol} at r={r}"

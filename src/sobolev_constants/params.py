@@ -11,8 +11,9 @@ import hashlib
 import math
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 # the logs of the least and greatest normal doubles
 LOG_NORMAL_MIN = math.log(sys.float_info.min)
@@ -69,6 +70,40 @@ def _usable_q(p: float, alpha: float, d: int) -> float:
     return q
 
 
+def _usable_q_array(p, alpha, d):
+    """_usable_q over arrays: q as solve_q computes it, and the mask of the
+    entries that _usable_q accepts (it raises for the others)."""
+    import numpy as np
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gap = 1.0 / p - alpha / d
+        q = np.where(alpha == 0.0, p, 1.0 / gap)
+        usable = (
+            np.isfinite(p)
+            & (p > 1.0)
+            & np.isfinite(alpha)
+            & (0.0 <= alpha)
+            & (alpha < d / p)
+            & (gap > 0.0)
+            & ((alpha == 0.0) | (q > p))
+            & np.isfinite(q)
+            & (q / (q - 1.0) > 1.0)
+        )
+    return q, usable
+
+
+def rerun_scalar(refused, scalar_at) -> None:
+    """Call scalar_at(i) at each index i where the mask refused is true, in
+    order.  An array form refuses an entry where its scalar form raises, so
+    the first call raises the scalar path's error, which names the pair; a
+    refused entry that the scalar form accepts (a ratio that overflows to
+    inf) passes."""
+    import numpy as np
+
+    for i in np.flatnonzero(refused).tolist():
+        scalar_at(i)
+
+
 @dataclass(frozen=True)
 class ExponentPair:
     """A (p, q, alpha, d) quadruple locked to the scaling relation
@@ -115,6 +150,54 @@ class ExponentPair:
         dual = object.__new__(ExponentPair)
         object.__setattr__(dual, "_predual", self)  # set before __post_init__ reads it
         dual.__init__(self.q_conj, self.alpha, self.d)
+        return dual
+
+
+@dataclass(frozen=True, eq=False)
+class ExponentArrays:
+    """Many ExponentPairs at once: float arrays p and alpha, an integer array
+    d, and q derived as ExponentPair derives it.
+
+    Construction applies ExponentPair's rules, for each pair and its dual, as
+    masks; the first refused pair is rebuilt as an ExponentPair, whose
+    ValueError names it.  The grid sweeps reduce these arrays to a few
+    numbers; every printed row is an ExponentPair.
+    """
+
+    p: "np.ndarray"
+    alpha: "np.ndarray"
+    d: "np.ndarray"
+    q: "np.ndarray" = field(init=False, default=None)
+    _predual: Optional["ExponentArrays"] = field(init=False, default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        import numpy as np
+
+        for d in np.unique(self.d).tolist():
+            check_dimension(d)
+        p, alpha = np.asarray(self.p, dtype=float), np.asarray(self.alpha, dtype=float)
+        d = np.asarray(self.d)
+        q, usable = _usable_q_array(p, alpha, d)
+        if self._predual is None:  # a dual's own dual is its predual, already usable
+            with np.errstate(divide="ignore", invalid="ignore"):
+                usable &= _usable_q_array(q / (q - 1.0), alpha, d)[1]
+        for name, value in (("p", p), ("alpha", alpha), ("d", d), ("q", q)):
+            object.__setattr__(self, name, value)
+        rerun_scalar(~usable, self.pair)
+
+    def pair(self, i: int) -> ExponentPair:
+        """Pair i as an ExponentPair."""
+        if self._predual is not None:
+            return self._predual.pair(i).dual()
+        return ExponentPair(float(self.p[i]), float(self.alpha[i]), int(self.d[i]))
+
+    def dual(self) -> "ExponentArrays":
+        """The pairs (q', p', alpha, d); the dual of the dual is this object."""
+        if self._predual is not None:
+            return self._predual
+        dual = object.__new__(ExponentArrays)
+        object.__setattr__(dual, "_predual", self)  # set before __post_init__ reads it
+        dual.__init__(self.q / (self.q - 1.0), self.alpha, self.d)
         return dual
 
 
@@ -198,7 +281,8 @@ class ParameterGrid:
 
     def __post_init__(self) -> None:
         for d in self.d_values:
-            if not float(d).is_integer():
+            # an int is exact, and float() would overflow past 1e308
+            if not (isinstance(d, int) or float(d).is_integer()):
                 raise ValueError(f"d values must be integers, got {d}")
         ps = tuple(sorted(set(float(p) for p in self.p_values)))
         fr = tuple(sorted(set(float(f) for f in self.alpha_fractions)))
@@ -210,8 +294,7 @@ class ParameterGrid:
             if not (0.0 < f < 1.0):
                 raise ValueError(f"alpha fractions must lie in (0, 1), got {f}")
         for d in ds:
-            if d < 1:
-                raise ValueError(f"d values must be >= 1, got {d}")
+            check_dimension(d)
         object.__setattr__(self, "p_values", ps)
         object.__setattr__(self, "alpha_fractions", fr)
         object.__setattr__(self, "d_values", ds)
@@ -231,6 +314,17 @@ def make_grid(spec: ParameterGrid) -> list:
     if not pairs:
         raise ValueError("parameter grid is empty")
     return pairs
+
+
+def make_grid_arrays(spec: ParameterGrid) -> ExponentArrays:
+    """The pairs of make_grid(spec), in its order, as ExponentArrays."""
+    import numpy as np
+
+    d, p, frac = (
+        axis.ravel()
+        for axis in np.meshgrid(spec.d_values, spec.p_values, spec.alpha_fractions, indexing="ij")
+    )
+    return ExponentArrays(p, frac * d / p, d)
 
 
 def default_grid() -> ParameterGrid:
@@ -293,12 +387,20 @@ def read_grid_config(path) -> ParameterGrid:
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
 
-    def floats(key: str) -> Iterable[float]:
+    def numbers(key: str, parse=float) -> tuple:
         try:
-            return [float(tok) for tok in raw[key].split(",") if tok.strip()]
+            return tuple(parse(tok) for tok in raw[key].split(",") if tok.strip())
         except ValueError as exc:
             raise ValueError(f"{path}: bad decimal in {key}: {raw[key]!r}") from exc
 
-    return ParameterGrid(
-        tuple(floats("p_values")), tuple(floats("alpha_fractions")), tuple(floats("d_values"))
-    )
+    def dimension(tok: str):
+        # exact: float() alone reads 2^53 + 1 as 2^53 and 2.0000000000000001 as 2
+        try:
+            return int(tok)
+        except ValueError:
+            value = float(tok)
+        if value.is_integer() and Decimal(value) != Decimal(tok):
+            raise ValueError(f"{tok.strip()} is no integer of at most 2^53")
+        return value
+
+    return ParameterGrid(numbers("p_values"), numbers("alpha_fractions"), numbers("d_values", dimension))

@@ -22,13 +22,16 @@ from .constants import (
     ConstantReport,
     b1_multiplier_bound,
     constant_report,
-    f_constant,
+    f_constant_array,
     lieb_upper_bound,
+    lieb_upper_bound_array,
     s_constant,
+    s_constant_array,
 )
 from .interpolation import (
     assemble,
     assembled_bound,
+    assembly_ratio_array,
     m0_bound,
     m1_bound,
     m2_theta_bound,
@@ -50,12 +53,15 @@ from .kernel import (
     tilde_k_norm,
 )
 from .params import (
+    ExponentArrays,
     ExponentPair,
     GroupGeometry,
     ParameterGrid,
     conjugate_exponent,
     make_grid,
+    make_grid_arrays,
     refine_grid,
+    rerun_scalar,
     tau_delta,
 )
 from .report import ResultTable
@@ -116,17 +122,6 @@ class CheckResult:
         self.checks.extend(other.checks)
 
 
-def _random_pairs(count: int, seed: int) -> List[ExponentPair]:
-    rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(count):
-        d = int(rng.integers(1, 5))
-        p = 1.0 + math.exp(rng.uniform(math.log(0.02), math.log(50.0)))
-        frac = float(rng.uniform(0.01, 0.99))
-        pairs.append(ExponentPair(p, frac * d / p, d))
-    return pairs
-
-
 # ---------------------------------------------------------------------------
 # constants: duality, comparison claims, comparability bands, multiplier bound
 # ---------------------------------------------------------------------------
@@ -149,15 +144,21 @@ _DUALITY_DRAWS = 10_000
 
 
 def check_duality(result: CheckResult) -> None:
-    max_s = 0.0
-    max_f = 0.0
-    for pair in _random_pairs(_DUALITY_DRAWS, 20240811):
-        dual = pair.dual()
-        s1, s2 = s_constant(pair), s_constant(dual)
-        max_s = max(max_s, abs(s1 - s2) / s1)
-        f1 = f_constant(pair.p, pair.q)
-        f2 = f_constant(dual.p, dual.q)
-        max_f = max(max_f, abs(f1 - f2) / f1)
+    # one scalar draw after another, in the order the seed fixes
+    rng = np.random.default_rng(20240811)
+    n = _DUALITY_DRAWS
+    p, alpha, d = np.empty(n), np.empty(n), np.empty(n, dtype=int)
+    for i in range(n):
+        d_i = int(rng.integers(1, 5))
+        p_i = 1.0 + math.exp(rng.uniform(math.log(0.02), math.log(50.0)))
+        d[i], p[i], alpha[i] = d_i, p_i, float(rng.uniform(0.01, 0.99)) * d_i / p_i
+    pairs = ExponentArrays(p, alpha, d)
+    dual = pairs.dual()
+    s1, s2 = s_constant_array(pairs), s_constant_array(dual)
+    f1, f2 = f_constant_array(pairs.p, pairs.q), f_constant_array(dual.p, dual.q)
+    # a nan (a refused pair) propagates and fails the check
+    max_s = float(np.max(np.abs(s1 - s2) / s1))
+    max_f = float(np.max(np.abs(f1 - f2) / f1))
     ok = max_s <= 1e-12 and max_f <= 1e-12
     result.record(
         "duality symmetry of S and F on random pairs",
@@ -186,16 +187,14 @@ def comparison_claims_table(reports: List[ConstantReport]) -> ResultTable:
     return table
 
 
-def _band(ratios: List[Tuple[int, float]], d: int) -> float:
-    values = [r for dd, r in ratios if dd == d]
-    return max(values) / min(values)
-
-
 def check_constants(grid: ParameterGrid) -> CheckResult:
     result = CheckResult()
     reports = [constant_report(pair) for pair in make_grid(grid)]
-    ratios = [(r.pair.d, r.ratio_EH_over_S) for r in reports]
-    refined_ratios = [(p.d, lieb_upper_bound(p) / s_constant(p)) for p in make_grid(refine_grid(grid))]
+    refined = refine_grid(grid)
+    pairs = make_grid_arrays(refined)
+    ratios = lieb_upper_bound_array(pairs) / s_constant_array(pairs)
+    rerun_scalar(~np.isfinite(ratios), lambda i: lieb_upper_bound(pairs.pair(i)) / s_constant(pairs.pair(i)))
+    ratios = ratios.reshape(len(refined.d_values), len(refined.p_values), len(refined.alpha_fractions))
     result.tables.append(constants_table(reports))
 
     check_duality(result)
@@ -207,10 +206,14 @@ def check_constants(grid: ParameterGrid) -> CheckResult:
         f"{_violations(table)} violations over {len(reports)} pairs",
     )
 
+    # the grid is the sub-grid of the refined grid at its own axis values
+    on_grid = np.ix_(
+        np.searchsorted(refined.p_values, grid.p_values),
+        np.searchsorted(refined.alpha_fractions, grid.alpha_fractions),
+    )
     band_table = ResultTable("b3_bands", ("d", "band", "band_refined", "rel_change", "pass"))
-    for d in grid.d_values:
-        band = _band(ratios, d)
-        band_refined = _band(refined_ratios, d)
+    for d, d_ratios in zip(grid.d_values, ratios):
+        band, band_refined = (float(r.max() / r.min()) for r in (d_ratios[on_grid], d_ratios))
         change = abs(band_refined - band) / band
         band_table.append((d, band, band_refined, change, math.isfinite(band) and change <= 0.05))
         result.fitted[f"B3_band_d{d}"] = (band, 0.05)
@@ -297,12 +300,14 @@ def check_interpolation(grid: ParameterGrid) -> CheckResult:
         f"{_violations(table)} violations over {len(pairs)} pairs",
     )
 
-    refined_ratios = [(p.d, assemble(p).ratio) for p in make_grid(refine_grid(grid))]
+    refined = make_grid_arrays(refine_grid(grid))
+    refined_ratios = assembly_ratio_array(refined)
+    rerun_scalar(~np.isfinite(refined_ratios), lambda i: assemble(refined.pair(i)))
+    refined_max = refined_ratios.reshape(len(grid.d_values), -1).max(axis=1)
     global_max = max(r for _, r in ratios)
-    stable = abs(max(r for _, r in refined_ratios) - global_max) / global_max <= 0.05
-    for d in grid.d_values:
+    stable = abs(float(refined_max.max()) - global_max) / global_max <= 0.05
+    for d, value_refined in zip(grid.d_values, refined_max.tolist()):
         value = max(r for dd, r in ratios if dd == d)
-        value_refined = max(r for dd, r in refined_ratios if dd == d)
         result.fitted[f"ipq_C_d{d}"] = (value, 0.05)
         stable = stable and abs(value_refined - value) / value <= 0.05
     result.fitted["ipq_C_global"] = (global_max, 0.05)

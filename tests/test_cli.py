@@ -375,6 +375,8 @@ class TestCli:
             (["constants", "--p", "2", "--alpha", "1", "--d", "1" + "0" * 400], "error: d must be"),
             (["constants", "--p", "2", "--q", "4", "--d", "1" + "0" * 400], "error: d must be"),
             (["kernel", "--alpha", "1", "--d", "1" + "0" * 400], "error: d must be"),
+            (["kernel", "--alpha", "1", "--d", "1000000000000"], "error: kernel envelope at r="),
+            (["kernel", "--alpha", "1", "--d", "9007199254740992"], "error: kernel envelope at r="),
         ],
     )
     def test_extreme_sizes_exit_two_with_one_error_line(self, argv, message, tmp_path):
@@ -424,6 +426,13 @@ class TestCli:
                 "p_values = 3\nalpha_fractions = 0.9999999999999999\nd_values = 3\n",
                 "1/q = 1/p - alpha/d is not positive for p=3.0",
                 id="interp-grid-gap-rounds-to-zero",
+            ),
+            # float() read 2^53 + 1 as 2^53, and the sweep ran another d
+            pytest.param(
+                ["constants"],
+                "p_values = 2\nalpha_fractions = 0.5\nd_values = 9007199254740993\n",
+                "d must be a positive integer of at most 2^53, got 9007199254740993",
+                id="grid-d-rounds-to-2-53",
             ),
             # alpha too small to move q: m1 raised a raw OverflowError
             pytest.param(

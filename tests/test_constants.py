@@ -2,19 +2,23 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
 
 from sobolev_constants.constants import (
     b1_multiplier_bound,
     constant_report,
     f_constant,
+    f_constant_array,
     lieb_upper_bound,
+    lieb_upper_bound_array,
     q_constant,
     s_constant,
+    s_constant_array,
 )
-from sobolev_constants.params import ExponentPair
+from sobolev_constants.params import ExponentArrays, ExponentPair
 from sobolev_constants.series import MTSeriesSpec
 
-from test_params import random_pairs
+from test_params import assert_matches_scalar, pair_inputs, random_pairs
 
 # direct high-precision evaluation of the Euclidean bound, frozen before the build
 EH_2_4_1_4 = 1.43657193253959383
@@ -61,6 +65,23 @@ class TestEmbeddingFactors:
             q_constant(1.0, 2.0)
         with pytest.raises(ValueError):
             f_constant(3.0, 2.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(pair_inputs)
+def test_array_closed_forms_match_the_scalar_ones(inputs):
+    try:
+        pair = ExponentPair(*inputs)
+    except ValueError:
+        return
+    pairs = ExponentArrays(*([v] for v in inputs))
+    for one, many in ((pair, pairs), (pair.dual(), pairs.dual())):
+        assert_matches_scalar(lambda: s_constant(one), s_constant_array(many)[0])
+        assert_matches_scalar(lambda: f_constant(one.p, one.q), f_constant_array(many.p, many.q)[0])
+    assert_matches_scalar(
+        lambda: lieb_upper_bound(pair) / s_constant(pair),
+        (lieb_upper_bound_array(pairs) / s_constant_array(pairs))[0],
+    )
 
 
 class TestLiebUpperBound:

@@ -1,12 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from sobolev_constants import interpolation
 from sobolev_constants.interpolation import (
     MarcinkiewiczData,
     assemble,
     assembled_bound,
+    assembly_ratio_array,
     endpoints,
     m0,
     m0_bound,
@@ -19,7 +21,17 @@ from sobolev_constants.interpolation import (
     weak_sup_factor,
 )
 from sobolev_constants.kernel import CutoffSchedule
-from sobolev_constants.params import ExponentPair, conjugate_exponent, default_grid, make_grid
+from sobolev_constants.params import (
+    ExponentArrays,
+    ExponentPair,
+    conjugate_exponent,
+    default_grid,
+    make_grid,
+    make_grid_arrays,
+    refine_grid,
+)
+
+from test_params import assert_matches_scalar, pair_inputs
 
 PAIR = ExponentPair(2.0, 1.0, 4)  # q = 4
 
@@ -212,3 +224,21 @@ class TestWeakSupFactor:
             weak_sup_factor(2.0, 2.0)
         with pytest.raises(ValueError):
             weak_sup_factor(0.9, 2.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(pair_inputs)
+def test_array_assembly_ratio_matches_assemble(inputs):
+    try:
+        pair = ExponentPair(*inputs)
+    except ValueError:
+        return
+    ratio = assembly_ratio_array(ExponentArrays(*([v] for v in inputs)))[0]
+    assert_matches_scalar(lambda: assemble(pair).ratio, ratio)
+
+
+def test_array_assembly_ratio_matches_assemble_on_the_refined_grid():
+    grid = refine_grid(default_grid())
+    ratios = assembly_ratio_array(make_grid_arrays(grid))
+    for pair, ratio in zip(make_grid(grid), ratios.tolist()):
+        assert ratio == pytest.approx(assemble(pair).ratio, rel=1e-14)

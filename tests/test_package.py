@@ -1,6 +1,9 @@
 """Every public function and class of the package is read by package code."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sobolev_constants"
@@ -28,3 +31,12 @@ def test_every_public_definition_is_read_by_package_code():
                 referenced.update(alias.name for alias in node.names)
     unread = sorted(qualified for name, qualified in defined.items() if name not in referenced)
     assert unread == sorted(UNREAD_ALLOWED), unread
+
+
+def test_constants_and_params_import_without_numpy():
+    # numpy is imported inside their array forms, when one is called
+    code = "import sys, sobolev_constants.constants, sobolev_constants.params; print('numpy' in sys.modules)"
+    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr

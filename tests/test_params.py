@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sobolev_constants.constants import constant_report
 from sobolev_constants.interpolation import assemble
 from sobolev_constants.params import (
+    ExponentArrays,
     ExponentPair,
     GroupGeometry,
     ParameterGrid,
@@ -16,6 +17,7 @@ from sobolev_constants.params import (
     default_grid,
     grid_fingerprint,
     make_grid,
+    make_grid_arrays,
     read_grid_config,
     refine_grid,
     solve_q,
@@ -130,6 +132,8 @@ class TestExponentPair:
     def test_exponents_unusable_in_double_precision_rejected(self, p, alpha, d, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             ExponentPair(p, alpha, d)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExponentArrays([2.0, p], [1.0, alpha], [4, d])
 
     def test_predual_is_not_a_constructor_argument(self):
         with pytest.raises(TypeError):
@@ -156,6 +160,46 @@ def exponent_inputs(draw):
         )
     )
     return p, alpha, d
+
+
+@st.composite
+def edge_inputs(draw):
+    """(p, alpha, d) at the domain edges: p in (1, 1 + 1e-9], alpha fraction
+    alpha p/d = 1 - 10^-u for u in [9, 12], d in 1..300."""
+    p = 1.0 + draw(st.floats(min_value=2.3e-16, max_value=1e-9))
+    d = draw(st.integers(min_value=1, max_value=300))
+    frac = 1.0 - 10.0 ** -draw(st.floats(min_value=9.0, max_value=12.0))
+    return p, frac * d / p, d
+
+
+pair_inputs = st.one_of(exponent_inputs(), edge_inputs())
+
+
+def assert_matches_scalar(scalar, value):
+    """value, from an array form, agrees with scalar() to 1e-14 relative, and
+    is nan exactly where scalar() raises."""
+    try:
+        expected = scalar()
+    except (ValueError, ArithmeticError):
+        assert math.isnan(value)
+        return
+    assert value == pytest.approx(expected, rel=1e-14)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(pair_inputs)
+def test_exponent_arrays_refuse_exactly_where_exponent_pair_raises(inputs):
+    p, alpha, d = inputs
+    try:
+        pair = ExponentPair(p, alpha, d)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            ExponentArrays([p], [alpha], [d])
+        return
+    pairs = ExponentArrays([p], [alpha], [d])
+    dual = pairs.dual()
+    assert (pairs.q[0], dual.p[0], dual.q[0]) == (pair.q, pair.dual().p, pair.dual().q)
+    assert dual.dual() is pairs
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
@@ -238,6 +282,23 @@ class TestGrid:
             with pytest.raises(ValueError, match="integers"):
                 ParameterGrid((2.0,), (0.5,), (bad,))
         assert ParameterGrid((2.0,), (0.5,), (2.0,)).d_values == (2,)
+        for bad in (0, 2**53 + 1, 10**400):
+            with pytest.raises(ValueError, match=re.escape(f"at most 2^53, got {bad}")):
+                ParameterGrid((2.0,), (0.5,), (bad,))
+
+    def test_grid_arrays_are_the_grid_pairs_in_order(self):
+        grid = refine_grid(default_grid())
+        pairs = make_grid(grid)
+        arrays = make_grid_arrays(grid)
+        for name in ("p", "alpha", "d", "q"):
+            assert getattr(arrays, name).tolist() == [getattr(pair, name) for pair in pairs]
+
+    def test_grid_arrays_name_the_first_refused_pair(self):
+        grid = ParameterGrid((2.0, 1e20, 1e21), (0.5,), (3,))
+        with pytest.raises(ValueError) as scalar:
+            make_grid(grid)
+        with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+            make_grid_arrays(grid)
 
     def test_product_order(self):
         grid = ParameterGrid((1.5, 2.0), (0.5,), (2, 3))
@@ -300,3 +361,22 @@ class TestGridConfig:
         path.write_text("p_values = two\nalpha_fractions = 0.5\nd_values = 1\n")
         with pytest.raises(ValueError, match="bad decimal"):
             read_grid_config(path)
+
+    @pytest.mark.parametrize(
+        "tokens, outcome",
+        [
+            ("1, 4.0, 1e3", (1, 4, 1000)),
+            ("9007199254740992", (2**53,)),
+            ("9007199254740993", "at most 2^53, got 9007199254740993"),
+            ("9007199254740993.0", "bad decimal in d_values"),
+            ("2.0000000000000001", "bad decimal in d_values"),
+        ],
+    )
+    def test_d_tokens_are_read_exactly(self, tokens, outcome, tmp_path):
+        path = tmp_path / "grid.cfg"
+        path.write_text(f"p_values = 2\nalpha_fractions = 0.5\nd_values = {tokens}\n")
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError, match=re.escape(outcome)):
+                read_grid_config(path)
+        else:
+            assert read_grid_config(path).d_values == outcome
