@@ -127,7 +127,7 @@ def _point_constants(args) -> int:
             )
     pair = ExponentPair(args.p, alpha, args.d)
     report = constant_report(pair)
-    write_table(constants_table([report]), args.out, args.format)
+    write_table(constants_table(report), args.out, args.format)
     print(f"p={pair.p:g} q={pair.q:g} alpha={pair.alpha:g} d={pair.d}")
     print(f"S        = {report.S:.12g}")
     print(f"Q        = {report.Q:.12g}")

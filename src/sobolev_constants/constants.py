@@ -42,15 +42,18 @@ def s_constant(pair: ExponentPair) -> float:
     return _embedding_factors(pair)[0]
 
 
-def s_constant_array(pairs: ExponentArrays):
-    """s_constant of each pair; nan where s_constant raises."""
+def embedding_factors_array(pairs: ExponentArrays):
+    """(S, Q, Q_dual) of each pair, as s_constant and constant_report compute
+    them; nan where they raise."""
     import numpy as np
 
     p, q = pairs.p, pairs.q
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pp, qq = p / (p - 1.0), q / (q - 1.0)
-        s = np.minimum(q ** (1.0 - 1.0 / p) / (p - 1.0), pp ** (1.0 - 1.0 / qq) / (qq - 1.0))
-    return np.where(_pq_usable(p, q) & _pq_usable(qq, pp), s, np.nan)
+        qv, qd = q ** (1.0 - 1.0 / p) / (p - 1.0), pp ** (1.0 - 1.0 / qq) / (qq - 1.0)
+    usable = _pq_usable(p, q) & _pq_usable(qq, pp)
+    qv, qd = np.where(usable, qv, np.nan), np.where(usable, qd, np.nan)
+    return np.minimum(qv, qd), qv, qd
 
 
 def f_constant(p: float, q: float) -> float:
@@ -119,16 +122,19 @@ def lieb_upper_bound_array(pairs: ExponentArrays):
     lieb_upper_bound raises."""
     import numpy as np
 
-    lgamma = np.frompyfunc(math.lgamma, 1, 1)
+    def lgamma(x):
+        return np.fromiter(map(math.lgamma, x.tolist()), float, len(x))
+
     a, d, p, q = pairs.alpha, pairs.d, pairs.p, pairs.q
+    dims, which = np.unique(d, return_inverse=True)  # a grid has few distinct d
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pp, qq = p / (p - 1.0), q / (q - 1.0)
         e = 1.0 / pp + 1.0 / q
-        log_omega = math.log(2.0) + 0.5 * d * math.log(math.pi) - lgamma(0.5 * d).astype(float)
+        log_omega = math.log(2.0) + 0.5 * d * math.log(math.pi) - lgamma(0.5 * dims)[which]
         log_val = (
             -a * math.log(2.0 * math.pi)
-            + lgamma(0.5 * (d - a)).astype(float)
-            - lgamma(0.5 * np.where(a > 0.0, a, 1.0)).astype(float)  # lgamma has a pole at 0
+            + lgamma(0.5 * (d - a))
+            - lgamma(0.5 * np.where(a > 0.0, a, 1.0))  # lgamma has a pole at 0
             + np.log(d / a)
             + (1.0 - a / d) * (log_omega - np.log(d))
             + (1.0 - a / d) * np.log1p(-a / d)
@@ -142,8 +148,9 @@ def lieb_upper_bound_array(pairs: ExponentArrays):
 
 @dataclass(frozen=True)
 class ConstantReport:
-    """All closed-form constants of one exponent pair.  The Euclidean bound
-    and its ratio to S are only defined for alpha > 0."""
+    """All closed-form constants of one exponent pair, or of ExponentArrays
+    with a numpy array per field.  The Euclidean bound and its ratio to S
+    are only defined for alpha > 0."""
 
     pair: ExponentPair
     S: float
@@ -164,6 +171,18 @@ def constant_report(pair: ExponentPair) -> ConstantReport:
         eh = None
         ratio = None
     return ConstantReport(pair, s, qv, qd, f, eh, ratio)
+
+
+def constant_report_array(pairs: ExponentArrays) -> ConstantReport:
+    """constant_report of each pair, as one ConstantReport of arrays.  The
+    ratio reads nan exactly where constant_report raises or alpha = 0."""
+    import numpy as np
+
+    s, qv, qd = embedding_factors_array(pairs)
+    eh = lieb_upper_bound_array(pairs)
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = eh / s
+    return ConstantReport(pairs, s, qv, qd, f_constant_array(pairs.p, pairs.q), eh, ratio)
 
 
 _B1_TERMS = 60  # explicitly summed coefficients of the multiplier bound

@@ -21,7 +21,8 @@ from .params import ExponentArrays, ExponentPair, conjugate_exponent, solve_q
 class MarcinkiewiczData:
     """One pair's interpolation data: endpoints, weight, component norms,
     the assembled constant m0^{1/q} m1^{1-theta} m2^theta, the target shape
-    ((d - alpha)/alpha) p' q^{1 - 1/p}, and their ratio."""
+    ((d - alpha)/alpha) p' q^{1 - 1/p}, and their ratio; or the same of
+    ExponentArrays, with a numpy array per field but p1 = 1."""
 
     pair: ExponentPair
     p1: float
@@ -70,8 +71,8 @@ def m1(alpha: float, d: int) -> float:
     return math.exp(-(1.0 - alpha / d) * math.log(alpha))
 
 
-def m1_bound(alpha: float, d: int) -> float:
-    """Upper bound d/alpha for m1."""
+def m1_bound(alpha, d):
+    """Upper bound d/alpha for m1, of numbers or arrays."""
     return d / alpha
 
 
@@ -94,14 +95,11 @@ def m2(pair: ExponentPair) -> float:
     return math.exp(log_m2)
 
 
-def m2_theta_bound(pair: ExponentPair) -> float:
-    """Upper bound 2 d^theta (q/p)^{1 - 1/p} alpha^{-theta} for m2^theta."""
-    th = theta(pair)
-    return 2.0 * math.exp(
-        th * math.log(pair.d)
-        + (1.0 - 1.0 / pair.p) * math.log(pair.q / pair.p)
-        - th * math.log(pair.alpha)
-    )
+def m2_theta_bound(pairs: ExponentArrays, th: np.ndarray) -> np.ndarray:
+    """Upper bound 2 d^theta (q/p)^{1 - 1/p} alpha^{-theta} for m2^theta,
+    with th the pairs' theta."""
+    p, q = pairs.p, pairs.q
+    return 2.0 * np.exp(th * np.log(pairs.d) + (1.0 - 1.0 / p) * np.log(q / p) - th * np.log(pairs.alpha))
 
 
 def m0(pair: ExponentPair) -> float:
@@ -116,27 +114,23 @@ def m0(pair: ExponentPair) -> float:
     return first + second
 
 
-def m0_tail_term(p: float, q: float) -> float:
-    """Closed form p^{-p' q/(q + p')} (1 + p'/q) of the second m0 summand."""
-    pp = conjugate_exponent(p)
-    return math.exp(-(pp * q / (q + pp)) * math.log(p)) * (1.0 + pp / q)
+def m0_tail_term(p, q):
+    """Closed form p^{-p' q/(q + p')} (1 + p'/q) of the second m0 summand,
+    over arrays p and q."""
+    pp = p / (p - 1.0)
+    return np.exp(-(pp * q / (q + pp)) * np.log(p)) * (1.0 + pp / q)
 
 
-def m0_bound(pair: ExponentPair) -> float:
+def m0_bound(pairs: ExponentArrays) -> np.ndarray:
     """Upper bound e q + p^{-p'q/(q+p')}(1 + p'/q) for m0."""
-    return math.e * pair.q + m0_tail_term(pair.p, pair.q)
+    return np.e * pairs.q + m0_tail_term(pairs.p, pairs.q)
 
 
-def assembled_bound(pair: ExponentPair) -> float:
+def assembled_bound(pairs: ExponentArrays) -> np.ndarray:
     """Composite bound 2 d alpha^{-1} (e q + C(p,q))^{1/q} (q/p)^{1-1/p} that
     the assembled constant must stay below pointwise."""
-    return (
-        2.0
-        * pair.d
-        / pair.alpha
-        * m0_bound(pair) ** (1.0 / pair.q)
-        * math.exp((1.0 - 1.0 / pair.p) * math.log(pair.q / pair.p))
-    )
+    p, q = pairs.p, pairs.q
+    return 2.0 * pairs.d / pairs.alpha * m0_bound(pairs) ** (1.0 / q) * np.exp((1.0 - 1.0 / p) * np.log(q / p))
 
 
 def assemble(pair: ExponentPair) -> MarcinkiewiczData:
@@ -162,11 +156,11 @@ def assemble(pair: ExponentPair) -> MarcinkiewiczData:
     return MarcinkiewiczData(pair, *ends, th, v0, v1, v2, assembled, rhs_shape, ratio)
 
 
-def assembly_ratio_array(pairs: ExponentArrays) -> np.ndarray:
-    """assemble(pair).ratio of each pair, by the same operations; nan where
-    assemble raises: a check of endpoints, theta, m0 or m1 fails, an exp
-    overflows, a log meets a value that is not positive, or the ratio is not
-    finite."""
+def assemble_array(pairs: ExponentArrays) -> MarcinkiewiczData:
+    """assemble of each pair, by the same operations, as one
+    MarcinkiewiczData of arrays.  The ratio reads nan exactly where assemble
+    raises: a check of endpoints, theta, m0 or m1 fails, an exp overflows, a
+    log meets a value that is not positive, or the ratio is not finite."""
     p, q, a, d = pairs.p, pairs.q, pairs.alpha, pairs.d
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ad = a / d
@@ -200,7 +194,8 @@ def assembly_ratio_array(pairs: ExponentArrays) -> np.ndarray:
         & (v2 > 0.0)
         & np.isfinite(ratio)
     )
-    return np.where(usable, ratio, np.nan)
+    ratio = np.where(usable, ratio, np.nan)
+    return MarcinkiewiczData(pairs, 1.0, q1, p2, q2, th, v0, v1, v2, assembled, rhs_shape, ratio)
 
 
 def weak_sup_factor(p_t: float, q_t: float) -> float:

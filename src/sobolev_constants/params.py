@@ -160,8 +160,8 @@ class ExponentArrays:
 
     Construction applies ExponentPair's rules, for each pair and its dual, as
     masks; the first refused pair is rebuilt as an ExponentPair, whose
-    ValueError names it.  The grid sweeps reduce these arrays to a few
-    numbers; every printed row is an ExponentPair.
+    ValueError names it.  The grid sweeps evaluate and print every pair from
+    these arrays; iterating yields the pairs as ExponentPairs.
     """
 
     p: "np.ndarray"
@@ -184,6 +184,12 @@ class ExponentArrays:
         for name, value in (("p", p), ("alpha", alpha), ("d", d), ("q", q)):
             object.__setattr__(self, name, value)
         rerun_scalar(~usable, self.pair)
+
+    def __len__(self) -> int:
+        return len(self.p)
+
+    def __iter__(self):
+        return (self.pair(i) for i in range(len(self)))
 
     def pair(self, i: int) -> ExponentPair:
         """Pair i as an ExponentPair."""
@@ -300,26 +306,15 @@ class ParameterGrid:
         object.__setattr__(self, "d_values", ds)
 
 
-def make_grid(spec: ParameterGrid) -> list:
-    """Cartesian product of the grid axes as validated ExponentPairs.
+def make_grid(spec: ParameterGrid) -> ExponentArrays:
+    """Cartesian product of the grid axes as validated ExponentArrays.
 
     Deterministic lexicographic order in (d, p, alpha); alpha = fraction*d/p.
     """
-    pairs = [
-        ExponentPair(p, frac * d / p, d)
-        for d in spec.d_values
-        for p in spec.p_values
-        for frac in spec.alpha_fractions
-    ]
-    if not pairs:
-        raise ValueError("parameter grid is empty")
-    return pairs
-
-
-def make_grid_arrays(spec: ParameterGrid) -> ExponentArrays:
-    """The pairs of make_grid(spec), in its order, as ExponentArrays."""
     import numpy as np
 
+    if not (spec.d_values and spec.p_values and spec.alpha_fractions):
+        raise ValueError("parameter grid is empty")
     d, p, frac = (
         axis.ravel()
         for axis in np.meshgrid(spec.d_values, spec.p_values, spec.alpha_fractions, indexing="ij")

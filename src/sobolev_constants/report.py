@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,21 +37,99 @@ def format_value(v) -> str:
     raise TypeError(f"unsupported cell type {type(v).__name__}")
 
 
-@dataclass
 class ResultTable:
-    """Named table with a fixed column set; every row has one cell per
-    column.  Producers emit rows already sorted by their input key."""
+    """Named table with a fixed column set, held by column: each column is a
+    list or a numpy array, all of one length.  Producers emit rows already
+    sorted by their input key."""
 
-    name: str
-    columns: Tuple[str, ...]
-    rows: List[tuple] = field(default_factory=list)
+    def __init__(self, name: str, columns: Sequence[str], rows: Iterable[tuple] = ()) -> None:
+        self.name = name
+        self.columns = tuple(columns)
+        self.cells: Tuple[Sequence, ...] = tuple([] for _ in self.columns)
+        for row in rows:
+            self.append(row)
+
+    @classmethod
+    def from_columns(cls, name: str, cells: Dict[str, Sequence]) -> "ResultTable":
+        """A table whose columns are the values of cells, in its order."""
+        if len({len(column) for column in cells.values()}) > 1:
+            raise ValueError(f"columns of table {name!r} differ in length")
+        table = cls(name, tuple(cells))
+        table.cells = tuple(cells.values())
+        return table
+
+    def __len__(self) -> int:
+        return len(self.cells[0])
+
+    def column(self, name: str) -> Sequence:
+        return self.cells[self.columns.index(name)]
 
     def append(self, row: tuple) -> None:
+        """Add one row to a table built row by row (its columns are lists)."""
         if len(row) != len(self.columns):
             raise ValueError(
                 f"row has {len(row)} cells, table {self.name!r} has {len(self.columns)} columns"
             )
-        self.rows.append(tuple(row))
+        for column, v in zip(self.cells, row):
+            column.append(v)
+
+
+BLOCK_ROWS = 1024  # rows formatted at a time: the memory stays flat on long tables
+
+_BOOL_CELLS = ("false", "true")
+
+
+def _format_floats(block: np.ndarray) -> List[str]:
+    return list(map("%.12g".__mod__, block.tolist()))
+
+
+def _format_bools(block: np.ndarray) -> List[str]:
+    return list(map(_BOOL_CELLS.__getitem__, block.tolist()))
+
+
+def _format_ints(block: np.ndarray) -> List[str]:
+    return list(map(str, block.tolist()))
+
+
+_ARRAY_FORMATTERS = {"f": _format_floats, "b": _format_bools, "i": _format_ints, "u": _format_ints}
+
+
+def _array_kind(column: Sequence) -> str:
+    """The numpy dtype kind of a column held as an array, else "O"."""
+    return column.dtype.kind if isinstance(column, np.ndarray) else "O"
+
+
+def _refuse_nonfinite(table: ResultTable) -> None:
+    """Raise ValueError naming the first non-finite cell of the table in row
+    order, if there is one."""
+    found = []  # (row, column index) of each column's first non-finite cell
+    for j, column in enumerate(table.cells):
+        kind = _array_kind(column)
+        if kind == "f":
+            bad = np.flatnonzero(~np.isfinite(column)).tolist()
+        elif kind in _ARRAY_FORMATTERS:
+            continue
+        else:
+            bad = [i for i, v in enumerate(column) if isinstance(v, (float, np.floating)) and not math.isfinite(v)]
+        if bad:
+            found.append((bad[0], j))
+    if found:
+        i, j = min(found)
+        raise ValueError(f"refusing to serialize non-finite value {float(table.cells[j][i])}")
+
+
+def _formatted_blocks(table: ResultTable, cell: Callable) -> Iterator[Iterator[tuple]]:
+    """The table's rows as formatted cells, one block of BLOCK_ROWS rows at a
+    time, each block formatted one column at a time: by dtype for a numpy
+    array of floats, bools or ints, else by cell(v) cell by cell."""
+
+    def by_cell(block):
+        return [cell(v) for v in block]
+
+    formatters = [_ARRAY_FORMATTERS.get(_array_kind(column), by_cell) for column in table.cells]
+    for start in range(0, len(table), BLOCK_ROWS):
+        stop = start + BLOCK_ROWS
+        yield zip(*(fmt(column[start:stop]) for fmt, column in zip(formatters, table.cells)))
 
 
 def write_table(table: ResultTable, directory, fmt: str = "csv") -> Path:
@@ -59,33 +137,35 @@ def write_table(table: ResultTable, directory, fmt: str = "csv") -> Path:
 
     CSV: header row, '.' decimal point, 12 significant digits, LF endings.
     JSON: object {schema_version, name, columns, rows} with the identical
-    numeric formatting.
+    numeric formatting.  A table with a non-finite cell is refused before
+    any file is opened.
     """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    _refuse_nonfinite(table)
     directory = Path(directory)
+    path = directory / f"{table.name}.{fmt}"
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        if fmt == "csv":
-            path = directory / f"{table.name}.csv"
-            with path.open("w", newline="") as handle:
+        with path.open("w", newline="") as handle:
+            if fmt == "csv":
                 writer = csv.writer(handle, lineterminator="\n")
                 writer.writerow(table.columns)
-                for row in table.rows:
-                    writer.writerow([format_value(v) for v in row])
-        elif fmt == "json":
-            path = directory / f"{table.name}.json"
-            rendered_rows = ",\n".join(
-                "    [" + ", ".join(_json_cell(v) for v in row) + "]" for row in table.rows
-            )
-            body = (
-                "{\n"
-                f'  "schema_version": {json.dumps(SCHEMA_VERSION)},\n'
-                f'  "name": {json.dumps(table.name)},\n'
-                f'  "columns": {json.dumps(list(table.columns))},\n'
-                '  "rows": [\n' + rendered_rows + "\n  ]\n}\n"
-            )
-            path.write_text(body)
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
+                for block in _formatted_blocks(table, format_value):
+                    writer.writerows(block)
+            else:
+                handle.write(
+                    "{\n"
+                    f'  "schema_version": {json.dumps(SCHEMA_VERSION)},\n'
+                    f'  "name": {json.dumps(table.name)},\n'
+                    f'  "columns": {json.dumps(list(table.columns))},\n'
+                    '  "rows": [\n'
+                )
+                separator = ""
+                for block in _formatted_blocks(table, _json_cell):
+                    handle.write(separator + ",\n".join("    [" + ", ".join(row) + "]" for row in block))
+                    separator = ",\n"
+                handle.write("\n  ]\n}\n")
     except OSError as exc:
         raise ValueError(f"cannot write table {table.name!r} under {directory}: {exc}") from exc
     return path

@@ -22,16 +22,17 @@ from .constants import (
     ConstantReport,
     b1_multiplier_bound,
     constant_report,
+    constant_report_array,
+    embedding_factors_array,
     f_constant_array,
     lieb_upper_bound,
     lieb_upper_bound_array,
     s_constant,
-    s_constant_array,
 )
 from .interpolation import (
     assemble,
+    assemble_array,
     assembled_bound,
-    assembly_ratio_array,
     m0_bound,
     m1_bound,
     m2_theta_bound,
@@ -57,9 +58,7 @@ from .params import (
     ExponentPair,
     GroupGeometry,
     ParameterGrid,
-    conjugate_exponent,
     make_grid,
-    make_grid_arrays,
     refine_grid,
     rerun_scalar,
     tau_delta,
@@ -90,8 +89,7 @@ REL_SLACK = 1e-12  # multiplicative slack for proved pointwise inequalities
 
 
 def _violations(table: ResultTable) -> int:
-    column = table.columns.index("pass")
-    return sum(1 for row in table.rows if not row[column])
+    return len(table) - int(np.count_nonzero(table.column("pass")))
 
 
 @dataclass
@@ -127,34 +125,35 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def constants_table(reports: List[ConstantReport]) -> ResultTable:
-    table = ResultTable(
-        "constants",
-        ("d", "p", "q", "alpha", "S", "Q", "Q_dual", "F", "E_H_tilde", "ratio_EH_over_S"),
-    )
-    for r in reports:
-        pair = r.pair
-        table.append(
-            (pair.d, pair.p, pair.q, pair.alpha, r.S, r.Q, r.Q_dual, r.F, r.E_H_tilde, r.ratio_EH_over_S)
-        )
-    return table
+def constants_table(report: ConstantReport) -> ResultTable:
+    """One row per pair of the report: of a grid's arrays, or of one pair."""
+    pair = report.pair
+    cells = {
+        "d": pair.d,
+        "p": pair.p,
+        "q": pair.q,
+        "alpha": pair.alpha,
+        "S": report.S,
+        "Q": report.Q,
+        "Q_dual": report.Q_dual,
+        "F": report.F,
+        "E_H_tilde": report.E_H_tilde,
+        "ratio_EH_over_S": report.ratio_EH_over_S,
+    }
+    return ResultTable.from_columns("constants", {k: np.atleast_1d(v) for k, v in cells.items()})
 
 
 _DUALITY_DRAWS = 10_000
 
 
 def check_duality(result: CheckResult) -> None:
-    # one scalar draw after another, in the order the seed fixes
     rng = np.random.default_rng(20240811)
     n = _DUALITY_DRAWS
-    p, alpha, d = np.empty(n), np.empty(n), np.empty(n, dtype=int)
-    for i in range(n):
-        d_i = int(rng.integers(1, 5))
-        p_i = 1.0 + math.exp(rng.uniform(math.log(0.02), math.log(50.0)))
-        d[i], p[i], alpha[i] = d_i, p_i, float(rng.uniform(0.01, 0.99)) * d_i / p_i
-    pairs = ExponentArrays(p, alpha, d)
+    d = rng.integers(1, 5, size=n)
+    p = 1.0 + np.exp(rng.uniform(math.log(0.02), math.log(50.0), size=n))
+    pairs = ExponentArrays(p, rng.uniform(0.01, 0.99, size=n) * d / p, d)
     dual = pairs.dual()
-    s1, s2 = s_constant_array(pairs), s_constant_array(dual)
+    s1, s2 = embedding_factors_array(pairs)[0], embedding_factors_array(dual)[0]
     f1, f2 = f_constant_array(pairs.p, pairs.q), f_constant_array(dual.p, dual.q)
     # a nan (a refused pair) propagates and fails the check
     max_s = float(np.max(np.abs(s1 - s2) / s1))
@@ -167,43 +166,54 @@ def check_duality(result: CheckResult) -> None:
     )
 
 
-def comparison_claims_table(reports: List[ConstantReport]) -> ResultTable:
+def comparison_claims_table(report: ConstantReport) -> ResultTable:
     """Pointwise comparison claims: on q >= p', F sits between Q/4 and 4Q and
     Q(p,q) <= Q(q',p'); everywhere F >= S/4."""
-    table = ResultTable(
+    pairs = report.pair
+    p, q, qv, qd, fv, sv = pairs.p, pairs.q, report.Q, report.Q_dual, report.F, report.S
+    regime = q >= p / (p - 1.0)
+    in_regime = (0.25 * qv * (1.0 - REL_SLACK) <= fv) & (fv <= 4.0 * qv * (1.0 + REL_SLACK))
+    in_regime &= qv <= qd * (1.0 + REL_SLACK)
+    ok = (fv >= 0.25 * sv * (1.0 - REL_SLACK)) & (~regime | in_regime)
+    return ResultTable.from_columns(
         "comparison_claims",
-        ("d", "p", "q", "alpha", "regime_q_ge_pconj", "Q", "Q_dual", "F", "S", "pass"),
+        {
+            "d": pairs.d,
+            "p": p,
+            "q": q,
+            "alpha": pairs.alpha,
+            "regime_q_ge_pconj": regime,
+            "Q": qv,
+            "Q_dual": qd,
+            "F": fv,
+            "S": sv,
+            "pass": ok,
+        },
     )
-    for r in reports:
-        pair = r.pair
-        p, q = pair.p, pair.q
-        qv, qd, fv, sv = r.Q, r.Q_dual, r.F, r.S
-        regime = q >= conjugate_exponent(p)
-        ok = fv >= 0.25 * sv * (1.0 - REL_SLACK)
-        if regime:
-            ok = ok and (0.25 * qv * (1.0 - REL_SLACK) <= fv <= 4.0 * qv * (1.0 + REL_SLACK))
-            ok = ok and qv <= qd * (1.0 + REL_SLACK)
-        table.append((pair.d, p, q, pair.alpha, regime, qv, qd, fv, sv, ok))
-    return table
 
 
 def check_constants(grid: ParameterGrid) -> CheckResult:
     result = CheckResult()
-    reports = [constant_report(pair) for pair in make_grid(grid)]
+    pairs = make_grid(grid)
+    report = constant_report_array(pairs)
+    rerun_scalar(np.isnan(report.ratio_EH_over_S), lambda i: constant_report(pairs.pair(i)))
     refined = refine_grid(grid)
-    pairs = make_grid_arrays(refined)
-    ratios = lieb_upper_bound_array(pairs) / s_constant_array(pairs)
-    rerun_scalar(~np.isfinite(ratios), lambda i: lieb_upper_bound(pairs.pair(i)) / s_constant(pairs.pair(i)))
+    refined_pairs = make_grid(refined)
+    ratios = lieb_upper_bound_array(refined_pairs) / embedding_factors_array(refined_pairs)[0]
+    rerun_scalar(
+        ~np.isfinite(ratios),
+        lambda i: lieb_upper_bound(refined_pairs.pair(i)) / s_constant(refined_pairs.pair(i)),
+    )
     ratios = ratios.reshape(len(refined.d_values), len(refined.p_values), len(refined.alpha_fractions))
-    result.tables.append(constants_table(reports))
+    result.tables.append(constants_table(report))
 
     check_duality(result)
 
-    table = comparison_claims_table(reports)
+    table = comparison_claims_table(report)
     result.record_table(
         table,
         "comparison claims (F vs Q vs S) pointwise on the grid",
-        f"{_violations(table)} violations over {len(reports)} pairs",
+        f"{_violations(table)} violations over {len(pairs)} pairs",
     )
 
     # the grid is the sub-grid of the refined grid at its own axis values
@@ -235,59 +245,39 @@ def check_constants(grid: ParameterGrid) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def interpolation_table(pairs: List[ExponentPair]) -> Tuple[ResultTable, List[Tuple[int, float]]]:
-    """Assembly rows for every pair, and the (d, ratio) of each pair."""
-    table = ResultTable(
+def interpolation_table(pairs: ExponentArrays) -> Tuple[ResultTable, np.ndarray]:
+    """Assembly rows for every pair, and the ratio of each pair."""
+    md = assemble_array(pairs)
+    rerun_scalar(np.isnan(md.ratio), lambda i: assemble(pairs.pair(i)))
+    th = md.theta
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        err_p = np.abs(1.0 / pairs.p - ((1.0 - th) / md.p1 + th / md.p2))
+        err_q = np.abs(1.0 / pairs.q - ((1.0 - th) / md.q1 + th / md.q2))
+        ok = (err_p <= 1e-10) & (err_q <= 1e-10)
+        ok &= md.m1 <= m1_bound(pairs.alpha, pairs.d) * (1.0 + REL_SLACK)
+        ok &= md.m0 <= m0_bound(pairs) * (1.0 + REL_SLACK)
+        ok &= np.exp(th * np.log(md.m2)) <= m2_theta_bound(pairs, th) * (1.0 + REL_SLACK)
+        ok &= md.assembled <= assembled_bound(pairs) * (1.0 + REL_SLACK)
+    table = ResultTable.from_columns(
         "marcinkiewicz",
-        (
-            "d",
-            "p",
-            "q",
-            "alpha",
-            "theta",
-            "m0",
-            "m1",
-            "m2",
-            "assembled",
-            "ipq_rhs_shape",
-            "ratio",
-            "identity_err_p",
-            "identity_err_q",
-            "pass",
-        ),
+        {
+            "d": pairs.d,
+            "p": pairs.p,
+            "q": pairs.q,
+            "alpha": pairs.alpha,
+            "theta": th,
+            "m0": md.m0,
+            "m1": md.m1,
+            "m2": md.m2,
+            "assembled": md.assembled,
+            "ipq_rhs_shape": md.ipq_rhs_shape,
+            "ratio": md.ratio,
+            "identity_err_p": err_p,
+            "identity_err_q": err_q,
+            "pass": ok,
+        },
     )
-    ratios = []
-    for pair in pairs:
-        md = assemble(pair)
-        th = md.theta
-        err_p = abs(1.0 / pair.p - ((1.0 - th) / md.p1 + th / md.p2))
-        err_q = abs(1.0 / pair.q - ((1.0 - th) / md.q1 + th / md.q2))
-        ok = err_p <= 1e-10 and err_q <= 1e-10
-        ok = ok and md.m1 <= m1_bound(pair.alpha, pair.d) * (1.0 + REL_SLACK)
-        ok = ok and md.m0 <= m0_bound(pair) * (1.0 + REL_SLACK)
-        m2_theta = math.exp(th * math.log(md.m2))
-        ok = ok and m2_theta <= m2_theta_bound(pair) * (1.0 + REL_SLACK)
-        ok = ok and md.assembled <= assembled_bound(pair) * (1.0 + REL_SLACK)
-        ratios.append((pair.d, md.ratio))
-        table.append(
-            (
-                pair.d,
-                pair.p,
-                pair.q,
-                pair.alpha,
-                th,
-                md.m0,
-                md.m1,
-                md.m2,
-                md.assembled,
-                md.ipq_rhs_shape,
-                md.ratio,
-                err_p,
-                err_q,
-                ok,
-            )
-        )
-    return table, ratios
+    return table, md.ratio
 
 
 def check_interpolation(grid: ParameterGrid) -> CheckResult:
@@ -300,14 +290,13 @@ def check_interpolation(grid: ParameterGrid) -> CheckResult:
         f"{_violations(table)} violations over {len(pairs)} pairs",
     )
 
-    refined = make_grid_arrays(refine_grid(grid))
-    refined_ratios = assembly_ratio_array(refined)
-    rerun_scalar(~np.isfinite(refined_ratios), lambda i: assemble(refined.pair(i)))
-    refined_max = refined_ratios.reshape(len(grid.d_values), -1).max(axis=1)
-    global_max = max(r for _, r in ratios)
+    refined = make_grid(refine_grid(grid))
+    refined_ratios = assemble_array(refined).ratio
+    rerun_scalar(np.isnan(refined_ratios), lambda i: assemble(refined.pair(i)))
+    grid_max, refined_max = (r.reshape(len(grid.d_values), -1).max(axis=1) for r in (ratios, refined_ratios))
+    global_max = float(grid_max.max())
     stable = abs(float(refined_max.max()) - global_max) / global_max <= 0.05
-    for d, value_refined in zip(grid.d_values, refined_max.tolist()):
-        value = max(r for dd, r in ratios if dd == d)
+    for d, value, value_refined in zip(grid.d_values, grid_max.tolist(), refined_max.tolist()):
         result.fitted[f"ipq_C_d{d}"] = (value, 0.05)
         stable = stable and abs(value_refined - value) / value <= 0.05
     result.fitted["ipq_C_global"] = (global_max, 0.05)

@@ -96,7 +96,7 @@ class TestWriteTable:
         path = write_table(t, tmp_path, "csv")
         header, rows = read_csv_cells(path)
         assert header == t.columns
-        for original, parsed in zip(t.rows, rows):
+        for original, parsed in zip(zip(*t.cells), rows):
             assert tuple(format_value(v) for v in original) == parsed
 
     def test_json_matches_csv_formatting(self, tmp_path):
@@ -112,6 +112,17 @@ class TestWriteTable:
         text = write_table(numpy_cells, tmp_path, "json").read_text()
         assert '    ["gamma", 3, true]\n' in text
         assert json.loads(text)["rows"] == [["gamma", 3, True]]
+
+    def test_nonfinite_last_row_leaves_no_file(self, tmp_path):
+        # 4099 rows: the nan sits in the last row of a last, partial block
+        t = ResultTable("late_nan", ("x", "k"))
+        for i in range(4098):
+            t.append((i / 7.0, i))
+        t.append((float("nan"), 4098))
+        for fmt in ("csv", "json"):
+            with pytest.raises(ValueError, match="non-finite value nan"):
+                write_table(t, tmp_path, fmt)
+            assert not (tmp_path / f"late_nan.{fmt}").exists()
 
     def test_row_width_checked(self):
         t = ResultTable("demo", ("a", "b"))

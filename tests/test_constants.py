@@ -7,15 +7,16 @@ from hypothesis import given, settings
 from sobolev_constants.constants import (
     b1_multiplier_bound,
     constant_report,
+    constant_report_array,
+    embedding_factors_array,
     f_constant,
     f_constant_array,
     lieb_upper_bound,
     lieb_upper_bound_array,
     q_constant,
     s_constant,
-    s_constant_array,
 )
-from sobolev_constants.params import ExponentArrays, ExponentPair
+from sobolev_constants.params import ExponentArrays, ExponentPair, conjugate_exponent
 from sobolev_constants.series import MTSeriesSpec
 
 from test_params import assert_matches_scalar, pair_inputs, random_pairs
@@ -76,12 +77,24 @@ def test_array_closed_forms_match_the_scalar_ones(inputs):
         return
     pairs = ExponentArrays(*([v] for v in inputs))
     for one, many in ((pair, pairs), (pair.dual(), pairs.dual())):
-        assert_matches_scalar(lambda: s_constant(one), s_constant_array(many)[0])
+        s, qv, qd = (column[0] for column in embedding_factors_array(many))
+        assert_matches_scalar(lambda: s_constant(one), s)
+        assert_matches_scalar(lambda: q_constant(one.p, one.q), qv)
+        assert_matches_scalar(lambda: q_constant(conjugate_exponent(one.q), conjugate_exponent(one.p)), qd)
         assert_matches_scalar(lambda: f_constant(one.p, one.q), f_constant_array(many.p, many.q)[0])
     assert_matches_scalar(
         lambda: lieb_upper_bound(pair) / s_constant(pair),
-        (lieb_upper_bound_array(pairs) / s_constant_array(pairs))[0],
+        (lieb_upper_bound_array(pairs) / embedding_factors_array(pairs)[0])[0],
     )
+    report = constant_report_array(pairs)
+    if pair.alpha == 0.0:  # constant_report leaves E_H_tilde and its ratio out
+        assert math.isnan(report.ratio_EH_over_S[0])
+        return
+    assert_matches_scalar(lambda: constant_report(pair).ratio_EH_over_S, report.ratio_EH_over_S[0])
+    if not math.isnan(report.ratio_EH_over_S[0]):
+        expected = constant_report(pair)
+        for name in ("S", "Q", "Q_dual", "F", "E_H_tilde"):
+            assert getattr(report, name)[0] == pytest.approx(getattr(expected, name), rel=1e-14)
 
 
 class TestLiebUpperBound:

@@ -17,7 +17,6 @@ from sobolev_constants.params import (
     default_grid,
     grid_fingerprint,
     make_grid,
-    make_grid_arrays,
     read_grid_config,
     refine_grid,
     solve_q,
@@ -34,6 +33,16 @@ def random_pairs(count, seed=7):
         frac = float(rng.uniform(0.01, 0.99))
         out.append(ExponentPair(p, frac * d / p, d))
     return out
+
+
+def scalar_grid(spec):
+    """The grid pairs one ExponentPair at a time, in make_grid's order."""
+    return [
+        ExponentPair(p, frac * d / p, d)
+        for d in spec.d_values
+        for p in spec.p_values
+        for frac in spec.alpha_fractions
+    ]
 
 
 class TestConjugateExponent:
@@ -267,7 +276,7 @@ class TestGrid:
         grid = ParameterGrid((2.0,), (0.5,), (4,))
         pairs = make_grid(grid)
         assert len(pairs) == 1
-        pair = pairs[0]
+        pair = pairs.pair(0)
         assert (pair.p, pair.alpha, pair.d) == (2.0, 1.0, 4)
         assert pair.q == pytest.approx(4.0)
 
@@ -288,17 +297,18 @@ class TestGrid:
 
     def test_grid_arrays_are_the_grid_pairs_in_order(self):
         grid = refine_grid(default_grid())
-        pairs = make_grid(grid)
-        arrays = make_grid_arrays(grid)
+        pairs = scalar_grid(grid)
+        arrays = make_grid(grid)
         for name in ("p", "alpha", "d", "q"):
             assert getattr(arrays, name).tolist() == [getattr(pair, name) for pair in pairs]
+        assert list(arrays) == pairs
 
     def test_grid_arrays_name_the_first_refused_pair(self):
         grid = ParameterGrid((2.0, 1e20, 1e21), (0.5,), (3,))
         with pytest.raises(ValueError) as scalar:
-            make_grid(grid)
+            scalar_grid(grid)
         with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
-            make_grid_arrays(grid)
+            make_grid(grid)
 
     def test_product_order(self):
         grid = ParameterGrid((1.5, 2.0), (0.5,), (2, 3))
