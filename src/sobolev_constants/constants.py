@@ -7,7 +7,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .params import LOG_NORMAL_MAX, LOG_NORMAL_MIN, ExponentArrays, ExponentPair, conjugate_exponent
+from .params import (
+    LOG_NORMAL_MAX,
+    LOG_NORMAL_MIN,
+    ExponentArrays,
+    ExponentPair,
+    conjugate_exponent,
+    rerun_scalar,
+)
 
 
 def _check_pq(p: float, q: float) -> None:
@@ -173,15 +180,23 @@ def constant_report(pair: ExponentPair) -> ConstantReport:
     return ConstantReport(pair, s, qv, qd, f, eh, ratio)
 
 
+def _refuse(pair: ExponentPair) -> None:
+    constant_report(pair)  # raises ValueError naming the pair, except at alpha = 0
+    if pair.alpha == 0.0:
+        raise ValueError(f"E_H_tilde needs alpha > 0 (the formula carries 1/alpha) for {pair}")
+
+
 def constant_report_array(pairs: ExponentArrays) -> ConstantReport:
     """constant_report of each pair, as one ConstantReport of arrays.  The
-    ratio reads nan exactly where constant_report raises or alpha = 0."""
+    ratio reads nan where constant_report raises or alpha = 0, and the first
+    such pair raises ValueError naming it."""
     import numpy as np
 
     s, qv, qd = embedding_factors_array(pairs)
     eh = lieb_upper_bound_array(pairs)
     with np.errstate(divide="ignore", over="ignore"):
         ratio = eh / s
+    rerun_scalar(np.isnan(ratio), lambda i: _refuse(pairs.pair(i)))
     return ConstantReport(pairs, s, qv, qd, f_constant_array(pairs.p, pairs.q), eh, ratio)
 
 

@@ -96,8 +96,9 @@ def rerun_scalar(refused, scalar_at) -> None:
     """Call scalar_at(i) at each index i where the mask refused is true, in
     order.  An array form refuses an entry where its scalar form raises, so
     the first call raises the scalar path's error, which names the pair; a
-    refused entry that the scalar form accepts (a ratio that overflows to
-    inf) passes."""
+    refused entry that the scalar form accepts passes.  Its callers are
+    ExponentArrays, with ExponentPair as the scalar form, and
+    constants.constant_report_array, with constant_report."""
     import numpy as np
 
     for i in np.flatnonzero(refused).tolist():

@@ -2,10 +2,11 @@
 one constant_report or assemble call, and written one row at a time with
 format_value per cell.
 
-These are the per-pair row builders, pointwise bounds and table writer that
-the package used before it built the constants, comparison_claims and
-marcinkiewicz tables as numpy columns; test_grid_tables holds the package's
-files to theirs byte for byte.
+These are the per-pair assembly, row builders, pointwise bounds and table
+writer that the package used before it built the constants,
+comparison_claims and marcinkiewicz tables as numpy columns and assembled
+over arrays only; test_grid_tables holds the package's files to theirs byte
+for byte, and test_interpolation holds the array assembly to this one.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from pathlib import Path
 from typing import List, Tuple
 
 from sobolev_constants.constants import ConstantReport
-from sobolev_constants.interpolation import assemble, theta
-from sobolev_constants.params import ExponentPair, conjugate_exponent
+from sobolev_constants.interpolation import MarcinkiewiczData
+from sobolev_constants.params import ExponentPair, conjugate_exponent, solve_q
 from sobolev_constants.report import SCHEMA_VERSION, format_value
 from sobolev_constants.verify import REL_SLACK
 
@@ -64,6 +65,98 @@ def _json_cell(v) -> str:
     if isinstance(v, str):
         return json.dumps(v)
     return format_value(v)
+
+
+# ---------------------------------------------------------------------------
+# the per-pair assembly
+# ---------------------------------------------------------------------------
+
+
+def endpoints(pair: ExponentPair) -> tuple[float, float, float, float]:
+    """Endpoint exponents (p1, q1, p2, q2) flanking (p, q): reciprocals
+    (1, 1 - alpha/d) and (alpha/d + 1/(q+1), 1/(q+1)).
+
+    p1 = 1 and q2 = q + 1 exactly.
+    """
+    if pair.alpha <= 0.0:
+        raise ValueError("endpoints need alpha > 0 (for alpha = 0 nothing is interpolated)")
+    q1 = solve_q(1.0, pair.alpha, pair.d)
+    p2 = 1.0 / (pair.alpha / pair.d + 1.0 / (pair.q + 1.0))
+    return 1.0, q1, p2, pair.q + 1.0
+
+
+def theta(pair: ExponentPair) -> float:
+    """Interpolation weight (1 - 1/p) / (1 - alpha/d - 1/(q+1)); satisfies
+    both convex-combination identities 1/p = (1-t)/p1 + t/p2 and
+    1/q = (1-t)/q1 + t/q2."""
+    if pair.alpha <= 0.0:
+        raise ValueError("theta needs alpha > 0")
+    denom = 1.0 - pair.alpha / pair.d - 1.0 / (pair.q + 1.0)
+    # 1 - alpha/d = 1/p' + 1/q > 1/(q+1) for every valid pair
+    if not denom > 0.0:
+        raise ValueError(f"impossible endpoint gap for {pair}")
+    return (1.0 - 1.0 / pair.p) / denom
+
+
+def m1(alpha: float, d: int) -> float:
+    """Endpoint weak-(1, q1) norm alpha^{-(1 - alpha/d)}; at most d/alpha."""
+    if not (0.0 < alpha < d):
+        raise ValueError(f"need 0 < alpha < d, got alpha={alpha}, d={d}")
+    return math.exp(-(1.0 - alpha / d) * math.log(alpha))
+
+
+def m2(pair: ExponentPair) -> float:
+    """Weak-(p2, q2) norm
+
+        (d^{alpha/d}/alpha) (alpha/d)^{e1} [(1 - alpha/d - 1/(q+1))(q+1)]^{e1 - alpha/d}
+
+    with e1 = (alpha/d)/(alpha/d + 1/(q+1))."""
+    if pair.alpha <= 0.0:
+        raise ValueError("m2 needs alpha > 0")
+    a = pair.alpha
+    d = float(pair.d)
+    q = pair.q
+    ad = a / d
+    z = ad + 1.0 / (q + 1.0)
+    e1 = ad / z
+    bracket = (1.0 - z) * (q + 1.0)
+    log_m2 = ad * math.log(d) - math.log(a) + e1 * math.log(ad) + (e1 - ad) * math.log(bracket)
+    return math.exp(log_m2)
+
+
+def m0(pair: ExponentPair) -> float:
+    """Strong-type assembly constant q (p2/p)^{q2/p2}/(q2 - q)
+    + (q/p^{q1})/(q - q1), with the endpoints of the pair."""
+    _, q1, p2, q2 = endpoints(pair)
+    p, q = pair.p, pair.q
+    if not q1 < q < q2:
+        raise ValueError(f"q must lie strictly between the endpoint exponents for {pair}")
+    first = q * math.exp((q2 / p2) * math.log(p2 / p)) / (q2 - q)
+    second = q * math.exp(-q1 * math.log(p)) / (q - q1)
+    return first + second
+
+
+def assemble(pair: ExponentPair) -> MarcinkiewiczData:
+    """Assemble m0^{1/q} m1^{1-theta} m2^theta and its ratio to the target
+    shape ((d - alpha)/alpha) p' q^{1 - 1/p}."""
+    ends = endpoints(pair)
+    th = theta(pair)
+    v0 = m0(pair)
+    v1 = m1(pair.alpha, pair.d)
+    v2 = m2(pair)
+    assembled = math.exp(
+        math.log(v0) / pair.q + (1.0 - th) * math.log(v1) + th * math.log(v2)
+    )
+    rhs_shape = (
+        (pair.d - pair.alpha)
+        / pair.alpha
+        * pair.p_conj
+        * math.exp((1.0 - 1.0 / pair.p) * math.log(pair.q))
+    )
+    ratio = assembled / rhs_shape
+    if not math.isfinite(ratio):
+        raise ValueError(f"non-finite assembly ratio for {pair}")
+    return MarcinkiewiczData(pair, *ends, th, v0, v1, v2, assembled, rhs_shape, ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,37 @@ class TestCli:
                 "alpha=1e-310 is too small to move q above p=2.0",
                 id="interp-grid-alpha-too-small",
             ),
+            # q = 2^53, so q + 1 rounds to q and no endpoint pair flanks it
+            pytest.param(
+                ["interp"],
+                "p_values = 2.0109909367050562\nalpha_fractions = 0.9999999999999998\nd_values = 2\n",
+                "q must lie strictly between the endpoint exponents "
+                "for ExponentPair(p=2.0109909367050562, ",
+                id="interp-grid-q-plus-one-rounds-to-q",
+            ),
+            # the fraction 5e-324 rounds alpha to 0: the line named no pair
+            pytest.param(
+                ["constants"],
+                "p_values = 4\nalpha_fractions = 5e-324\nd_values = 1\n",
+                "E_H_tilde needs alpha > 0 (the formula carries 1/alpha) "
+                "for ExponentPair(p=4.0, alpha=0.0, d=1,",
+                id="constants-grid-alpha-rounds-to-zero",
+            ),
+            pytest.param(
+                ["interp"],
+                "p_values = 4\nalpha_fractions = 5e-324\nd_values = 1\n",
+                "endpoints need alpha > 0 (for alpha = 0 nothing is interpolated) "
+                "for ExponentPair(p=4.0, alpha=0.0, d=1,",
+                id="interp-grid-alpha-rounds-to-zero",
+            ),
+            # max/min of E_H_tilde/S overflows: numpy warned with the source path first
+            pytest.param(
+                ["constants"],
+                "p_values = 1.0000000000002902, 1.0000017472693938, 56642572786789.52\n"
+                "alpha_fractions = 0.6665874930314085\nd_values = 267\n",
+                "comparability band max/min of E_H_tilde/S is not finite for d=267",
+                id="constants-grid-band-overflows",
+            ),
             # the grid path names the user's p, not the rounded conjugates
             pytest.param(
                 ["constants"],

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import pytest
@@ -86,15 +87,20 @@ def test_array_closed_forms_match_the_scalar_ones(inputs):
         lambda: lieb_upper_bound(pair) / s_constant(pair),
         (lieb_upper_bound_array(pairs) / embedding_factors_array(pairs)[0])[0],
     )
-    report = constant_report_array(pairs)
     if pair.alpha == 0.0:  # constant_report leaves E_H_tilde and its ratio out
-        assert math.isnan(report.ratio_EH_over_S[0])
+        message = f"E_H_tilde needs alpha > 0 (the formula carries 1/alpha) for {pair}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            constant_report_array(pairs)
         return
-    assert_matches_scalar(lambda: constant_report(pair).ratio_EH_over_S, report.ratio_EH_over_S[0])
-    if not math.isnan(report.ratio_EH_over_S[0]):
+    try:
         expected = constant_report(pair)
-        for name in ("S", "Q", "Q_dual", "F", "E_H_tilde"):
-            assert getattr(report, name)[0] == pytest.approx(getattr(expected, name), rel=1e-14)
+    except ValueError as exc:  # the array form names the pair with the scalar error
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            constant_report_array(pairs)
+        return
+    report = constant_report_array(pairs)
+    for name in ("S", "Q", "Q_dual", "F", "E_H_tilde", "ratio_EH_over_S"):
+        assert getattr(report, name)[0] == pytest.approx(getattr(expected, name), rel=1e-14)
 
 
 class TestLiebUpperBound:

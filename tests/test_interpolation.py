@@ -1,24 +1,21 @@
 import math
+import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sobolev_constants import interpolation
+import grid_reference as reference
 from sobolev_constants.interpolation import (
     MarcinkiewiczData,
     assemble,
-    assemble_array,
     assembled_bound,
-    endpoints,
-    m0,
     m0_bound,
     m0_tail_term,
-    m1,
     m1_bound,
-    m2,
     m2_theta_bound,
-    theta,
     weak_sup_factor,
 )
 from sobolev_constants.kernel import CutoffSchedule
@@ -31,9 +28,9 @@ from sobolev_constants.params import (
     refine_grid,
 )
 
-from test_params import assert_matches_scalar, pair_inputs
+from test_params import pair_inputs
 
-PAIR = ExponentPair(2.0, 1.0, 4)  # q = 4
+PAIR = ExponentArrays([2.0], [1.0], [4])  # q = 4
 
 # frozen high-precision values for the reference pair (direct evaluation of
 # the defining expressions at 30 digits)
@@ -42,9 +39,10 @@ M2_REF = 0.891821155246625141
 ASSEMBLED_REF = 1.39028762836104998
 
 
-def grid_pairs():
-    return [p for p in make_grid(default_grid()) if p.alpha > 0.0]
-
+def grid_assembly():
+    """The default grid's pairs, all with alpha > 0, and their assembly."""
+    pairs = make_grid(default_grid())
+    return pairs, assemble(pairs)
 
 def weak_type_constant(p_t: float, alpha: float, d: int) -> float:
     """Shape of the weak-(p, q) norm of convolution with the singular kernel
@@ -86,126 +84,114 @@ class TestWeakTypeConstant:
 
 class TestEndpoints:
     def test_reference_values(self):
-        p1, q1, p2, q2 = endpoints(PAIR)
-        assert p1 == 1.0
-        assert q1 == pytest.approx(4.0 / 3.0, rel=1e-15)
-        assert p2 == pytest.approx(20.0 / 9.0, rel=1e-15)
-        assert q2 == 5.0
+        md = assemble(PAIR)
+        assert md.p1[0] == 1.0
+        assert md.q1[0] == pytest.approx(4.0 / 3.0, rel=1e-15)
+        assert md.p2[0] == pytest.approx(20.0 / 9.0, rel=1e-15)
+        assert md.q2[0] == 5.0
 
     def test_ordering(self):
-        _, _, p2, q2 = endpoints(PAIR)
-        assert 1.0 < p2 < q2
+        md = assemble(PAIR)
+        assert 1.0 < md.p2[0] < md.q2[0]
 
     def test_q2_is_q_plus_one(self):
-        for pair in grid_pairs()[::17]:
-            assert endpoints(pair)[3] == pair.q + 1.0
+        pairs, md = grid_assembly()
+        assert np.array_equal(md.q2, pairs.q + 1.0)
 
     def test_alpha_zero_rejected(self):
-        with pytest.raises(ValueError):
-            endpoints(ExponentPair(2.0, 0.0, 4))
+        with pytest.raises(ValueError, match=re.escape("alpha > 0")):
+            assemble(ExponentArrays([2.0], [0.0], [4]))
 
 
 class TestTheta:
     def test_reference_value(self):
-        assert theta(PAIR) == pytest.approx(10.0 / 11.0, rel=1e-15)
+        assert assemble(PAIR).theta[0] == pytest.approx(10.0 / 11.0, rel=1e-15)
 
     def test_convex_combination_reference(self):
-        th = theta(PAIR)
+        th = assemble(PAIR).theta[0]
         assert (1.0 - th) * 1.0 + th * (9.0 / 20.0) == pytest.approx(0.5, abs=1e-15)
         assert (1.0 - th) * (3.0 / 4.0) + th * (1.0 / 5.0) == pytest.approx(0.25, abs=1e-15)
 
     def test_identities_on_grid(self):
-        for pair in grid_pairs():
-            th = theta(pair)
-            assert 0.0 < th < 1.0
-            p1, q1, p2, q2 = endpoints(pair)
-            assert abs(1.0 / pair.p - ((1.0 - th) / p1 + th / p2)) <= 1e-10
-            assert abs(1.0 / pair.q - ((1.0 - th) / q1 + th / q2)) <= 1e-10
+        pairs, md = grid_assembly()
+        th = md.theta
+        assert np.all((0.0 < th) & (th < 1.0))
+        assert np.all(np.abs(1.0 / pairs.p - ((1.0 - th) / md.p1 + th / md.p2)) <= 1e-10)
+        assert np.all(np.abs(1.0 / pairs.q - ((1.0 - th) / md.q1 + th / md.q2)) <= 1e-10)
 
 
 class TestComponentNorms:
     def test_m1_examples(self):
-        assert m1(1.0, 4) == 1.0
-        assert m1(0.5, 2) == pytest.approx(0.5**-0.75, rel=1e-14)
-        assert m1(2.0, 4) == pytest.approx(2.0**-0.5, rel=1e-14)
+        # m1 depends on alpha and d only; each p lies below d/alpha
+        m1 = assemble(ExponentArrays([2.0, 2.0, 1.5], [1.0, 0.5, 2.0], [4, 2, 4])).m1
+        assert m1[0] == 1.0
+        assert m1[1] == pytest.approx(0.5**-0.75, rel=1e-14)
+        assert m1[2] == pytest.approx(2.0**-0.5, rel=1e-14)
 
     def test_m1_bound_on_grid(self):
-        for pair in grid_pairs():
-            assert m1(pair.alpha, pair.d) <= m1_bound(pair.alpha, pair.d) * (1.0 + 1e-12)
+        pairs, md = grid_assembly()
+        assert np.all(md.m1 <= m1_bound(pairs.alpha, pairs.d) * (1.0 + 1e-12))
 
     def test_m1_is_endpoint_weak_type_shape(self):
-        for pair in grid_pairs()[::11]:
-            assert m1(pair.alpha, pair.d) == pytest.approx(
-                weak_type_constant(1.0, pair.alpha, pair.d), rel=1e-12
-            )
+        pairs, md = grid_assembly()
+        for i in range(0, len(pairs), 11):
+            expected = weak_type_constant(1.0, float(pairs.alpha[i]), int(pairs.d[i]))
+            assert md.m1[i] == pytest.approx(expected, rel=1e-12)
 
     def test_m2_reference(self):
-        assert m2(PAIR) == pytest.approx(M2_REF, rel=1e-12)
+        assert assemble(PAIR).m2[0] == pytest.approx(M2_REF, rel=1e-12)
 
     def test_m2_matches_weak_type_substitution(self):
         # independent log-space route: plug the upper endpoint pair into the
         # general weak-type shape
-        for pair in grid_pairs():
-            p2 = endpoints(pair)[2]
-            direct = weak_type_constant(p2, pair.alpha, pair.d)
-            assert m2(pair) == pytest.approx(direct, rel=1e-11)
+        pairs, md = grid_assembly()
+        for i in range(len(pairs)):
+            direct = weak_type_constant(float(md.p2[i]), float(pairs.alpha[i]), int(pairs.d[i]))
+            assert md.m2[i] == pytest.approx(direct, rel=1e-11)
 
     def test_m2_theta_bound_on_grid(self):
-        pairs = make_grid(default_grid())
-        thetas = np.array([theta(pair) for pair in pairs])
-        for pair, th, bound in zip(pairs, thetas.tolist(), m2_theta_bound(pairs, thetas).tolist()):
-            value = math.exp(th * math.log(m2(pair)))
-            assert value <= bound * (1.0 + 1e-12)
+        pairs, md = grid_assembly()
+        value = np.exp(md.theta * np.log(md.m2))
+        assert np.all(value <= m2_theta_bound(pairs, md.theta) * (1.0 + 1e-12))
 
     def test_m2_finite_near_alpha_limit(self):
-        pair = ExponentPair(2.0, 0.4999999, 1)
-        assert math.isfinite(m2(pair))
+        assert math.isfinite(assemble(ExponentArrays([2.0], [0.4999999], [1])).m2[0])
 
     def test_m0_reference(self):
-        assert m0(PAIR) == pytest.approx(M0_REF, rel=1e-12)
-
-    def test_m0_endpoint_guard_is_value_error(self, monkeypatch):
-        # unreachable through endpoints(); forced here so the guard is exercised
-        monkeypatch.setattr(interpolation, "endpoints", lambda pair: (1.0, 5.0, 2.0, 3.0))
-        with pytest.raises(ValueError, match="strictly between"):
-            m0(PAIR)
+        assert assemble(PAIR).m0[0] == pytest.approx(M0_REF, rel=1e-12)
 
     def test_m0_second_term_closed_form(self):
         # (q/p^{q1})/(q - q1) equals p^{-p'q/(q+p')}(1 + p'/q) identically
-        for pair in grid_pairs()[::7]:
-            _, q1, _, _ = endpoints(pair)
-            second = pair.q * math.exp(-q1 * math.log(pair.p)) / (pair.q - q1)
-            tail = m0_tail_term(np.array([pair.p]), np.array([pair.q]))
-            assert second == pytest.approx(tail[0], rel=1e-11)
+        pairs, md = grid_assembly()
+        tail = m0_tail_term(pairs.p, pairs.q)
+        for i in range(0, len(pairs), 7):
+            p, q, q1 = float(pairs.p[i]), float(pairs.q[i]), float(md.q1[i])
+            second = q * math.exp(-q1 * math.log(p)) / (q - q1)
+            assert second == pytest.approx(tail[i], rel=1e-11)
 
     def test_m0_bound_and_positivity_on_grid(self):
-        pairs = make_grid(default_grid())
-        for pair, bound in zip(pairs, m0_bound(pairs).tolist()):
-            value = m0(pair)
-            assert value > 0.0
-            assert value <= bound * (1.0 + 1e-12)
+        pairs, md = grid_assembly()
+        assert np.all(md.m0 > 0.0)
+        assert np.all(md.m0 <= m0_bound(pairs) * (1.0 + 1e-12))
 
 
 class TestAssemble:
     def test_reference_assembly(self):
         md = assemble(PAIR)
         assert isinstance(md, MarcinkiewiczData)
-        assert md.assembled == pytest.approx(ASSEMBLED_REF, rel=1e-12)
-        assert md.ipq_rhs_shape == pytest.approx(12.0, rel=1e-14)
-        assert md.ratio == pytest.approx(ASSEMBLED_REF / 12.0, rel=1e-12)
+        assert md.assembled[0] == pytest.approx(ASSEMBLED_REF, rel=1e-12)
+        assert md.ipq_rhs_shape[0] == pytest.approx(12.0, rel=1e-14)
+        assert md.ratio[0] == pytest.approx(ASSEMBLED_REF / 12.0, rel=1e-12)
 
     def test_final_bound_on_grid(self):
-        worst = 0.0
-        pairs = make_grid(default_grid())
-        for pair, bound in zip(pairs, assembled_bound(pairs).tolist()):
-            md = assemble(pair)
-            assert md.assembled <= bound * (1.0 + 1e-12)
-            worst = max(worst, md.assembled / bound)
-        assert worst < 1.0
+        pairs, md = grid_assembly()
+        bound = assembled_bound(pairs)
+        assert np.all(md.assembled <= bound * (1.0 + 1e-12))
+        assert float(np.max(md.assembled / bound)) < 1.0
 
     def test_ratio_finite_on_grid(self):
-        ratios = [assemble(pair).ratio for pair in grid_pairs()]
-        assert all(math.isfinite(r) and r > 0.0 for r in ratios)
+        ratios = grid_assembly()[1].ratio
+        assert np.all(np.isfinite(ratios) & (ratios > 0.0))
 
 
 class TestWeakSupFactor:
@@ -240,18 +226,63 @@ def test_array_assembly_ratio_matches_assemble(inputs):
         pair = ExponentPair(*inputs)
     except ValueError:
         return
-    md = assemble_array(ExponentArrays(*([v] for v in inputs)))
-    assert_matches_scalar(lambda: assemble(pair).ratio, md.ratio[0])
-    if not math.isnan(md.ratio[0]):
-        expected = assemble(pair)
-        for name in MARCINKIEWICZ_FIELDS:
-            assert getattr(md, name)[0] == pytest.approx(getattr(expected, name), rel=1e-14), name
+    pairs = ExponentArrays(*([v] for v in inputs))
+    try:
+        expected = reference.assemble(pair)
+    except (ValueError, ArithmeticError) as exc:
+        # the array form refuses the pair for the reference's reason, and names it
+        reason = str(exc).split(f" for {pair}")[0]
+        if reason.startswith("math "):  # a raw math error of the reference
+            reason = "math range or domain error in the assembly"
+        with pytest.raises(ValueError, match=re.escape(f"{reason} for {pair}")):
+            assemble(pairs)
+        return
+    md = assemble(pairs)
+    for name in MARCINKIEWICZ_FIELDS + ("ratio",):
+        assert getattr(md, name)[0] == pytest.approx(getattr(expected, name), rel=1e-14), name
 
 
 def test_array_assembly_ratio_matches_assemble_on_the_refined_grid():
     pairs = make_grid(refine_grid(default_grid()))
-    md = assemble_array(pairs)
+    md = assemble(pairs)
     for i, pair in enumerate(pairs):
-        expected = assemble(pair)
+        expected = reference.assemble(pair)
         for name in MARCINKIEWICZ_FIELDS + ("ratio",):
             assert getattr(md, name)[i] == pytest.approx(getattr(expected, name), rel=1e-14), name
+
+
+def assembly_oracle(p: float, alpha: float, d: int) -> dict:
+    """theta, m0, m1, m2, the assembled constant and its ratio to the target
+    shape, from their defining expressions at 40 digits, with q solved from
+    the same (p, alpha, d)."""
+    with mp.workdps(40):
+        p, a, d = mp.mpf(p), mp.mpf(alpha), mp.mpf(d)
+        ad = a / d
+        q = 1 / (1 / p - ad)
+        q1, q2 = 1 / (1 - ad), q + 1
+        p2 = 1 / (ad + 1 / q2)
+        theta = (1 - 1 / p) / (1 - ad - 1 / q2)
+        m0 = q * (p2 / p) ** (q2 / p2) / (q2 - q) + q / p**q1 / (q - q1)
+        m1 = a ** -(1 - ad)
+        e1 = ad / (ad + 1 / q2)
+        m2 = d**ad / a * ad**e1 * ((1 - ad - 1 / q2) * q2) ** (e1 - ad)
+        assembled = m0 ** (1 / q) * m1 ** (1 - theta) * m2**theta
+        rhs_shape = (d - a) / a * (p / (p - 1)) * q ** (1 - 1 / p)
+        values = {"theta": theta, "m0": m0, "m1": m1, "m2": m2, "assembled": assembled}
+        values["ratio"] = assembled / rhs_shape
+        return {name: float(v) for name, v in values.items()}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(
+    st.floats(min_value=0.05, max_value=15.0),
+    st.floats(min_value=0.1, max_value=0.9),
+    st.integers(min_value=1, max_value=4),
+)
+def test_assembly_matches_a_40_digit_oracle(p_minus_one, fraction, d):
+    # inside the default grid's span; near p = 1 the double 1 - 1/p cancels
+    p = 1.0 + p_minus_one
+    alpha = fraction * d / p
+    md = assemble(ExponentArrays([p], [alpha], [d]))
+    for name, expected in assembly_oracle(p, alpha, d).items():
+        assert getattr(md, name)[0] == pytest.approx(expected, rel=1e-13), name

@@ -229,7 +229,7 @@ def test_pair_rules_hold_on_every_accepted_pair(inputs):
         pass
     if pair.alpha > 0.0:
         try:
-            assemble(pair)
+            assemble(ExponentArrays(*([v] for v in inputs)))
         except ValueError:
             pass
 
