@@ -7,31 +7,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .params import (
-    LOG_NORMAL_MAX,
-    LOG_NORMAL_MIN,
-    ExponentArrays,
-    ExponentPair,
-    conjugate_exponent,
-    rerun_scalar,
-)
+from .params import LOG_NORMAL_MAX, LOG_NORMAL_MIN, ExponentArrays, ExponentPair
 
 
-def _check_pq(p: float, q: float) -> None:
-    if not (math.isfinite(p) and math.isfinite(q) and 1.0 < p <= q):
-        raise ValueError(f"need 1 < p <= q < inf, got p={p}, q={q}")
-
-
-def _pq_usable(p, q):
-    """The mask of the array entries that _check_pq accepts."""
-    import numpy as np
-
-    return np.isfinite(p) & np.isfinite(q) & (1.0 < p) & (p <= q)
-
-
-def q_constant(p: float, q: float) -> float:
-    """One-sided embedding factor q^(1 - 1/p) / (p - 1)."""
-    _check_pq(p, q)
+def q_constant(p, q):
+    """One-sided embedding factor q^(1 - 1/p) / (p - 1), of floats or of
+    numpy arrays."""
     return q ** (1.0 - 1.0 / p) / (p - 1.0)
 
 
@@ -39,7 +20,7 @@ def _embedding_factors(pair: ExponentPair) -> tuple[float, float, float]:
     """(S, Q, Q_dual): the one-sided factors Q of the pair and Q_dual of its
     dual, and the smaller of the two."""
     qv = q_constant(pair.p, pair.q)
-    qd = q_constant(conjugate_exponent(pair.q), conjugate_exponent(pair.p))
+    qd = q_constant(pair.q_conj, pair.p_conj)
     return min(qv, qd), qv, qd
 
 
@@ -51,35 +32,19 @@ def s_constant(pair: ExponentPair) -> float:
 
 def embedding_factors_array(pairs: ExponentArrays):
     """(S, Q, Q_dual) of each pair, as s_constant and constant_report compute
-    them; nan where they raise."""
+    them."""
     import numpy as np
 
     p, q = pairs.p, pairs.q
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pp, qq = p / (p - 1.0), q / (q - 1.0)
-        qv, qd = q ** (1.0 - 1.0 / p) / (p - 1.0), pp ** (1.0 - 1.0 / qq) / (qq - 1.0)
-    usable = _pq_usable(p, q) & _pq_usable(qq, pp)
-    qv, qd = np.where(usable, qv, np.nan), np.where(usable, qd, np.nan)
+    qv, qd = q_constant(p, q), q_constant(q / (q - 1.0), p / (p - 1.0))
     return np.minimum(qv, qd), qv, qd
 
 
-def f_constant(p: float, q: float) -> float:
-    """Comparison shape [1/(1/p' + 1/q)] [1/(p q')] (p'^{1/q} + q^{1/p'});
-    invariant under (p, q) -> (q', p')."""
-    _check_pq(p, q)
-    pp = conjugate_exponent(p)
-    qq = conjugate_exponent(q)
+def f_constant(p, q):
+    """Comparison shape [1/(1/p' + 1/q)] [1/(p q')] (p'^{1/q} + q^{1/p'}),
+    of floats or of numpy arrays; invariant under (p, q) -> (q', p')."""
+    pp, qq = p / (p - 1.0), q / (q - 1.0)
     return (1.0 / (1.0 / pp + 1.0 / q)) * (1.0 / (p * qq)) * (pp ** (1.0 / q) + q ** (1.0 / pp))
-
-
-def f_constant_array(p, q):
-    """f_constant over arrays; nan where f_constant raises."""
-    import numpy as np
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pp, qq = p / (p - 1.0), q / (q - 1.0)
-        f = (1.0 / (1.0 / pp + 1.0 / q)) * (1.0 / (p * qq)) * (pp ** (1.0 / q) + q ** (1.0 / pp))
-    return np.where(_pq_usable(p, q), f, np.nan)
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -101,12 +66,10 @@ def lieb_upper_bound(pair: ExponentPair) -> float:
     normal double range raises instead of reading inf or 0.
     """
     if pair.alpha <= 0.0:
-        raise ValueError("lieb_upper_bound needs alpha > 0 (the formula carries 1/alpha)")
+        raise ValueError(f"E_H_tilde needs alpha > 0 (the formula carries 1/alpha) for {pair}")
     a = pair.alpha
     d = float(pair.d)
-    p, q = pair.p, pair.q
-    pp = conjugate_exponent(p)
-    qq = conjugate_exponent(q)
+    p, q, pp, qq = pair.p, pair.q, pair.p_conj, pair.q_conj
     e = 1.0 / pp + 1.0 / q  # = 1 - alpha/d
     log_omega = math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
     log_val = (
@@ -125,8 +88,9 @@ def lieb_upper_bound(pair: ExponentPair) -> float:
 
 
 def lieb_upper_bound_array(pairs: ExponentArrays):
-    """lieb_upper_bound of each pair, by the same operations; nan where
-    lieb_upper_bound raises."""
+    """lieb_upper_bound of each pair, by the same operations.  The first pair
+    with alpha = 0 or a bound outside the normal doubles raises ValueError
+    naming it."""
     import numpy as np
 
     def lgamma(x):
@@ -134,23 +98,29 @@ def lieb_upper_bound_array(pairs: ExponentArrays):
 
     a, d, p, q = pairs.alpha, pairs.d, pairs.p, pairs.q
     dims, which = np.unique(d, return_inverse=True)  # a grid has few distinct d
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pp, qq = p / (p - 1.0), q / (q - 1.0)
-        e = 1.0 / pp + 1.0 / q
-        log_omega = math.log(2.0) + 0.5 * d * math.log(math.pi) - lgamma(0.5 * dims)[which]
-        log_val = (
-            -a * math.log(2.0 * math.pi)
-            + lgamma(0.5 * (d - a))
-            - lgamma(0.5 * np.where(a > 0.0, a, 1.0))  # lgamma has a pole at 0
-            + np.log(d / a)
-            + (1.0 - a / d) * (log_omega - np.log(d))
-            + (1.0 - a / d) * np.log1p(-a / d)
-            - np.log(p * qq)
-            + np.logaddexp(e * np.log(pp), e * np.log(q))
-        )
-        value = np.exp(log_val)
-    usable = (a > 0.0) & (LOG_NORMAL_MIN < log_val) & (log_val < LOG_NORMAL_MAX)
-    return np.where(usable, value, np.nan)
+    pp, qq = p / (p - 1.0), q / (q - 1.0)
+    e = 1.0 / pp + 1.0 / q
+    log_omega = math.log(2.0) + 0.5 * d * math.log(math.pi) - lgamma(0.5 * dims)[which]
+    with np.errstate(divide="ignore"):  # alpha = 0 gives log(d/0) = inf, refused below
+        log_d_over_a = np.log(d / a)
+    log_val = (
+        -a * math.log(2.0 * math.pi)
+        + lgamma(0.5 * (d - a))
+        - lgamma(0.5 * np.where(a > 0.0, a, 1.0))  # lgamma has a pole at 0
+        + log_d_over_a
+        + (1.0 - a / d) * (log_omega - np.log(d))
+        + (1.0 - a / d) * np.log1p(-a / d)
+        - np.log(p * qq)
+        + np.logaddexp(e * np.log(pp), e * np.log(q))
+    )
+    refused = ~((LOG_NORMAL_MIN < log_val) & (log_val < LOG_NORMAL_MAX))
+    if refused.any():
+        i = int(np.argmax(refused))
+        pair = pairs.pair(i)
+        if pair.alpha == 0.0:
+            raise ValueError(f"E_H_tilde needs alpha > 0 (the formula carries 1/alpha) for {pair}")
+        raise ValueError(f"Euclidean bound exp({log_val[i]:.6g}) leaves double range for {pair}")
+    return np.exp(log_val)
 
 
 @dataclass(frozen=True)
@@ -180,24 +150,17 @@ def constant_report(pair: ExponentPair) -> ConstantReport:
     return ConstantReport(pair, s, qv, qd, f, eh, ratio)
 
 
-def _refuse(pair: ExponentPair) -> None:
-    constant_report(pair)  # raises ValueError naming the pair, except at alpha = 0
-    if pair.alpha == 0.0:
-        raise ValueError(f"E_H_tilde needs alpha > 0 (the formula carries 1/alpha) for {pair}")
-
-
 def constant_report_array(pairs: ExponentArrays) -> ConstantReport:
-    """constant_report of each pair, as one ConstantReport of arrays.  The
-    ratio reads nan where constant_report raises or alpha = 0, and the first
-    such pair raises ValueError naming it."""
+    """constant_report of each pair, as one ConstantReport of arrays; the
+    first pair that lieb_upper_bound_array refuses raises ValueError naming
+    it."""
     import numpy as np
 
     s, qv, qd = embedding_factors_array(pairs)
     eh = lieb_upper_bound_array(pairs)
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(over="ignore"):  # S dips to about 0.88, so E_H_tilde/S may overflow
         ratio = eh / s
-    rerun_scalar(np.isnan(ratio), lambda i: _refuse(pairs.pair(i)))
-    return ConstantReport(pairs, s, qv, qd, f_constant_array(pairs.p, pairs.q), eh, ratio)
+    return ConstantReport(pairs, s, qv, qd, f_constant(pairs.p, pairs.q), eh, ratio)
 
 
 _B1_TERMS = 60  # explicitly summed coefficients of the multiplier bound

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -421,17 +421,14 @@ class CutoffSchedule:
     p_t: float
     alpha: float
     d: int
+    q_t: float = field(init=False, default=0.0)  # q of the scaling relation 1/q = 1/p - alpha/d
 
     def __post_init__(self) -> None:
         _check_order(self.alpha, self.d)
         if not self.p_t >= 1.0:
             raise ValueError(f"need p >= 1, got {self.p_t}")
-        solve_q(self.p_t, self.alpha, self.d)  # raises once alpha >= d/p
-
-    @property
-    def q_t(self) -> float:
-        """q of the scaling relation 1/q = 1/p - alpha/d."""
-        return solve_q(self.p_t, self.alpha, self.d)
+        # solve_q raises once alpha >= d/p
+        object.__setattr__(self, "q_t", solve_q(self.p_t, self.alpha, self.d))
 
 
 def cutoff_s(t: float, sched: CutoffSchedule) -> float:

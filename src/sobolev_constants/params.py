@@ -92,19 +92,6 @@ def _usable_q_array(p, alpha, d):
     return q, usable
 
 
-def rerun_scalar(refused, scalar_at) -> None:
-    """Call scalar_at(i) at each index i where the mask refused is true, in
-    order.  An array form refuses an entry where its scalar form raises, so
-    the first call raises the scalar path's error, which names the pair; a
-    refused entry that the scalar form accepts passes.  Its callers are
-    ExponentArrays, with ExponentPair as the scalar form, and
-    constants.constant_report_array, with constant_report."""
-    import numpy as np
-
-    for i in np.flatnonzero(refused).tolist():
-        scalar_at(i)
-
-
 @dataclass(frozen=True)
 class ExponentPair:
     """A (p, q, alpha, d) quadruple locked to the scaling relation
@@ -184,7 +171,8 @@ class ExponentArrays:
                 usable &= _usable_q_array(q / (q - 1.0), alpha, d)[1]
         for name, value in (("p", p), ("alpha", alpha), ("d", d), ("q", q)):
             object.__setattr__(self, name, value)
-        rerun_scalar(~usable, self.pair)
+        for i in np.flatnonzero(~usable).tolist():
+            self.pair(i)  # raises ExponentPair's ValueError, which names the pair
 
     def __len__(self) -> int:
         return len(self.p)

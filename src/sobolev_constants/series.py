@@ -92,8 +92,6 @@ def s_majorant_gap(p: float, k: int) -> float:
     """log[(p'k)^k / (p-1)^{p'k}] - p'k log S(p, p'k): the amount by which
     the power-counting majorant dominates the embedding factor; must be
     nonnegative for k >= p - 1."""
-    if not p > 1.0:
-        raise ValueError(f"need p > 1, got {p}")
     if k < p - 1.0:
         raise ValueError(f"need k >= p - 1, got k={k}, p={p}")
     pp = conjugate_exponent(p)

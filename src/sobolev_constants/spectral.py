@@ -100,9 +100,8 @@ def refined_widths(widths: Tuple[float, ...]) -> Tuple[float, ...]:
 
 def bessel_apply(f: SpectralField, tau: float, alpha: float) -> SpectralField:
     """Multiply the Fourier coefficient at frequency k by
-    (tau + |2 pi k/L|^2)^{alpha/2}; alpha < 0 applies the inverse operator."""
-    if not tau >= 1.0:
-        raise ValueError(f"need tau >= 1, got {tau}")
+    (tau + |2 pi k/L|^2)^{alpha/2}, for a shift tau >= 1; alpha < 0 applies
+    the inverse operator."""
     if alpha == 0.0:
         return f
     coeffs = np.fft.fftn(np.asarray(f.values))

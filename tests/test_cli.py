@@ -388,6 +388,8 @@ class TestCli:
             (["kernel", "--alpha", "1", "--d", "1" + "0" * 400], "error: d must be"),
             (["kernel", "--alpha", "1", "--d", "1000000000000"], "error: kernel envelope at r="),
             (["kernel", "--alpha", "1", "--d", "9007199254740992"], "error: kernel envelope at r="),
+            (["embed", "--tau", "0.5"], "error: need tau >= 1, got 0.5"),
+            (["verify-all", "--tau", "0.5"], "error: need tau >= 1, got 0.5"),
         ],
     )
     def test_extreme_sizes_exit_two_with_one_error_line(self, argv, message, tmp_path):

@@ -11,16 +11,15 @@ from sobolev_constants.constants import (
     constant_report_array,
     embedding_factors_array,
     f_constant,
-    f_constant_array,
     lieb_upper_bound,
     lieb_upper_bound_array,
     q_constant,
     s_constant,
 )
-from sobolev_constants.params import ExponentArrays, ExponentPair, conjugate_exponent
+from sobolev_constants.params import ExponentArrays, ExponentPair
 from sobolev_constants.series import MTSeriesSpec
 
-from test_params import assert_matches_scalar, pair_inputs, random_pairs
+from test_params import pair_inputs, random_pairs
 
 # direct high-precision evaluation of the Euclidean bound, frozen before the build
 EH_2_4_1_4 = 1.43657193253959383
@@ -62,12 +61,6 @@ class TestEmbeddingFactors:
         flat = constant_report(ExponentPair(2.0, 0.0, 4))
         assert flat.E_H_tilde is None and flat.ratio_EH_over_S is None
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            q_constant(1.0, 2.0)
-        with pytest.raises(ValueError):
-            f_constant(3.0, 2.0)
-
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
 @given(pair_inputs)
@@ -79,25 +72,19 @@ def test_array_closed_forms_match_the_scalar_ones(inputs):
     pairs = ExponentArrays(*([v] for v in inputs))
     for one, many in ((pair, pairs), (pair.dual(), pairs.dual())):
         s, qv, qd = (column[0] for column in embedding_factors_array(many))
-        assert_matches_scalar(lambda: s_constant(one), s)
-        assert_matches_scalar(lambda: q_constant(one.p, one.q), qv)
-        assert_matches_scalar(lambda: q_constant(conjugate_exponent(one.q), conjugate_exponent(one.p)), qd)
-        assert_matches_scalar(lambda: f_constant(one.p, one.q), f_constant_array(many.p, many.q)[0])
-    assert_matches_scalar(
-        lambda: lieb_upper_bound(pair) / s_constant(pair),
-        (lieb_upper_bound_array(pairs) / embedding_factors_array(pairs)[0])[0],
-    )
-    if pair.alpha == 0.0:  # constant_report leaves E_H_tilde and its ratio out
-        message = f"E_H_tilde needs alpha > 0 (the formula carries 1/alpha) for {pair}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            constant_report_array(pairs)
-        return
+        assert s == pytest.approx(s_constant(one), rel=1e-14)
+        assert qv == pytest.approx(q_constant(one.p, one.q), rel=1e-14)
+        assert qd == pytest.approx(q_constant(one.q_conj, one.p_conj), rel=1e-14)
+        assert f_constant(many.p, many.q)[0] == pytest.approx(f_constant(one.p, one.q), rel=1e-14)
     try:
         expected = constant_report(pair)
-    except ValueError as exc:  # the array form names the pair with the scalar error
-        with pytest.raises(ValueError, match=re.escape(str(exc))):
-            constant_report_array(pairs)
+        eh = lieb_upper_bound(pair)
+    except ValueError as exc:  # both array forms name the pair with the scalar error
+        for array_form in (lieb_upper_bound_array, constant_report_array):
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                array_form(pairs)
         return
+    assert lieb_upper_bound_array(pairs)[0] == pytest.approx(eh, rel=1e-14)
     report = constant_report_array(pairs)
     for name in ("S", "Q", "Q_dual", "F", "E_H_tilde", "ratio_EH_over_S"):
         assert getattr(report, name)[0] == pytest.approx(getattr(expected, name), rel=1e-14)

@@ -1,4 +1,4 @@
-"""Every public function and class of the package is read by package code."""
+"""Every definition of the package is read by package code."""
 
 import ast
 import os
@@ -14,23 +14,46 @@ UNREAD_ALLOWED = {
 }
 
 
-def test_every_public_definition_is_read_by_package_code():
-    defined = {}
-    referenced = set()
+def _definitions_and_reads():
+    """(name, module.name, whether it is a function or class) for each
+    top-level definition of the package, and the names package code reads;
+    a name that is only assigned is not read."""
+    defined = set()
+    read = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined[node.name] = f"{path.stem}.{node.name}"
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((node.name, f"{path.stem}.{node.name}", True))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update((t.id, f"{path.stem}.{t.id}", False) for t in targets if isinstance(t, ast.Name))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
-    unread = sorted(qualified for name, qualified in defined.items() if name not in referenced)
+                read.update(alias.name for alias in node.names)
+    return defined, read
+
+
+def test_every_public_definition_is_read_by_package_code():
+    defined, read = _definitions_and_reads()
+    unread = sorted(
+        qualified
+        for name, qualified, is_def in defined
+        if is_def and not name.startswith("_") and name not in read
+    )
     assert unread == sorted(UNREAD_ALLOWED), unread
+
+
+def test_every_top_level_name_is_read_by_package_code():
+    # private helpers and module constants too
+    defined, read = _definitions_and_reads()
+    unread = sorted(qualified for name, qualified, _ in defined if name not in read)
+    # the package version is read by whoever imports the package
+    assert unread == sorted({*UNREAD_ALLOWED, "__init__.__version__"}), unread
 
 
 def test_constants_and_params_import_without_numpy():

@@ -19,6 +19,7 @@ from sobolev_constants.spectral import (
     mt_functional,
     refined_widths,
 )
+from sobolev_constants.verify import check_spectral
 
 TAU = tau_delta(GroupGeometry())  # 12.5 for the default geometry
 GRID1 = TorusGrid(1, 256)
@@ -84,8 +85,9 @@ class TestBesselApply:
         assert err <= 1e-10 * float(np.max(np.abs(np.asarray(f.values))))
 
     def test_tau_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            bessel_apply(gaussian_field(GRID1, 1.0), 0.5, 1.0)
+        # one --tau feeds every bessel_apply call, so it is checked once, where it enters
+        with pytest.raises(ValueError, match=r"need tau >= 1, got 0\.5"):
+            check_spectral(GroupGeometry(), 0.5)
 
 
 class TestLpNorm:
