@@ -156,40 +156,44 @@ def _gk15(func, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return half * kronrod, half * error
 
 
-def quad(func, a, b, rel_tol: float) -> tuple[float, float, dict]:
+def quad(func, a, b, rel_tol: float, points=()) -> tuple[float, float, dict]:
     """Adaptive 7/15-point Gauss-Kronrod integral of func over [a, b]:
     (value, abserr, {"neval": n}).
 
     func is vectorized: it maps an array of nodes to the array of its values.
-    An infinite end maps to (0, 1] by x = a + (1 - t)/t (or b - (1 - t)/t),
-    so the integrand is func(x(t))/t^2, and the nodes never reach t = 0.  The
-    interval with the largest error estimate is bisected next, until the
-    summed estimate is at most rel_tol |value|, _QUAD_LIMIT intervals are in
-    use, or the worst interval is too narrow to bisect; the caller compares
-    abserr with its tolerance.
-    """
-    if not (a < b and (math.isfinite(a) or math.isfinite(b))):
-        raise ValueError(f"need a < b with one end finite, got [{a}, {b}]")
-    f, start, stop = func, a, b
+    The breakpoints a < points < b start the interval list (QUADPACK qagp),
+    so a known kink or peak sits on an interval end.  An infinite end maps to
+    (0, 1] by x = a + (1 - t)/t (or b - (1 - t)/t), so the integrand is
+    func(x(t))/t^2, and the nodes never reach t = 0.  Each round bisects, in
+    one call of func, every interval not too narrow to bisect whose error
+    estimate is above its share rel_tol |value|/n, the worst first and never
+    past _QUAD_LIMIT intervals, until the summed estimate is at most rel_tol
+    |value| or none is left to bisect; the caller compares abserr with its
+    tolerance."""
+    ends = (a, *points, b)
+    if not (all(x < y for x, y in zip(ends, ends[1:])) and (math.isfinite(a) or math.isfinite(b))):
+        raise ValueError(f"need a < b with one end finite and the points between, got {list(ends)}")
+    f, edges = func, np.array(ends, dtype=float)
     if math.isinf(b):
-        f, start, stop = (lambda t: func(a + (1.0 - t) / t) / (t * t)), 0.0, 1.0
+        f, edges = (lambda t: func(a + (1.0 - t) / t) / (t * t)), 1.0 / (1.0 + edges[::-1] - a)
     elif math.isinf(a):
-        f, start, stop = (lambda t: func(b - (1.0 - t) / t) / (t * t)), 0.0, 1.0
-    lo, hi = np.zeros(_QUAD_LIMIT), np.zeros(_QUAD_LIMIT)
-    value, error = np.zeros(_QUAD_LIMIT), np.zeros(_QUAD_LIMIT)
-    lo[0], hi[0] = start, stop
-    value[:1], error[:1] = _gk15(f, lo[:1], hi[:1])
-    n = 1
-    while n < _QUAD_LIMIT and error[:n].sum() > rel_tol * abs(value[:n].sum()):
-        i = int(np.argmax(error[:n]))
-        if hi[i] - lo[i] <= _MIN_RELATIVE_WIDTH * max(abs(lo[i]), abs(hi[i])):
+        f, edges = (lambda t: func(b - (1.0 - t) / t) / (t * t)), 1.0 / (1.0 + b - edges)
+    # one column (lo, hi, value, error) per interval
+    intervals = np.array((edges[:-1], edges[1:], *_gk15(f, edges[:-1], edges[1:])))
+    while intervals[3].sum() > rel_tol * abs(intervals[2].sum()):
+        lo, hi, value, error = intervals
+        wide = hi - lo > _MIN_RELATIVE_WIDTH * np.maximum(np.abs(lo), np.abs(hi))
+        bad = np.count_nonzero(wide & (error > rel_tol * abs(value.sum()) / len(lo)))
+        split = np.argsort(np.where(wide, -error, 0.0), kind="stable")[: min(bad, _QUAD_LIMIT - len(lo))]
+        if not len(split):
             break
-        lo[n], hi[n] = 0.5 * (lo[i] + hi[i]), hi[i]
-        hi[i] = lo[n]
-        pair = [i, n]
-        value[pair], error[pair] = _gk15(f, lo[pair], hi[pair])
-        n += 1
-    return float(value[:n].sum()), float(error[:n].sum()), {"neval": 15 * (2 * n - 1)}
+        mid = 0.5 * (lo[split] + hi[split])
+        halves = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
+        rules = np.array((*halves, *_gk15(f, *halves)))
+        intervals = np.hstack((np.delete(intervals, split, axis=1), rules))
+    # every bisection adds one interval and two rules to the first ones
+    neval = 15 * (2 * intervals.shape[1] - (len(edges) - 1))
+    return float(intervals[2].sum()), float(intervals[3].sum()), {"neval": neval}
 
 
 def _log_peak(k: float, a: float, c: float) -> float:
@@ -209,14 +213,17 @@ def green_kernel_upper(r: float, kp: GreenKernelParams, rel_tol: float = 1e-8) -
     In x = log t the integrand is e^{phi(x)}, phi(x) = k x - a e^x - c e^{-x}
     with c = b r^2 and slope k = (alpha - d)/2 for x < 0, alpha/2 for x > 0.
     phi is concave on each side of the kink x = 0, so each side peaks once,
-    inside it or at 0 (_log_peak).  The integral is broken at the kink and at
-    those peaks, and e^{phi - max phi} is integrated: every piece is
-    monotone with its largest value, at most 1, at an end, so no peak slips
-    between the nodes and nothing overflows.  Each piece is integrated to
-    rel_tol/4, and the summed quadrature error estimates must come in below
-    rel_tol times the value, else RuntimeError; a value outside the normal
-    doubles raises ValueError, and so does a sum of 0, which a peak too
-    narrow for any node to see leaves (d from about 1e12 up).
+    inside it or at 0 (_log_peak).  e^{phi - max phi}, at most 1, is
+    integrated by one finite quad call per side, cut at the first probe 1,
+    2, 4, ... out from the side's peak where phi - max phi <= -_TAIL_EXPONENT
+    (beyond it the concave phi falls faster, and the integrand underflows).
+    The peak, the kink and the probes are the breakpoints: each interval
+    starts out monotone, largest at an end, so no peak slips between the
+    nodes, and the probes space the intervals as the integrand decays.  Each
+    side is integrated to rel_tol/4, and the summed error estimates must come
+    in below rel_tol times the value, else RuntimeError; a value outside the
+    normal doubles raises ValueError, and so does a sum of 0, which a peak
+    too narrow for any node to see leaves (d from about 1e12 up).
     """
     if not r > 0.0:
         raise ValueError("r must be positive: the envelope diverges at r = 0 for alpha < d")
@@ -229,21 +236,23 @@ def green_kernel_upper(r: float, kp: GreenKernelParams, rel_tol: float = 1e-8) -
         return k * x - a * np.exp(x) - c * np.exp(-x)
 
     phi_max = max(phi(k_left, x_left), phi(k_right, x_right))
-    breaks = (-math.inf,) + tuple(sorted({x_left, 0.0, x_right})) + (math.inf,)
-    pieces = []
-    # far out on the infinite pieces e^{+-x} overflows to inf, and the
-    # integrand rightly to 0
+    sides = []
+    # far out e^{+-x} overflows to inf, and phi rightly to -inf
     with np.errstate(over="ignore"):
-        for lo, hi in zip(breaks, breaks[1:]):
-            k = k_left if hi <= 0.0 else k_right
-            pieces.append(quad(lambda x: np.exp(phi(k, x) - phi_max), lo, hi, rel_tol / 4.0))
-    total = math.fsum(value for value, _, _ in pieces)
+        for k, x_peak, step in ((k_left, x_left, -1.0), (k_right, x_right, 1.0)):
+            ends = [x_peak + step]
+            while phi(k, ends[-1]) - phi_max > -_TAIL_EXPONENT:
+                step *= 2.0
+                ends.append(x_peak + step)
+            lo, *points, hi = sorted({x_peak, 0.0, *ends})
+            sides.append(quad(lambda x: np.exp(phi(k, x) - phi_max), lo, hi, rel_tol / 4.0, points))
+    total = math.fsum(value for value, _, _ in sides)
     if not total > 0.0:
         raise ValueError(
             f"kernel envelope at r={r:g} integrates to 0: the peak of the integrand in "
             f"log t is narrower than the quadrature resolves, with {kp}"
         )
-    if math.fsum(error for _, error, _ in pieces) > rel_tol * total:
+    if math.fsum(error for _, error, _ in sides) > rel_tol * total:
         raise RuntimeError(
             f"kernel quadrature did not reach relative tolerance {rel_tol} at r={r}"
         )

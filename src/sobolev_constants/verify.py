@@ -418,6 +418,7 @@ def check_series() -> CheckResult:
     radius_table = ResultTable(
         "mt_radius", ("p", "c", "radius", "closed_form", "product", "pass")
     )
+    ratio_table = ResultTable("mt_term_ratios", ("p", "c", "gamma_over_radius", "crossings", "pass"))
     for p in (1.5, 2.0, 3.0, 4.0):
         for c in (0.5, 1.0, 2.0):
             spec = MTSeriesSpec(p, c)
@@ -425,24 +426,15 @@ def check_series() -> CheckResult:
             closed = spec.threshold
             product = radius / closed
             radius_table.append((p, c, radius, closed, product, 0.98 <= product <= 1.02))
-    result.record_table(radius_table, "series radius matches the closed-form threshold (2%)")
-
-    ratio_table = ResultTable("mt_term_ratios", ("p", "c", "gamma_over_radius", "crossings", "pass"))
-    for p in (1.5, 2.0, 3.0, 4.0):
-        for c in (0.5, 1.0, 2.0):
-            spec = MTSeriesSpec(p, c)
-            radius = mt_series_radius(spec)
             for factor in (0.9, 1.1):
                 ratios = term_ratios(spec, factor * radius, 600)
-                crossings = sum(
-                    1 for a, b in zip(ratios, ratios[1:]) if (a - 1.0) < 0.0 <= (b - 1.0)
-                )
-                above = sum(1 for r in ratios if r > 1.0)
+                crossings = np.count_nonzero((ratios[:-1] < 1.0) & (ratios[1:] >= 1.0))
                 if factor < 1.0:
-                    ok = above == 0
+                    ok = np.all(ratios <= 1.0)
                 else:
                     ok = crossings == 1 and ratios[0] < 1.0 < ratios[-1]
                 ratio_table.append((p, c, factor, crossings, ok))
+    result.record_table(radius_table, "series radius matches the closed-form threshold (2%)")
     result.record_table(ratio_table, "term ratios cross 1 once above the radius, never below")
 
     majorant_table = ResultTable("mt_majorant", ("p", "k_max", "min_gap", "pass"))
@@ -484,8 +476,8 @@ def check_series() -> CheckResult:
 def check_spectral(geometry: GroupGeometry, tau_override: Optional[float] = None) -> CheckResult:
     result = CheckResult()
     tau = tau_override if tau_override is not None else tau_delta(geometry)
-    if not tau >= 1.0:
-        raise ValueError(f"need tau >= 1, got {tau}")
+    if not 1.0 <= tau < math.inf:
+        raise ValueError(f"need {'' if tau < 1.0 else 'finite '}tau >= 1, got {tau}")
 
     grids = {1: TorusGrid(1, 128), 2: TorusGrid(2, 64)}
     doubled = {1: TorusGrid(1, 256), 2: TorusGrid(2, 128)}
@@ -627,10 +619,12 @@ def check_spectral(geometry: GroupGeometry, tau_override: Optional[float] = None
 def run_all_checks(
     grid: ParameterGrid, geometry: GroupGeometry, tau_override: Optional[float] = None
 ) -> CheckResult:
+    # spectral runs first, to refuse a bad tau before any work, and merges last
+    spectral = check_spectral(geometry, tau_override)
     result = CheckResult()
     result.merge(check_constants(grid))
     result.merge(check_interpolation(grid))
     result.merge(check_kernel(geometry))
     result.merge(check_series())
-    result.merge(check_spectral(geometry, tau_override))
+    result.merge(spectral)
     return result

@@ -390,6 +390,10 @@ class TestCli:
             (["kernel", "--alpha", "1", "--d", "9007199254740992"], "error: kernel envelope at r="),
             (["embed", "--tau", "0.5"], "error: need tau >= 1, got 0.5"),
             (["verify-all", "--tau", "0.5"], "error: need tau >= 1, got 0.5"),
+            (["embed", "--tau", "inf"], "error: need finite tau >= 1, got inf"),
+            (["verify-all", "--tau", "inf"], "error: need finite tau >= 1, got inf"),
+            (["embed", "--tau", "nan"], "error: need finite tau >= 1, got nan"),
+            (["verify-all", "--tau", "nan"], "error: need finite tau >= 1, got nan"),
         ],
     )
     def test_extreme_sizes_exit_two_with_one_error_line(self, argv, message, tmp_path):
@@ -398,6 +402,15 @@ class TestCli:
         out = run_python("-m", "sobolev_constants.cli", *argv, "--out", str(tmp_path / "out"))
         assert out.returncode == 2
         assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith(message), out.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_verify_all_refuses_tau_before_the_first_family(self, tmp_path, monkeypatch):
+        def must_not_run(*args):
+            pytest.fail("a check family ran before --tau was refused")
+
+        for family in ("check_constants", "check_interpolation", "check_kernel", "check_series"):
+            monkeypatch.setattr(verify, family, must_not_run)
+        assert main(["verify-all", "--tau", "inf", "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("b, code", [("1e-300", 0), ("1e100", 2), ("1e300", 2)])
     def test_extreme_gaussian_rate_prints_no_warning(self, b, code, tmp_path):

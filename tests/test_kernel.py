@@ -5,7 +5,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from sobolev_constants import kernel
 from sobolev_constants.kernel import (
+    _QUAD_LIMIT,
+    _gk15,
     CutoffSchedule,
     GreenKernelParams,
     cutoff_s,
@@ -159,6 +162,41 @@ class TestGreenKernelUpper:
                     got = math.log(green_kernel_upper(float(r), kp))
                     assert abs(got - log_green) <= 1e-10, (r, kp)
 
+    @pytest.mark.parametrize("a", (1.0, 12.5, 40.0, 220.5, 840.5))
+    def test_each_side_is_cut_below_e_minus_750_of_the_peak(self, a, monkeypatch):
+        # each side is one quad call over [cut, 0] or [0, cut].  At each cut
+        # the log integrand in x = log t, alpha/2 x - d/2 min(x, 0) - a e^x -
+        # c e^{-x}, is at least 750 below its largest value at 0 and at the
+        # breakpoints, which is at most its peak
+        calls = []
+
+        def recording_quad(func, lo, hi, rel_tol, points=()):
+            calls.append((lo, hi, points))
+            return quad(func, lo, hi, rel_tol, points)
+
+        monkeypatch.setattr(kernel, "quad", recording_quad)
+        radii = np.geomspace(1e-3, 30.0, 60)
+        for d in (1, 2, 3):
+            for frac in (0.1, 0.5, 0.9):
+                kp = GreenKernelParams(frac * d, d, a, 1.0)
+                for r in radii:
+                    c = mp.mpf(kp.b) * mp.mpf(float(r)) ** 2
+
+                    def log_integrand(x):
+                        x = mp.mpf(x)
+                        return kp.alpha / 2 * x - d / 2 * min(x, 0) - a * mp.exp(x) - c * mp.exp(-x)
+
+                    calls.clear()
+                    try:
+                        green_kernel_upper(float(r), kp)
+                    except ValueError:
+                        pass  # outside the normal doubles; the cuts are made all the same
+                    (left_cut, zero, left_points), (zero_too, right_cut, right_points) = calls
+                    assert zero == zero_too == 0.0 and left_cut < 0.0 < right_cut
+                    peak = max(log_integrand(x) for x in (0.0, *left_points, *right_points))
+                    for cut in (left_cut, right_cut):
+                        assert log_integrand(cut) - peak <= -750.0, (r, kp, cut)
+
     def test_unreachable_tolerance_raises(self):
         # each interval's error estimate is floored at 50 eps times its
         # absolute integral, which stays above 1e-16 of the value
@@ -230,6 +268,36 @@ class TestQuad:
     def test_bad_interval_rejected(self, a, b):
         with pytest.raises(ValueError, match="need a < b"):
             quad(np.exp, a, b, 1e-8)
+
+    def test_kink_on_a_breakpoint_is_exact_in_one_round(self):
+        # |x| is linear on each side of the breakpoint 0: one rule per side
+        value, abserr, info = quad(np.abs, -1.0, 2.0, 1e-10, (0.0,))
+        assert info == {"neval": 30}
+        assert abs(value - 2.5) <= min(abserr, 1e-15)
+        # without it, bisection has to close in on the kink
+        assert quad(np.abs, -1.0, 2.0, 1e-10)[2]["neval"] > 30
+
+    @pytest.mark.parametrize("points", ((-1.0,), (2.0,), (1.0, 0.0), (math.nan,)))
+    def test_points_outside_or_unsorted_rejected(self, points):
+        with pytest.raises(ValueError, match="need a < b"):
+            quad(np.abs, -1.0, 2.0, 1e-10, points)
+
+    def test_rounds_never_leave_more_than_the_limit(self, monkeypatch):
+        # 1e-16 is never met, so rounds go on until the limit stops them;
+        # each _gk15 call after the first gets both halves of every interval
+        # its round bisects
+        sizes = []
+
+        def recording_gk15(func, lo, hi):
+            sizes.append(len(lo))
+            return _gk15(func, lo, hi)
+
+        monkeypatch.setattr(kernel, "_gk15", recording_gk15)
+        _, _, info = quad(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 1e-16)
+        intervals = np.cumsum([sizes[0]] + [n // 2 for n in sizes[1:]])
+        assert sizes[0] == 1 and len(sizes) > 2
+        assert intervals.max() == intervals[-1] == _QUAD_LIMIT
+        assert info == {"neval": 15 * sum(sizes)} == {"neval": 15 * (2 * _QUAD_LIMIT - 1)}
 
 
 class TestLogGreenKernel:

@@ -1,9 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from sobolev_constants.series import (
+    K_MAX,
     MTSeriesSpec,
     mt_scaling_divergence,
     mt_series_radius,
@@ -69,6 +71,31 @@ class TestRadius:
                 assert crossings == 1 and up[0] < 1.0 < up[-1]
                 down = term_ratios(spec, 0.9 * radius, 600)
                 assert all(r < 1.0 for r in down)
+
+
+def ratio_oracle(spec, gamma, k):
+    """term_{k+1}/term_k = gamma c^{p'} p' (1 + 1/k)^k at 40 digits, from
+    the doubles gamma, c and p' the code uses."""
+    with mp.workdps(40):
+        pp = mp.mpf(spec.p_conj)
+        return mp.mpf(gamma) * mp.mpf(spec.c) ** pp * pp * (1 + mp.mpf(1) / k) ** k
+
+
+class TestMpmathOracle:
+    """The closed-form ratios and the radius against 40-digit mpmath, on the
+    (p, c) pairs and the gammas of check_series."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_ratios_and_radius(self, p, c):
+        spec = MTSeriesSpec(p, c)
+        with mp.workdps(40):
+            radius = 1 / (2 * ratio_oracle(spec, 1.0, K_MAX) - ratio_oracle(spec, 1.0, K_MAX // 2))
+        assert mt_series_radius(spec) == pytest.approx(float(radius), rel=1e-14, abs=0.0)
+        for factor in (0.9, 1.1):
+            gamma = factor * mt_series_radius(spec)
+            expected = [float(ratio_oracle(spec, gamma, k)) for k in range(spec.start_index, 600)]
+            np.testing.assert_allclose(term_ratios(spec, gamma, 600), expected, rtol=1e-14, atol=0.0)
 
 
 class TestMajorant:
