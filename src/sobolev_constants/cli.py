@@ -11,8 +11,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .constants import constant_report
 from .kernel import GreenKernelParams
 from .spectral import TRIAL_WIDTHS, TorusGrid, gaussian_field
@@ -165,8 +163,8 @@ def _run_embed(args) -> int:
         for width in TRIAL_WIDTHS:
             f = gaussian_field(grid, width)
             xs = grid.axis_coordinates()
-            for x, v in zip(xs, np.abs(np.asarray(f.values))):
-                table.append((width, float(x), float(v)))
+            for x, v in zip(xs, f.values):
+                table.append((width, float(x), float(abs(v))))
         result.tables.append(table)
     return _finish(result, args)
 

@@ -69,6 +69,9 @@ class GreenKernelParams:
     def __post_init__(self) -> None:
         check_dimension(self.d)
         _check_order(self.alpha, self.d)
+        # the slope alpha/2 and the normalization 1/Gamma(alpha/2) need alpha/2 > 0
+        if not 0.5 * self.alpha > 0.0:
+            raise ValueError(f"alpha={self.alpha} is too small: alpha/2 rounds to 0")
         if not self.a >= 1.0:
             raise ValueError(f"need a >= 1, got {self.a}")
         if not self.b > 0.0:
@@ -298,7 +301,12 @@ def log_green_kernel(radii, kp: GreenKernelParams) -> np.ndarray:
         raise ValueError("radii must be positive: the envelope diverges at r = 0 for alpha < d")
     x_gl, w_gl = _gauss_legendre()
     half_alpha, half_d, nu = 0.5 * kp.alpha, 0.5 * kp.d, 0.5 * (kp.alpha - kp.d)
-    c = kp.b * r * r
+    with np.errstate(over="ignore"):  # refused just below
+        c = kp.b * r * r
+    if not np.all(np.isfinite(c)):
+        raise ValueError(
+            f"kernel envelope at r={float(r.max()):g} needs b r^2, which overflows, with {kp}"
+        )
     z = 2.0 * np.sqrt(kp.a * c)
     # c/a itself may underflow (b = 1e-300 with a = 8e300)
     log_t_star = 0.5 * (np.log(c) - math.log(kp.a))

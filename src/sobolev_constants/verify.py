@@ -121,19 +121,30 @@ class CheckResult:
 
 
 def constants_table(report: ConstantReport) -> ResultTable:
-    """One row per pair of the report: of a grid's arrays, or of one pair."""
+    """One row per pair of the report, of a grid's arrays or of one pair; the
+    last column says whether the pair meets the comparison claims: on
+    q >= p', F sits between Q/4 and 4Q and Q(p,q) <= Q(q',p'); everywhere
+    F >= S/4."""
     pair = report.pair
+    # on arrays even for one pair: on a Python bool, ~True is -2, which is truthy
+    p, q, qv, qd, fv, sv = (
+        np.atleast_1d(v) for v in (pair.p, pair.q, report.Q, report.Q_dual, report.F, report.S)
+    )
+    regime = q >= p / (p - 1.0)
+    in_regime = (0.25 * qv * (1.0 - REL_SLACK) <= fv) & (fv <= 4.0 * qv * (1.0 + REL_SLACK))
+    in_regime &= qv <= qd * (1.0 + REL_SLACK)
     cells = {
         "d": pair.d,
-        "p": pair.p,
-        "q": pair.q,
+        "p": p,
+        "q": q,
         "alpha": pair.alpha,
-        "S": report.S,
-        "Q": report.Q,
-        "Q_dual": report.Q_dual,
-        "F": report.F,
+        "S": sv,
+        "Q": qv,
+        "Q_dual": qd,
+        "F": fv,
         "E_H_tilde": report.E_H_tilde,
         "ratio_EH_over_S": report.ratio_EH_over_S,
+        "pass": (fv >= 0.25 * sv * (1.0 - REL_SLACK)) & (~regime | in_regime),
     }
     return ResultTable.from_columns("constants", {k: np.atleast_1d(v) for k, v in cells.items()})
 
@@ -160,32 +171,6 @@ def check_duality(result: CheckResult) -> None:
     )
 
 
-def comparison_claims_table(report: ConstantReport) -> ResultTable:
-    """Pointwise comparison claims: on q >= p', F sits between Q/4 and 4Q and
-    Q(p,q) <= Q(q',p'); everywhere F >= S/4."""
-    pairs = report.pair
-    p, q, qv, qd, fv, sv = pairs.p, pairs.q, report.Q, report.Q_dual, report.F, report.S
-    regime = q >= p / (p - 1.0)
-    in_regime = (0.25 * qv * (1.0 - REL_SLACK) <= fv) & (fv <= 4.0 * qv * (1.0 + REL_SLACK))
-    in_regime &= qv <= qd * (1.0 + REL_SLACK)
-    ok = (fv >= 0.25 * sv * (1.0 - REL_SLACK)) & (~regime | in_regime)
-    return ResultTable.from_columns(
-        "comparison_claims",
-        {
-            "d": pairs.d,
-            "p": p,
-            "q": q,
-            "alpha": pairs.alpha,
-            "regime_q_ge_pconj": regime,
-            "Q": qv,
-            "Q_dual": qd,
-            "F": fv,
-            "S": sv,
-            "pass": ok,
-        },
-    )
-
-
 def check_constants(grid: ParameterGrid) -> CheckResult:
     result = CheckResult()
     pairs = make_grid(grid)
@@ -195,11 +180,10 @@ def check_constants(grid: ParameterGrid) -> CheckResult:
     with np.errstate(over="ignore"):  # an infinite ratio fails the band check below
         ratios = lieb_upper_bound_array(refined_pairs) / embedding_factors_array(refined_pairs)[0]
     ratios = ratios.reshape(len(refined.d_values), len(refined.p_values), len(refined.alpha_fractions))
-    result.tables.append(constants_table(report))
 
     check_duality(result)
 
-    table = comparison_claims_table(report)
+    table = constants_table(report)
     result.record_table(
         table,
         "comparison claims (F vs Q vs S) pointwise on the grid",
@@ -487,9 +471,9 @@ def check_spectral(geometry: GroupGeometry, tau_override: Optional[float] = None
     for dim, grid in grids.items():
         f = gaussian_field(grid, 1.0)
         values = np.asarray(f.values)
-        back = np.fft.ifftn(np.fft.fftn(values))
-        rt = float(np.max(np.abs(back - values)) / np.max(np.abs(values)))
         coeffs = np.fft.fftn(values)
+        back = np.fft.ifftn(coeffs)
+        rt = float(np.max(np.abs(back - values)) / np.max(np.abs(values)))
         grid_sum = float(np.sum(np.abs(values) ** 2) * grid.cell_volume)
         coeff_sum = float(np.sum(np.abs(coeffs) ** 2) * grid.cell_volume / values.size)
         pv = abs(grid_sum - coeff_sum) / grid_sum
@@ -514,12 +498,14 @@ def check_spectral(geometry: GroupGeometry, tau_override: Optional[float] = None
     fitted_note = []
     for dim, grid in grids.items():
         pairs = make_grid(ParameterGrid((1.05, 1.5, 2.0, 4.0), (0.3, 0.6, 0.9), (dim,)))
-        rows, fitted = embedding_sweep(TRIAL_WIDTHS, pairs, tau, grid)
+        # the refined widths contain the trial widths, so one sweep gives both
+        refined_rows, fitted_refined = embedding_sweep(refined_widths(TRIAL_WIDTHS), pairs, tau, grid)
+        rows = [row for row in refined_rows if row[1] in TRIAL_WIDTHS]
+        fitted = max(row[7] for row in rows)
         for row in rows:
             sweep_table.append(row)
             ok_sweep = ok_sweep and math.isfinite(row[6]) and row[6] > 0.0
         _, fitted_doubled = embedding_sweep(TRIAL_WIDTHS, pairs, tau, doubled[dim])
-        _, fitted_refined = embedding_sweep(refined_widths(TRIAL_WIDTHS), pairs, tau, grid)
         stable = (
             abs(fitted_doubled - fitted) / fitted <= 0.10
             and abs(fitted_refined - fitted) / fitted <= 0.10

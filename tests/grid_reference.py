@@ -3,10 +3,10 @@ one constant_report or assemble call, and written one row at a time with
 format_value per cell.
 
 These are the per-pair assembly, row builders, pointwise bounds and table
-writer that the package used before it built the constants,
-comparison_claims and marcinkiewicz tables as numpy columns and assembled
-over arrays only; test_grid_tables holds the package's files to theirs byte
-for byte, and test_interpolation holds the array assembly to this one.
+writer that the package used before it built the constants and
+marcinkiewicz tables as numpy columns and assembled over arrays only;
+test_grid_tables holds the package's files to theirs byte for byte, and
+test_interpolation holds the array assembly to this one.
 """
 
 from __future__ import annotations
@@ -204,31 +204,20 @@ def assembled_bound(pair: ExponentPair) -> float:
 def constants_rows(reports: List[ConstantReport]) -> RowTable:
     table = RowTable(
         "constants",
-        ("d", "p", "q", "alpha", "S", "Q", "Q_dual", "F", "E_H_tilde", "ratio_EH_over_S"),
-    )
-    for r in reports:
-        pair = r.pair
-        table.rows.append(
-            (pair.d, pair.p, pair.q, pair.alpha, r.S, r.Q, r.Q_dual, r.F, r.E_H_tilde, r.ratio_EH_over_S)
-        )
-    return table
-
-
-def comparison_claims_rows(reports: List[ConstantReport]) -> RowTable:
-    table = RowTable(
-        "comparison_claims",
-        ("d", "p", "q", "alpha", "regime_q_ge_pconj", "Q", "Q_dual", "F", "S", "pass"),
+        ("d", "p", "q", "alpha", "S", "Q", "Q_dual", "F", "E_H_tilde", "ratio_EH_over_S", "pass"),
     )
     for r in reports:
         pair = r.pair
         p, q = pair.p, pair.q
         qv, qd, fv, sv = r.Q, r.Q_dual, r.F, r.S
-        regime = q >= conjugate_exponent(p)
+        # the comparison claims: on q >= p', Q/4 <= F <= 4Q and Q <= Q_dual; F >= S/4
         ok = fv >= 0.25 * sv * (1.0 - REL_SLACK)
-        if regime:
+        if q >= conjugate_exponent(p):
             ok = ok and (0.25 * qv * (1.0 - REL_SLACK) <= fv <= 4.0 * qv * (1.0 + REL_SLACK))
             ok = ok and qv <= qd * (1.0 + REL_SLACK)
-        table.rows.append((pair.d, p, q, pair.alpha, regime, qv, qd, fv, sv, ok))
+        table.rows.append(
+            (pair.d, p, q, pair.alpha, sv, qv, qd, fv, r.E_H_tilde, r.ratio_EH_over_S, ok)
+        )
     return table
 
 

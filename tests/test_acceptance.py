@@ -62,7 +62,7 @@ def test_criterion_01_duality_symmetries(constants_result):
     )
 
 
-def test_criterion_02_comparison_claims(constants_result):
+def test_criterion_02_pointwise_comparisons(constants_result):
     _criterion(
         2,
         "F within [Q/4, 4Q] (q >= p'), Q <= Q_dual, F >= S/4, zero violations",

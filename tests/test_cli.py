@@ -25,6 +25,21 @@ REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 TRACED_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
 
 
+CONSTANTS_FILES = ["b1_multiplier.csv", "b3_bands.csv", "constants.csv"]
+VERIFY_ALL_FILES = sorted(
+    CONSTANTS_FILES
+    + [
+        f"{name}.csv"
+        for name in (
+            "marcinkiewicz", "weak_sup",
+            "kernel_local", "kernel_global", "kalpha_agreement", "cutoff", "shell_sums", "envelope",
+            "mt_radius", "mt_term_ratios", "mt_majorant", "mt_scaling",
+            "embed", "interp_ratios", "gagliardo", "summary",
+        )
+    ]
+)
+
+
 def read_csv_cells(path) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     """Read back a CSV table as raw string cells (header, rows)."""
     with Path(path).open(newline="") as handle:
@@ -224,6 +239,8 @@ class TestCli:
         assert float(row["S"]) == pytest.approx(2.0, rel=1e-10)
         assert float(row["F"]) == pytest.approx(1.5946, abs=1e-4)
         assert float(row["E_H_tilde"]) == pytest.approx(1.4366, abs=1e-3)
+        # q = 4 >= p' = 2, where all the comparison claims apply, and they hold
+        assert row["pass"] == "true"
 
     def test_point_constants_alpha_form(self, tmp_path):
         code = main(["constants", "--p", "2", "--alpha", "1", "--d", "4", "--out", str(tmp_path)])
@@ -394,6 +411,9 @@ class TestCli:
             (["verify-all", "--tau", "inf"], "error: need finite tau >= 1, got inf"),
             (["embed", "--tau", "nan"], "error: need finite tau >= 1, got nan"),
             (["verify-all", "--tau", "nan"], "error: need finite tau >= 1, got nan"),
+            (["kernel", "--alpha", "5e-324"], "error: alpha=5e-324 is too small: alpha/2 rounds to 0"),
+            (["kernel", "--geom-b", "1.7976931348623157e308"], "error: kernel envelope at r=30 needs b r^2"),
+            (["verify-all", "--geom-b", "3e306"], "error: kernel envelope at r=30 needs b r^2"),
         ],
     )
     def test_extreme_sizes_exit_two_with_one_error_line(self, argv, message, tmp_path):
@@ -561,12 +581,24 @@ class TestCli:
         assert (name, "false") in rows
         assert ("series radius matches the closed-form threshold (2%)", "true") in rows
 
+    @pytest.mark.parametrize("config", [None, "p_values = 1.5, 2\nalpha_fractions = 0.5\nd_values = 2\n"])
+    def test_constants_writes_each_grid_number_once(self, config, tmp_path):
+        # the comparison claims are the last column of constants.csv
+        argv = ["constants", "--out", str(tmp_path / "out")]
+        if config is not None:
+            (tmp_path / "grid.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "grid.cfg")]
+        assert main(argv) == 0
+        assert sorted(path.name for path in (tmp_path / "out").iterdir()) == CONSTANTS_FILES
+        header, _ = read_csv_cells(tmp_path / "out" / "constants.csv")
+        assert header[-2:] == ("ratio_EH_over_S", "pass")
+
     def test_verify_all_against_repo_golden(self, tmp_path):
         code = main(
             ["verify-all", "--out", str(tmp_path), "--golden-dir", str(REPO_GOLDEN)]
         )
         assert code == 0
-        assert (tmp_path / "summary.csv").exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) == VERIFY_ALL_FILES
 
     def test_verify_all_missing_golden_fails(self, tmp_path):
         code = main(

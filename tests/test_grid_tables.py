@@ -16,16 +16,10 @@ from sobolev_constants.params import ParameterGrid, default_grid
 from sobolev_constants.report import BLOCK_ROWS, ResultTable, write_table
 from sobolev_constants.verify import check_constants, check_interpolation
 
-from grid_reference import (
-    RowTable,
-    comparison_claims_rows,
-    constants_rows,
-    interpolation_rows,
-    write_rows,
-)
+from grid_reference import RowTable, constants_rows, interpolation_rows, write_rows
 from test_params import scalar_grid
 
-GRID_TABLES = ("constants", "comparison_claims", "marcinkiewicz")
+GRID_TABLES = ("constants", "marcinkiewicz")
 
 
 def _cells(line: str, fmt: str) -> list:
@@ -51,7 +45,7 @@ def assert_same_file(path: Path, reference: Path, columns, fmt: str) -> None:
 def reference_tables(grid: ParameterGrid) -> list:
     pairs = scalar_grid(grid)
     reports = [constant_report(pair) for pair in pairs]
-    return [constants_rows(reports), comparison_claims_rows(reports), interpolation_rows(pairs)]
+    return [constants_rows(reports), interpolation_rows(pairs)]
 
 
 def assert_grid_tables_match(out: Path, grid: ParameterGrid, fmt: str) -> None:
