@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel.add_argument("--d", type=int, default=3, help="envelope profile dimension")
 
     p_embed = sub.add_parser("embed", parents=[output, geometry], help="spectral embedding sweeps")
-    p_embed.add_argument("--tau", type=float, default=None, help="override the spectral shift")
     p_embed.add_argument(
         "--dump-profiles", action="store_true", help="write (x, |f|) profiles for plotting"
     )
@@ -86,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("mt", parents=[output], help="exponential-series checks")
 
     p_all = sub.add_parser("verify-all", parents=[output, grid, geometry], help="run every check")
-    p_all.add_argument("--tau", type=float, default=None)
     p_all.add_argument("--golden-dir", default="golden")
     p_all.add_argument("--bless", action="store_true", help="refresh golden snapshots")
     return parser
@@ -138,7 +136,7 @@ def _point_constants(args) -> int:
 
 
 def _run_constants(args) -> int:
-    if args.p is not None or args.q is not None or args.alpha is not None:
+    if any(v is not None for v in (args.p, args.q, args.alpha, args.d)):
         return _point_constants(args)
     grid = _grid_from_args(args)
     return _finish(check_constants(grid), args)
@@ -156,7 +154,7 @@ def _run_kernel(args) -> int:
 
 
 def _run_embed(args) -> int:
-    result = check_spectral(_geometry_from_args(args), args.tau)
+    result = check_spectral(_geometry_from_args(args))
     if args.dump_profiles:
         grid = TorusGrid(1, 128)
         table = ResultTable("field_profiles", ("width", "x", "abs_f"))
@@ -176,7 +174,7 @@ def _run_mt(args) -> int:
 def _run_verify_all(args) -> int:
     geometry = _geometry_from_args(args)
     grid = _grid_from_args(args)
-    result = run_all_checks(grid, geometry, args.tau)
+    result = run_all_checks(grid, geometry)
     fingerprint = grid_fingerprint(grid)
     golden_dir = Path(args.golden_dir)
     if args.bless:

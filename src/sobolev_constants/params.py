@@ -13,7 +13,6 @@ import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
-from typing import Optional
 
 # the logs of the least and greatest normal doubles
 LOG_NORMAL_MIN = math.log(sys.float_info.min)
@@ -99,29 +98,27 @@ class ExponentPair:
 
     q is always derived from (p, alpha, d) at construction, so the relation
     cannot drift; alpha = 0 collapses to q = p exactly.  Construction raises
-    ValueError unless the exponents of the pair and of its dual are usable in
-    double precision, so dual() never fails.
+    ValueError unless the exponents of the pair and of its dual
+    (q', p', alpha, d) are usable in double precision.
     """
 
     p: float
     alpha: float
     d: int
     q: float = field(init=False, default=0.0)
-    _predual: Optional["ExponentPair"] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_dimension(self.d)
         q = _usable_q(self.p, self.alpha, self.d)
         object.__setattr__(self, "q", q)
-        if self._predual is None:  # a dual's own dual is its predual, already usable
-            q_conj = conjugate_exponent(q)
-            try:
-                _usable_q(q_conj, self.alpha, self.d)
-            except ValueError as exc:
-                raise ValueError(
-                    f"p={self.p}, alpha={self.alpha}, d={self.d}: the dual pair (q', p') "
-                    f"with q' = {q_conj} is not usable in double precision ({exc})"
-                ) from None
+        q_conj = conjugate_exponent(q)
+        try:
+            _usable_q(q_conj, self.alpha, self.d)
+        except ValueError as exc:
+            raise ValueError(
+                f"p={self.p}, alpha={self.alpha}, d={self.d}: the dual pair (q', p') "
+                f"with q' = {q_conj} is not usable in double precision ({exc})"
+            ) from None
 
     @property
     def p_conj(self) -> float:
@@ -130,15 +127,6 @@ class ExponentPair:
     @property
     def q_conj(self) -> float:
         return conjugate_exponent(self.q)
-
-    def dual(self) -> "ExponentPair":
-        """The pair (q', p', alpha, d); the dual of the dual is this object."""
-        if self._predual is not None:
-            return self._predual
-        dual = object.__new__(ExponentPair)
-        object.__setattr__(dual, "_predual", self)  # set before __post_init__ reads it
-        dual.__init__(self.q_conj, self.alpha, self.d)
-        return dual
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +144,6 @@ class ExponentArrays:
     alpha: "np.ndarray"
     d: "np.ndarray"
     q: "np.ndarray" = field(init=False, default=None)
-    _predual: Optional["ExponentArrays"] = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         import numpy as np
@@ -166,9 +153,8 @@ class ExponentArrays:
         p, alpha = np.asarray(self.p, dtype=float), np.asarray(self.alpha, dtype=float)
         d = np.asarray(self.d)
         q, usable = _usable_q_array(p, alpha, d)
-        if self._predual is None:  # a dual's own dual is its predual, already usable
-            with np.errstate(divide="ignore", invalid="ignore"):
-                usable &= _usable_q_array(q / (q - 1.0), alpha, d)[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            usable &= _usable_q_array(q / (q - 1.0), alpha, d)[1]
         for name, value in (("p", p), ("alpha", alpha), ("d", d), ("q", q)):
             object.__setattr__(self, name, value)
         for i in np.flatnonzero(~usable).tolist():
@@ -182,18 +168,11 @@ class ExponentArrays:
 
     def pair(self, i: int) -> ExponentPair:
         """Pair i as an ExponentPair."""
-        if self._predual is not None:
-            return self._predual.pair(i).dual()
         return ExponentPair(float(self.p[i]), float(self.alpha[i]), int(self.d[i]))
 
     def dual(self) -> "ExponentArrays":
-        """The pairs (q', p', alpha, d); the dual of the dual is this object."""
-        if self._predual is not None:
-            return self._predual
-        dual = object.__new__(ExponentArrays)
-        object.__setattr__(dual, "_predual", self)  # set before __post_init__ reads it
-        dual.__init__(self.q / (self.q - 1.0), self.alpha, self.d)
-        return dual
+        """The pairs (q', p', alpha, d)."""
+        return ExponentArrays(self.q / (self.q - 1.0), self.alpha, self.d)
 
 
 @dataclass(frozen=True)

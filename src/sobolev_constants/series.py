@@ -17,7 +17,8 @@ from .constants import s_constant
 from .params import ExponentPair, conjugate_exponent
 
 
-K_MAX = 2000  # largest term index of any ratio sequence
+K_MAX = 2000  # the far term index of the radius extrapolation
+K_RATIOS = 600  # term_ratios runs k = start..K_RATIOS-1
 
 
 @dataclass(frozen=True)
@@ -60,12 +61,10 @@ def _ratios(spec: MTSeriesSpec, gamma: float, k: np.ndarray) -> np.ndarray:
     return np.exp(math.log(gamma) + pp * math.log(spec.c) + math.log(pp) + k * np.log1p(1.0 / k))
 
 
-def term_ratios(spec: MTSeriesSpec, gamma: float, K: int) -> np.ndarray:
-    """term_{k+1}/term_k for k = start..K-1 in closed form (_ratios), as an
-    array; below the radius they stay under 1, above it they cross 1 once."""
-    if K > K_MAX:
-        raise ValueError(f"K={K} exceeds K_MAX={K_MAX}")
-    return _ratios(spec, gamma, np.arange(spec.start_index, K, dtype=float))
+def term_ratios(spec: MTSeriesSpec, gamma: float) -> np.ndarray:
+    """term_{k+1}/term_k for k = start..K_RATIOS-1 in closed form (_ratios),
+    as an array; below the radius they stay under 1, above it they cross 1 once."""
+    return _ratios(spec, gamma, np.arange(spec.start_index, K_RATIOS, dtype=float))
 
 
 def mt_series_radius(spec: MTSeriesSpec) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -411,7 +411,7 @@ def check_series() -> CheckResult:
             product = radius / closed
             radius_table.append((p, c, radius, closed, product, 0.98 <= product <= 1.02))
             for factor in (0.9, 1.1):
-                ratios = term_ratios(spec, factor * radius, 600)
+                ratios = term_ratios(spec, factor * radius)
                 crossings = np.count_nonzero((ratios[:-1] < 1.0) & (ratios[1:] >= 1.0))
                 if factor < 1.0:
                     ok = np.all(ratios <= 1.0)
@@ -457,11 +457,9 @@ def check_series() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_spectral(geometry: GroupGeometry, tau_override: Optional[float] = None) -> CheckResult:
+def check_spectral(geometry: GroupGeometry) -> CheckResult:
     result = CheckResult()
-    tau = tau_override if tau_override is not None else tau_delta(geometry)
-    if not 1.0 <= tau < math.inf:
-        raise ValueError(f"need {'' if tau < 1.0 else 'finite '}tau >= 1, got {tau}")
+    tau = tau_delta(geometry)
 
     grids = {1: TorusGrid(1, 128), 2: TorusGrid(2, 64)}
     doubled = {1: TorusGrid(1, 256), 2: TorusGrid(2, 128)}
@@ -602,15 +600,11 @@ def check_spectral(geometry: GroupGeometry, tau_override: Optional[float] = None
 # ---------------------------------------------------------------------------
 
 
-def run_all_checks(
-    grid: ParameterGrid, geometry: GroupGeometry, tau_override: Optional[float] = None
-) -> CheckResult:
-    # spectral runs first, to refuse a bad tau before any work, and merges last
-    spectral = check_spectral(geometry, tau_override)
+def run_all_checks(grid: ParameterGrid, geometry: GroupGeometry) -> CheckResult:
     result = CheckResult()
     result.merge(check_constants(grid))
     result.merge(check_interpolation(grid))
     result.merge(check_kernel(geometry))
     result.merge(check_series())
-    result.merge(spectral)
+    result.merge(check_spectral(geometry))
     return result

@@ -303,6 +303,9 @@ class TestCli:
         assert main(["interp", "--geom-d", "2", "--out", str(tmp_path)]) == 2
         assert main(["kernel", "--config", "x", "--out", str(tmp_path)]) == 2
         assert main(["embed", "--config", "x", "--out", str(tmp_path)]) == 2
+        # the spectral shift is tau_delta of the geometry
+        assert main(["embed", "--tau", "2", "--out", str(tmp_path)]) == 2
+        assert main(["verify-all", "--tau", "2", "--out", str(tmp_path)]) == 2
         for sub in ("kernel", "embed", "verify-all"):
             for flag in ("--geom-d", "--geom-c-chi", "--geom-c-delta-chi-inv"):
                 assert main([sub, flag, "2", "--out", str(tmp_path)]) == 2, (sub, flag)
@@ -322,6 +325,78 @@ class TestCli:
             out = tmp_path / f"flag{i}"
             assert main(["embed", flag, "2", "--out", str(out)]) == 0, flag
             assert (out / "embed.csv").read_bytes() != baseline, f"{flag} changes nothing"
+
+    def test_every_option_changes_the_output_or_exits_two(self, tmp_path, monkeypatch, capsys):
+        # relative defaults (golden/, results/) resolve inside tmp_path
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "grid.cfg"
+        config.write_text("p_values = 1.5, 2\nalpha_fractions = 0.5\nd_values = 2\n")
+        # a valid value other than the default for every option but --out and --help
+        option_values = {
+            "--format": ["json"],
+            "--config": [str(config)],
+            "--p": ["3"],
+            "--q": ["4"],
+            "--alpha": ["0.5"],
+            "--d": ["2"],
+            "--geom-growth": ["2"],
+            "--geom-b": ["2"],
+            # the kernel shift is max{(2/b)(2D + b0)^2, 1 + c_delta^2/4}: c_delta must pass 2 sqrt(11.5)
+            "--geom-c-delta": ["10"],
+            "--dump-profiles": [],
+            "--golden-dir": [str(REPO_GOLDEN)],
+            "--bless": [],
+        }
+
+        def run(argv, out):
+            code = main(argv + ["--out", str(out)])
+            stdout, stderr = capsys.readouterr()
+            files = {str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*") if f.is_file()}
+            return code, stdout, stderr, files
+
+        subparsers = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+        for sub, parser in subparsers.choices.items():
+            _, base_stdout, _, base_files = run([sub], tmp_path / sub)
+            for action in parser._actions:
+                option = action.option_strings[-1] if action.option_strings else None
+                if option in (None, "--help", "--out"):
+                    continue
+                assert option in option_values, f"no test value for {sub} {option}"
+                argv = [sub, option] + option_values[option]
+                code, stdout, stderr, files = run(argv, tmp_path / f"{sub}{option}")
+                if code == 2:
+                    err = stderr.splitlines()
+                    assert len(err) == 1 and err[0].startswith("error: "), (sub, option, err)
+                else:
+                    assert (files, stdout) != (base_files, base_stdout), f"{sub} {option} changes nothing"
+
+    def test_geometries_of_equal_tau_delta_write_equal_embed_trees(self, tmp_path):
+        # c_delta^2/4 = 25 and 100 both exceed the shift threshold 12.5, so tau_delta clamps to 1
+        trees = []
+        for c_delta in ("10", "20"):
+            out = tmp_path / c_delta
+            assert main(["embed", "--geom-c-delta", c_delta, "--out", str(out)]) == 0
+            trees.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert trees[0] == trees[1]
+
+    def test_dump_profiles(self, tmp_path):
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(["embed", "--dump-profiles", "--out", str(out)]) == 0
+        header, rows = read_csv_cells(tmp_path / "a" / "field_profiles.csv")
+        assert header == ("width", "x", "abs_f")
+        assert len(rows) == 3 * 128
+        assert sorted((w, f) for w, x, f in rows if x == "8") == [("0.5", "1"), ("1", "1"), ("2", "1")]
+        dumped = (tmp_path / "a" / "field_profiles.csv").read_bytes()
+        assert (tmp_path / "b" / "field_profiles.csv").read_bytes() == dumped
+
+    def test_runtime_error_is_a_verification_failure(self, tmp_path, monkeypatch, capsys):
+        def unsettled():
+            raise RuntimeError("term-ratio extrapolation did not settle")
+
+        monkeypatch.setattr(cli, "check_series", unsettled)
+        assert main(["mt", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["verification failure: term-ratio extrapolation did not settle"]
 
     def test_mt_subcommand(self, tmp_path):
         assert main(["mt", "--out", str(tmp_path)]) == 0
@@ -346,12 +421,14 @@ class TestCli:
         assert main(["kernel", "--alpha", "5", "--d", "3", "--out", str(tmp_path)]) == 2
 
     def test_overflowing_spectral_shift_exits_two(self, tmp_path, capsys):
-        assert main(["embed", "--tau", "1e300", "--out", str(tmp_path)]) == 2
+        # growth 1e150 makes tau_delta about 8e300, and the Bessel transform overflows
+        assert main(["embed", "--geom-growth", "1e150", "--out", str(tmp_path)]) == 2
         assert "norm is not finite" in capsys.readouterr().err
 
     def test_overflowing_spectral_shift_prints_only_the_error(self, tmp_path):
         # run as a program: numpy's overflow warnings would reach stderr there
-        out = run_python("-m", "sobolev_constants.cli", "embed", "--tau", "1e300", "--out", str(tmp_path))
+        argv = ["embed", "--geom-growth", "1e150", "--out", str(tmp_path)]
+        out = run_python("-m", "sobolev_constants.cli", *argv)
         assert out.returncode == 2
         assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: L^"), out.stderr
 
@@ -405,12 +482,14 @@ class TestCli:
             (["kernel", "--alpha", "1", "--d", "1" + "0" * 400], "error: d must be"),
             (["kernel", "--alpha", "1", "--d", "1000000000000"], "error: kernel envelope at r="),
             (["kernel", "--alpha", "1", "--d", "9007199254740992"], "error: kernel envelope at r="),
-            (["embed", "--tau", "0.5"], "error: need tau >= 1, got 0.5"),
-            (["verify-all", "--tau", "0.5"], "error: need tau >= 1, got 0.5"),
-            (["embed", "--tau", "inf"], "error: need finite tau >= 1, got inf"),
-            (["verify-all", "--tau", "inf"], "error: need finite tau >= 1, got inf"),
-            (["embed", "--tau", "nan"], "error: need finite tau >= 1, got nan"),
-            (["verify-all", "--tau", "nan"], "error: need finite tau >= 1, got nan"),
+            # the spectral shift is tau_delta of the geometry, so its extremes come from there
+            (["embed", "--geom-growth", "inf"], "error: D must be finite, got inf"),
+            (["verify-all", "--geom-growth", "inf"], "error: D must be finite, got inf"),
+            (["embed", "--geom-c-delta", "nan"], "error: c_delta must be finite, got nan"),
+            (["verify-all", "--geom-c-delta", "nan"], "error: c_delta must be finite, got nan"),
+            # the kernel family runs before the spectral one and refuses first
+            (["verify-all", "--geom-growth", "1e150"], "error: weighted global envelope sup e^-3.65685e+150"),
+            (["verify-all", "--geom-c-delta", "1e200"], "error: shift threshold"),
             (["kernel", "--alpha", "5e-324"], "error: alpha=5e-324 is too small: alpha/2 rounds to 0"),
             (["kernel", "--geom-b", "1.7976931348623157e308"], "error: kernel envelope at r=30 needs b r^2"),
             (["verify-all", "--geom-b", "3e306"], "error: kernel envelope at r=30 needs b r^2"),
@@ -423,14 +502,6 @@ class TestCli:
         assert out.returncode == 2
         assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith(message), out.stderr
         assert not (tmp_path / "out").exists()
-
-    def test_verify_all_refuses_tau_before_the_first_family(self, tmp_path, monkeypatch):
-        def must_not_run(*args):
-            pytest.fail("a check family ran before --tau was refused")
-
-        for family in ("check_constants", "check_interpolation", "check_kernel", "check_series"):
-            monkeypatch.setattr(verify, family, must_not_run)
-        assert main(["verify-all", "--tau", "inf", "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("b, code", [("1e-300", 0), ("1e100", 2), ("1e300", 2)])
     def test_extreme_gaussian_rate_prints_no_warning(self, b, code, tmp_path):
@@ -545,6 +616,10 @@ class TestCli:
                 "--q 2.000000000002 and --alpha 2e-12 disagree",
                 id="point-small-alpha-disagrees-with-q",
             ),
+            # --d alone ran the default grid and ignored it
+            pytest.param(
+                ["constants", "--d", "4"], None, "point mode needs --q or --alpha", id="point-d-alone"
+            ),
         ],
     )
     def test_unusable_exponents_exit_two_with_one_error_line(self, argv, config, message, tmp_path, capsys):
@@ -555,6 +630,7 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+        assert not (tmp_path / "out").exists()
 
     def test_underflowing_euclidean_bound_exits_two(self, tmp_path, capsys):
         argv = ["constants", "--p", "1.05", "--alpha", "257", "--d", "300", "--out", str(tmp_path)]

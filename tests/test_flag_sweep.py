@@ -47,8 +47,8 @@ GEOMETRY = ("--geom-growth", "--geom-b", "--geom-c-delta")
 FLOAT_FLAGS = {
     "constants": ("--p", "--q", "--alpha"),
     "kernel": GEOMETRY + ("--alpha",),
-    "embed": GEOMETRY + ("--tau",),
-    "verify-all": GEOMETRY + ("--tau",),
+    "embed": GEOMETRY,
+    "verify-all": GEOMETRY,
 }
 INT_FLAGS = {"constants": ("--d",), "kernel": ("--d",)}
 # a valid run that the drawn flags perturb; other flags are at their defaults

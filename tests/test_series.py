@@ -6,6 +6,7 @@ import pytest
 
 from sobolev_constants.series import (
     K_MAX,
+    K_RATIOS,
     MTSeriesSpec,
     mt_scaling_divergence,
     mt_series_radius,
@@ -31,7 +32,7 @@ class TestSpec:
 class TestPartialSums:
     def test_em_above_radius_terms_grow(self):
         # 0.25 > 1/(2e): the term ratio exceeds 1 for large k
-        ratios = term_ratios(MTSeriesSpec(2.0, 1.0), 0.25, 200)
+        ratios = term_ratios(MTSeriesSpec(2.0, 1.0), 0.25)
         assert any(r > 1.0 for r in ratios)
 
 
@@ -66,10 +67,10 @@ class TestRadius:
             for c in (0.5, 1.0, 2.0):
                 spec = MTSeriesSpec(p, c)
                 radius = mt_series_radius(spec)
-                up = term_ratios(spec, 1.1 * radius, 600)
+                up = term_ratios(spec, 1.1 * radius)
                 crossings = sum(1 for a, b in zip(up, up[1:]) if a < 1.0 <= b)
                 assert crossings == 1 and up[0] < 1.0 < up[-1]
-                down = term_ratios(spec, 0.9 * radius, 600)
+                down = term_ratios(spec, 0.9 * radius)
                 assert all(r < 1.0 for r in down)
 
 
@@ -94,8 +95,8 @@ class TestMpmathOracle:
         assert mt_series_radius(spec) == pytest.approx(float(radius), rel=1e-14, abs=0.0)
         for factor in (0.9, 1.1):
             gamma = factor * mt_series_radius(spec)
-            expected = [float(ratio_oracle(spec, gamma, k)) for k in range(spec.start_index, 600)]
-            np.testing.assert_allclose(term_ratios(spec, gamma, 600), expected, rtol=1e-14, atol=0.0)
+            expected = [float(ratio_oracle(spec, gamma, k)) for k in range(spec.start_index, K_RATIOS)]
+            np.testing.assert_allclose(term_ratios(spec, gamma), expected, rtol=1e-14, atol=0.0)
 
 
 class TestMajorant:

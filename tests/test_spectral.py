@@ -19,7 +19,6 @@ from sobolev_constants.spectral import (
     mt_functional,
     refined_widths,
 )
-from sobolev_constants.verify import check_spectral
 
 TAU = tau_delta(GroupGeometry())  # 12.5 for the default geometry
 GRID1 = TorusGrid(1, 256)
@@ -83,11 +82,6 @@ class TestBesselApply:
         back = bessel_apply(bessel_apply(f, TAU, 1.3), TAU, -1.3)
         err = float(np.max(np.abs(np.asarray(back.values) - np.asarray(f.values))))
         assert err <= 1e-10 * float(np.max(np.abs(np.asarray(f.values))))
-
-    def test_tau_below_one_rejected(self):
-        # one --tau feeds every bessel_apply call, so it is checked once, where it enters
-        with pytest.raises(ValueError, match=r"need tau >= 1, got 0\.5"):
-            check_spectral(GroupGeometry(), 0.5)
 
 
 class TestLpNorm:
