@@ -105,7 +105,9 @@ def _point_constants(args) -> int:
         raise ValueError("point mode needs --d")
     if args.q is None and args.alpha is None:
         raise ValueError("point mode needs --q or --alpha")
-    if args.p is None or args.p <= 1.0:
+    if args.p is None:
+        raise ValueError("point mode needs --p")
+    if args.p <= 1.0:
         raise ValueError(f"--p must be > 1, got {args.p}")
     alpha = args.alpha
     if args.q is not None:
@@ -175,7 +177,7 @@ def _run_verify_all(args) -> int:
     geometry = _geometry_from_args(args)
     grid = _grid_from_args(args)
     result = run_all_checks(grid, geometry)
-    fingerprint = grid_fingerprint(grid)
+    fingerprint = grid_fingerprint(grid, geometry)
     golden_dir = Path(args.golden_dir)
     if args.bless:
         # to_file refuses a non-finite value with ValueError (exit 2)

@@ -40,9 +40,9 @@ R_LOCAL_MIN = 1e-3
 R_SPLIT = 1.0
 R_GLOBAL_MAX = 30.0
 
-# Nodes per radius of the split envelope rule (log_green_kernel), and where
-# it cuts its integrands: e^{-750} of the saddle value is far below double
-# precision.  120/96 nodes lost 6e-11 of accuracy at a = 12.5.
+# Nodes per radius of the split envelope rule (log_green_kernel); 120/96
+# nodes lost 6e-11 of accuracy at a = 12.5.  Every infinite integral here is
+# cut where its integrand falls to e^-_TAIL_EXPONENT of its peak.
 _TRAPEZOID_NODES = 200
 _GL_NODES = 128
 _TAIL_EXPONENT = 750.0
@@ -164,25 +164,19 @@ def quad(func, a, b, rel_tol: float, points=()) -> tuple[float, float, dict]:
     (value, abserr, {"neval": n}).
 
     func is vectorized: it maps an array of nodes to the array of its values.
-    The breakpoints a < points < b start the interval list (QUADPACK qagp),
-    so a known kink or peak sits on an interval end.  An infinite end maps to
-    (0, 1] by x = a + (1 - t)/t (or b - (1 - t)/t), so the integrand is
-    func(x(t))/t^2, and the nodes never reach t = 0.  Each round bisects, in
-    one call of func, every interval not too narrow to bisect whose error
-    estimate is above its share rel_tol |value|/n, the worst first and never
-    past _QUAD_LIMIT intervals, until the summed estimate is at most rel_tol
-    |value| or none is left to bisect; the caller compares abserr with its
-    tolerance."""
+    The ends are finite, and the breakpoints a < points < b start the
+    interval list (QUADPACK qagp), so a known kink or peak sits on an
+    interval end.  Each round bisects, in one call of func, every interval
+    not too narrow to bisect whose error estimate is above its share
+    rel_tol |value|/n, the worst first and never past _QUAD_LIMIT intervals,
+    until the summed estimate is at most rel_tol |value| or none is left to
+    bisect; the caller compares abserr with its tolerance."""
     ends = (a, *points, b)
-    if not (all(x < y for x, y in zip(ends, ends[1:])) and (math.isfinite(a) or math.isfinite(b))):
-        raise ValueError(f"need a < b with one end finite and the points between, got {list(ends)}")
-    f, edges = func, np.array(ends, dtype=float)
-    if math.isinf(b):
-        f, edges = (lambda t: func(a + (1.0 - t) / t) / (t * t)), 1.0 / (1.0 + edges[::-1] - a)
-    elif math.isinf(a):
-        f, edges = (lambda t: func(b - (1.0 - t) / t) / (t * t)), 1.0 / (1.0 + b - edges)
+    if not (all(x < y for x, y in zip(ends, ends[1:])) and math.isfinite(b - a)):
+        raise ValueError(f"need a < b finite with the points between, got {list(ends)}")
+    edges = np.array(ends, dtype=float)
     # one column (lo, hi, value, error) per interval
-    intervals = np.array((edges[:-1], edges[1:], *_gk15(f, edges[:-1], edges[1:])))
+    intervals = np.array((edges[:-1], edges[1:], *_gk15(func, edges[:-1], edges[1:])))
     while intervals[3].sum() > rel_tol * abs(intervals[2].sum()):
         lo, hi, value, error = intervals
         wide = hi - lo > _MIN_RELATIVE_WIDTH * np.maximum(np.abs(lo), np.abs(hi))
@@ -192,7 +186,7 @@ def quad(func, a, b, rel_tol: float, points=()) -> tuple[float, float, dict]:
             break
         mid = 0.5 * (lo[split] + hi[split])
         halves = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
-        rules = np.array((*halves, *_gk15(f, *halves)))
+        rules = np.array((*halves, *_gk15(func, *halves)))
         intervals = np.hstack((np.delete(intervals, split, axis=1), rules))
     # every bisection adds one interval and two rules to the first ones
     neval = 15 * (2 * intervals.shape[1] - (len(edges) - 1))
@@ -342,7 +336,7 @@ def log_green_kernel(radii, kp: GreenKernelParams) -> np.ndarray:
     return (np.logaddexp(log_bessel, log_remainder) - z)[:, 0] - math.lgamma(half_alpha)
 
 
-def local_envelope_peak(kp: GreenKernelParams) -> tuple[float, float]:
+def local_bound_constant(kp: GreenKernelParams) -> tuple[float, float]:
     """(r*, sup): where on a log-spaced grid of [R_LOCAL_MIN, R_SPLIT] the
     normalized envelope green(r) r^{d - alpha} (d - alpha)/alpha peaks, and
     its value there; finite because the envelope matches the r^{alpha - d}
@@ -352,15 +346,6 @@ def local_envelope_peak(kp: GreenKernelParams) -> tuple[float, float]:
     i = int(np.argmax(log_values))
     sup = _normal_exp(float(log_values[i]), "local envelope sup", kp)
     return float(radii[i]), sup * (kp.d - kp.alpha) / kp.alpha
-
-
-# No subcommand calls local_bound_constant, but the benchmark's tracer binds
-# it by name and refuses to install without it; it goes when the benchmark
-# stops tracing it.
-def local_bound_constant(kp: GreenKernelParams) -> float:
-    """sup over r in [R_LOCAL_MIN, R_SPLIT] of green(r) r^{d - alpha}
-    (d - alpha)/alpha on a log-spaced grid (see local_envelope_peak)."""
-    return local_envelope_peak(kp)[1]
 
 
 def global_bound_constant(kp: GreenKernelParams, g: GroupGeometry) -> float:
@@ -421,8 +406,11 @@ def kalpha_norms_quadrature(alpha: float, d: int, s: float, r_exp: float) -> tup
     no closed form, for cross-checking."""
     _check_kalpha_args(alpha, d, s, r_exp)
     # the inner piece r^{alpha - 1} on [0, s] in x = log r, as e^{alpha x} on
-    # (-inf, log s], where its endpoint singularity at r = 0 is gone
-    inner = quad(lambda x: np.exp(alpha * x), -math.inf, math.log(s), 1e-12)[0]
+    # (-inf, log s] (no endpoint singularity), cut at e^-_TAIL_EXPONENT of its
+    # peak, with breakpoints spacing the intervals as it decays
+    top = math.log(s)
+    points = [top - 2.0**j / alpha for j in range(9, -1, -1)]
+    inner = quad(lambda x: np.exp(alpha * x), top - _TAIL_EXPONENT / alpha, top, 1e-12, points)[0]
     if s == 1.0:
         return inner, 0.0
     outer = quad(lambda r: d * r ** ((alpha - d) * r_exp + d - 1.0), s, 1.0, 1e-12)[0]

@@ -313,13 +313,14 @@ def refine_grid(spec: ParameterGrid) -> ParameterGrid:
     )
 
 
-def grid_fingerprint(spec: ParameterGrid) -> str:
-    """Short stable hash of the grid axes; golden snapshots refuse to compare
-    across different fingerprints."""
-    text = ";".join(
-        ",".join(f"{v:.17g}" for v in axis)
-        for axis in (spec.p_values, spec.alpha_fractions, spec.d_values)
-    )
+def grid_fingerprint(spec: ParameterGrid, geometry: GroupGeometry) -> str:
+    """Short stable hash of the grid axes and the geometry; golden snapshots
+    refuse to compare across different fingerprints.  The default geometry
+    adds nothing to the hashed text, so its fingerprints are the grid's own."""
+    axes = [spec.p_values, spec.alpha_fractions, spec.d_values]
+    if geometry != GroupGeometry():
+        axes.append((geometry.D, geometry.b, geometry.c_delta))
+    text = ";".join(",".join(f"{v:.17g}" for v in axis) for axis in axes)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 

@@ -223,14 +223,13 @@ def compare_golden(
 ) -> GoldenComparison:
     """Per-key relative comparison of computed values against a snapshot.
 
-    A fingerprint mismatch fails loudly as 'grid changed' instead of
-    producing a meaningless numeric diff; unknown and missing keys are
-    failures.
+    A fingerprint mismatch fails loudly as 'grid or geometry changed'
+    instead of producing a meaningless numeric diff; unknown and missing keys
+    are failures.
     """
     if grid_hash != golden.grid_hash:
-        return GoldenComparison(
-            False, 0, [f"grid changed: run fingerprint {grid_hash} != snapshot {golden.grid_hash}"]
-        )
+        mismatch = f"grid or geometry changed: run fingerprint {grid_hash} != snapshot {golden.grid_hash}"
+        return GoldenComparison(False, 0, [mismatch])
     failures: List[str] = []
     for key in sorted(computed):
         if key not in golden.values:

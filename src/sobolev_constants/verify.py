@@ -46,7 +46,7 @@ from .kernel import (
     green_kernel_upper,
     kalpha_norms,
     kalpha_norms_quadrature,
-    local_envelope_peak,
+    local_bound_constant,
     tilde_k_norm,
 )
 from .params import (
@@ -328,7 +328,7 @@ def check_kernel(
         for frac in _LOCAL_FRACTIONS:
             kp = GreenKernelParams(frac * d, d)
             # the fast split rule against adaptive quad at its arg-sup radius
-            r_star, v = local_envelope_peak(kp)
+            r_star, v = local_bound_constant(kp)
             green_tight = green_kernel_upper(r_star, kp, rel_tol=1e-9)
             v_tight = green_tight * r_star ** (d - kp.alpha) * (d - kp.alpha) / kp.alpha
             change = abs(v_tight - v) / v

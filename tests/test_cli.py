@@ -179,7 +179,7 @@ class TestGolden:
         cmp = compare_golden({"k": 999.0}, snap, "other")
         assert not cmp.ok
         assert cmp.checked == 0
-        assert any("grid changed" in f for f in cmp.failures)
+        assert any("grid or geometry changed" in f for f in cmp.failures)
         assert not any("999" in f for f in cmp.failures)
 
     def test_nan_value_fails(self):
@@ -620,6 +620,8 @@ class TestCli:
             pytest.param(
                 ["constants", "--d", "4"], None, "point mode needs --q or --alpha", id="point-d-alone"
             ),
+            # a missing --p read as a bad value: "--p must be > 1, got None"
+            pytest.param(["constants", "--q", "4", "--d", "4"], None, "point mode needs --p", id="point-no-p"),
         ],
     )
     def test_unusable_exponents_exit_two_with_one_error_line(self, argv, config, message, tmp_path, capsys):
@@ -722,9 +724,25 @@ class TestCli:
         )
         assert code == 0
         snap = GoldenSnapshot.from_file(tmp_path / "golden" / "fitted_constants.json")
-        assert snap.grid_hash == grid_fingerprint(default_grid())
+        assert snap.grid_hash == grid_fingerprint(default_grid(), GroupGeometry())
         repo = GoldenSnapshot.from_file(REPO_GOLDEN / "fitted_constants.json")
         assert sorted(snap.values) == sorted(repo.values)
+
+    def test_other_geometry_is_a_changed_fingerprint_not_a_numeric_diff(self, tmp_path, capsys):
+        # blessed into its own directory, a non-default geometry passes; against
+        # golden/ it fails on one fingerprint line, not on the values it moves
+        growth = ["verify-all", "--geom-growth", "2"]
+        own = str(tmp_path / "golden-growth2")
+        assert main([*growth, "--out", str(tmp_path / "bless"), "--golden-dir", own, "--bless"]) == 0
+        assert main([*growth, "--out", str(tmp_path / "own"), "--golden-dir", own]) == 0
+        capsys.readouterr()
+        assert main([*growth, "--out", str(tmp_path / "repo"), "--golden-dir", str(REPO_GOLDEN)]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+        fingerprint = grid_fingerprint(default_grid(), GroupGeometry(D=2.0))
+        assert failed == [
+            "[FAIL] golden snapshot comparison (grid or geometry changed: "
+            f"run fingerprint {fingerprint} != snapshot 4214a3041c56)"
+        ]
 
     def test_golden_tolerances_resolve_to_the_blessed_ones(self):
         # each tolerance is attached where its constant is fitted; on the

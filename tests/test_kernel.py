@@ -8,6 +8,9 @@ import pytest
 from sobolev_constants import kernel
 from sobolev_constants.kernel import (
     _QUAD_LIMIT,
+    R_GLOBAL_MAX,
+    R_LOCAL_MIN,
+    R_SPLIT,
     _gk15,
     CutoffSchedule,
     GreenKernelParams,
@@ -18,7 +21,6 @@ from sobolev_constants.kernel import (
     kalpha_norms,
     kalpha_norms_quadrature,
     local_bound_constant,
-    local_envelope_peak,
     log_green_kernel,
     quad,
     tilde_k_norm,
@@ -47,7 +49,9 @@ ORACLE_CASES = (
     (10.4, 0.1, 1, 840.5, 1.0),
     (0.17320508075688776, 0.15, 3, 1.0, 1.0),
 )
-LOCAL_SUP_REF = 1.1283638992488583  # alpha=1, d=3, a=1, b=1 sweep, frozen at build
+# Regression pins, frozen at build; the live oracles are green_oracle at the
+# sups' arg-sup radii (TestLocalBound, TestGlobalBound) and tilde_k_oracle
+LOCAL_SUP_REF = 1.1283638992488583  # alpha=1, d=3, a=1, b=1 sweep
 GLOBAL_SUP_REF = 0.05061440517890041  # alpha=1, d=3, a=1, b=4, D=0 geometry
 TILDE_K_REF = 0.521865938459879089  # r=1, D=0, b0=1 shell sum
 
@@ -105,6 +109,23 @@ def green_direct_log(r, alpha, d, a, b):
         knots = [centre + k * step / 2 for k in range(-40, 41)] + [mp.mpf(0)]
         points = [x_lo] + sorted(x for x in knots if x_lo < x < x_hi) + [x_hi]
         return float(mp.log(mp.quad(integrand, points) / mp.gamma(alpha / 2)))
+
+
+def tilde_k_oracle(r_exp, g):
+    """sum_{k >= 0} exp(-r (2D + b0) 2^k + D 2^{k+1}) by mpmath.nsum at 30 digits."""
+    with mp.workdps(30):
+        rate, D = r_exp * mp.mpf(g.weight_rate), mp.mpf(g.D)
+        return float(mp.nsum(lambda k: mp.exp(-rate * 2**k + D * 2 ** (k + 1)), [0, mp.inf]))
+
+
+def assert_sup_matches_the_oracle(sup, radii, i, normalized_oracle):
+    """The sweep's sup is the oracle's value at radii[i], its arg-sup radius,
+    and under the oracle no grid neighbour of radii[i] is larger.  The oracle
+    is not taken on every radius: that takes seconds."""
+    lo = max(i - 1, 0)
+    values = [normalized_oracle(float(r)) for r in radii[lo : i + 2]]
+    assert sup == pytest.approx(values[i - lo], rel=1e-10)
+    assert max(values) == values[i - lo]
 
 
 class TestGreenKernelUpper:
@@ -231,10 +252,9 @@ class TestQuad:
 
     @pytest.mark.parametrize("s", (0.5, 0.75, 1.0, 1.5, 2.5, 5.0))
     def test_gamma_function(self, s):
-        # for s < 1 the integrable singularity at the finite end maps to
-        # t = 1, where bisection stops at intervals 1e-12 wide: the value
-        # holds about 8 digits, and abserr says so
-        value, abserr, _ = quad(lambda t: t ** (s - 1.0) * np.exp(-t), 0.0, math.inf, 1e-10)
+        # the tail past t = 800 is below e^-770; for s < 1 bisection closes in
+        # on the integrable singularity at t = 0, and abserr bounds the error
+        value, abserr, _ = quad(lambda t: t ** (s - 1.0) * np.exp(-t), 0.0, 800.0, 1e-10)
         expected = math.gamma(s)
         assert abs(value - expected) <= min(abserr, 1e-7 * expected)
         if s >= 1.0:
@@ -242,18 +262,18 @@ class TestQuad:
 
     @pytest.mark.parametrize("alpha", (0.01, 1.0, 100.0))
     def test_exponential_on_a_left_half_line(self, alpha):
-        value, abserr, _ = quad(lambda x: np.exp(alpha * x), -math.inf, 0.0, 1e-12)
+        # cut where the integrand is e^-750, as the kernel cuts its tails
+        value, abserr, _ = quad(lambda x: np.exp(alpha * x), -750.0 / alpha, 0.0, 1e-12)
         assert abs(value - 1.0 / alpha) <= min(abserr, 1e-12 / alpha)
 
     def test_narrow_peak(self):
         # int_0^inf t^{-1/2} e^{-a t - c/t} dt = sqrt(pi/a) e^{-z}, z = 2 sqrt(a c)
         # (K_{1/2} in closed form); a = 840.5, c = 64 puts a peak of relative
-        # width about 0.05 at t* = sqrt(c/a) = 0.28
+        # width about 0.05 at t* = sqrt(c/a) = 0.28.  Outside [1e-3, 2] the
+        # integrand is below e^-1000 of its peak
         a, c = 840.5, 64.0
         z = 2.0 * math.sqrt(a * c)
-        value, abserr, _ = quad(
-            lambda t: np.exp(z - a * t - c / t) / np.sqrt(t), 0.0, math.inf, 1e-12
-        )
+        value, abserr, _ = quad(lambda t: np.exp(z - a * t - c / t) / np.sqrt(t), 1e-3, 2.0, 1e-12)
         expected = math.sqrt(math.pi / a)
         assert abs(value - expected) <= min(abserr, 1e-12 * expected)
 
@@ -264,7 +284,10 @@ class TestQuad:
         assert abserr > 1e-16 * abs(value)
         assert abserr >= abs(value - 2.0)
 
-    @pytest.mark.parametrize("a, b", ((1.0, 1.0), (2.0, 1.0), (-math.inf, math.inf), (0.0, math.nan)))
+    @pytest.mark.parametrize(
+        "a, b",
+        ((1.0, 1.0), (2.0, 1.0), (-math.inf, math.inf), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)),
+    )
     def test_bad_interval_rejected(self, a, b):
         with pytest.raises(ValueError, match="need a < b"):
             quad(np.exp, a, b, 1e-8)
@@ -338,13 +361,22 @@ class TestGreenOracle:
 class TestLocalBound:
     def test_frozen_sweep_value(self):
         kp = GreenKernelParams(1.0, 3, 1.0, 1.0)
-        assert local_bound_constant(kp) == pytest.approx(LOCAL_SUP_REF, rel=1e-6)
+        assert local_bound_constant(kp)[1] == pytest.approx(LOCAL_SUP_REF, rel=1e-6)
+
+    def test_matches_the_oracle_at_the_arg_sup(self):
+        # normalized by r^{d - alpha} (d - alpha)/alpha = 2 r^2; the sup sits
+        # on the first radius of the sweep
+        kp = GreenKernelParams(1.0, 3, 1.0, 1.0)
+        r_star, sup = local_bound_constant(kp)
+        radii = np.geomspace(R_LOCAL_MIN, R_SPLIT, 200)
+        i = int(np.flatnonzero(radii == r_star)[0])
+        assert i == 0
+        assert_sup_matches_the_oracle(sup, radii, i, lambda r: green_oracle(r, 1.0, 3, 1.0, 1.0) * 2.0 * r**2)
 
     def test_stable_under_tighter_quadrature(self):
         # the fast sup against adaptive quad at the arg-sup radius
         kp = GreenKernelParams(1.0, 3, 1.0, 1.0)
-        r_star, v = local_envelope_peak(kp)
-        assert v == local_bound_constant(kp)
+        r_star, v = local_bound_constant(kp)
         # normalized by r^{d - alpha} (d - alpha)/alpha = 2 r^2
         v_tight = green_kernel_upper(r_star, kp, rel_tol=1e-9) * r_star**2 * 2.0
         assert v == pytest.approx(v_tight, rel=1e-10)
@@ -353,7 +385,7 @@ class TestLocalBound:
         # normalized sups for alpha/d from 1/12 to 11/12 stay within one
         # order of magnitude of each other
         values = [
-            local_bound_constant(GreenKernelParams(alpha, 3, 1.0, 1.0))
+            local_bound_constant(GreenKernelParams(alpha, 3, 1.0, 1.0))[1]
             for alpha in (0.25, 0.75, 1.25, 1.75, 2.25, 2.75)
         ]
         assert max(values) / min(values) < 10.0
@@ -373,6 +405,18 @@ class TestGlobalBound:
         kp = GreenKernelParams(1.0, 3, 1.0, 4.0)
         assert tau_delta(self.GEOMETRY) == 1.0
         assert global_bound_constant(kp, self.GEOMETRY) == pytest.approx(GLOBAL_SUP_REF, rel=1e-6)
+
+    def test_matches_the_oracle_at_the_arg_sup(self):
+        # the sup sits on the first radius of the sweep
+        kp = GreenKernelParams(1.0, 3, 1.0, 4.0)
+        rate = self.GEOMETRY.weight_rate
+        radii = np.geomspace(R_SPLIT, R_GLOBAL_MAX, 120)
+        i = int(np.argmax(log_green_kernel(radii, kp) + rate * radii))
+        assert i == 0
+        sup = global_bound_constant(kp, self.GEOMETRY)
+        assert_sup_matches_the_oracle(
+            sup, radii, i, lambda r: green_oracle(r, 1.0, 3, 1.0, 4.0) * math.exp(rate * r)
+        )
 
     def test_below_threshold_rejected(self):
         geometry = GroupGeometry(D=1.0, b=1.0)  # threshold (2/b)(2D+b0)^2 = 12.5
@@ -488,6 +532,13 @@ class TestShellSums:
     def test_frozen_reference(self):
         g = GroupGeometry(D=0.0, b=4.0)  # b0 = 1
         assert tilde_k_norm(1.0, g) == pytest.approx(TILDE_K_REF, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "r_exp, D, b", ((1.0, 0.0, 4.0), (1.0, 0.5, 1.0), (1.5, 1.0, 1.0), (2.0, 1.0, 4.0), (1.0, 3.0, 2.0))
+    )
+    def test_matches_mpmath_nsum(self, r_exp, D, b):
+        g = GroupGeometry(D=D, b=b)
+        assert tilde_k_norm(r_exp, g) == pytest.approx(tilde_k_oracle(r_exp, g), rel=1e-12)
 
     def test_monotone_in_r(self):
         g = GroupGeometry(D=0.5, b=1.0)

@@ -6,12 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sobolev_constants"
-
-# name -> why it stays although no package code reads it
-UNREAD_ALLOWED = {
-    "kernel.local_bound_constant": "the benchmark's tracer binds it by name and refuses to install without it",
-}
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sobolev_constants"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _definitions_and_reads():
@@ -45,7 +42,7 @@ def test_every_public_definition_is_read_by_package_code():
         for name, qualified, is_def in defined
         if is_def and not name.startswith("_") and name not in read
     )
-    assert unread == sorted(UNREAD_ALLOWED), unread
+    assert unread == [], unread
 
 
 def test_every_top_level_name_is_read_by_package_code():
@@ -53,7 +50,31 @@ def test_every_top_level_name_is_read_by_package_code():
     defined, read = _definitions_and_reads()
     unread = sorted(qualified for name, qualified, _ in defined if name not in read)
     # the package version is read by whoever imports the package
-    assert unread == sorted({*UNREAD_ALLOWED, "__init__.__version__"}), unread
+    assert unread == ["__init__.__version__"], unread
+
+
+def _tracer_targets():
+    """(module, attribute) of each entry of the benchmark tracer's
+    SPAN_TARGETS and COUNT_TARGETS, read from its source without importing it."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    targets = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id in ("SPAN_TARGETS", "COUNT_TARGETS") for t in names):
+                targets += [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    return targets
+
+
+def test_every_traced_name_is_defined_and_read_by_package_code():
+    # a wrapped name that no package code reads always reports 0 calls
+    defined, read = _definitions_and_reads()
+    qualified = {q for _, q, _ in defined}
+    targets = _tracer_targets()
+    assert ("kernel", "quad") in targets and ("params", "ExponentPair") in targets
+    missing = [f"{m}.{a}" for m, a in targets if f"{m}.{a}" not in qualified]
+    unread = [f"{m}.{a}" for m, a in targets if a not in read]
+    assert (missing, unread) == ([], []), (missing, unread)
 
 
 def test_constants_and_params_import_without_numpy():

@@ -319,11 +319,21 @@ class TestGrid:
         assert len(refined.alpha_fractions) == 17
 
     def test_fingerprint_tracks_grid(self):
-        a = grid_fingerprint(default_grid())
-        b = grid_fingerprint(default_grid())
-        c = grid_fingerprint(refine_grid(default_grid()))
+        a = grid_fingerprint(default_grid(), GroupGeometry())
+        b = grid_fingerprint(default_grid(), GroupGeometry())
+        c = grid_fingerprint(refine_grid(default_grid()), GroupGeometry())
         assert a == b
         assert a != c
+
+    def test_fingerprint_tracks_geometry(self):
+        # the default geometry keeps the grid's own fingerprint, which golden/ records
+        grid = default_grid()
+        fingerprints = {
+            grid_fingerprint(grid, GroupGeometry(D, b, c_delta))
+            for D, b, c_delta in ((1.0, 1.0, 0.0), (2.0, 1.0, 0.0), (1.0, 2.0, 0.0), (1.0, 1.0, 0.5))
+        }
+        assert len(fingerprints) == 4
+        assert grid_fingerprint(grid, GroupGeometry()) == "4214a3041c56"
 
 
 class TestGridConfig:
