@@ -7,13 +7,12 @@ rows are listed), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import sys
 from pathlib import Path
 
-from .constants import constant_report
-from .kernel import GreenKernelParams
-from .spectral import TRIAL_WIDTHS, TorusGrid, gaussian_field
+from .constants import constant_report, constants_table
 from .params import (
     ExponentPair,
     GroupGeometry,
@@ -24,16 +23,30 @@ from .params import (
     read_grid_config,
 )
 from .report import GoldenSnapshot, ResultTable, compare_golden, write_table
-from .verify import (
-    CheckResult,
-    check_constants,
-    check_interpolation,
-    check_kernel,
-    check_series,
-    check_spectral,
-    constants_table,
-    run_all_checks,
-)
+
+
+def _register_lazily(name: str) -> None:
+    """Put the package module `name` in sys.modules and on the package
+    without running its body, which runs on the first attribute read (the
+    importlib.util.LazyLoader recipe).  These modules import numpy, which a
+    point query never reads; registered, they are in sys.modules after
+    `import sobolev_constants.cli`, where perfbench/tracer.py finds them."""
+    qualified = f"{__package__}.{name}"
+    if qualified in sys.modules:
+        return
+    spec = importlib.util.find_spec(qualified)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[qualified] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+
+
+for _module in ("interpolation", "kernel", "series", "spectral", "verify"):
+    _register_lazily(_module)
+
+from . import kernel, spectral, verify  # each body runs on its first attribute read
+
 
 def _geometry_from_args(args) -> GroupGeometry:
     return GroupGeometry(D=args.geom_growth, b=args.geom_b, c_delta=args.geom_c_delta)
@@ -90,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _finish(result: CheckResult, args) -> int:
+def _finish(result: verify.CheckResult, args) -> int:
     for table in result.tables:
         write_table(table, args.out, args.format)
     for line in result.lines:
@@ -101,13 +114,15 @@ def _finish(result: CheckResult, args) -> int:
 
 
 def _point_constants(args) -> int:
+    if args.config is not None:
+        raise ValueError("point mode takes no --config")
     if args.d is None:
         raise ValueError("point mode needs --d")
     if args.q is None and args.alpha is None:
         raise ValueError("point mode needs --q or --alpha")
     if args.p is None:
         raise ValueError("point mode needs --p")
-    if args.p <= 1.0:
+    if not args.p > 1.0:
         raise ValueError(f"--p must be > 1, got {args.p}")
     alpha = args.alpha
     if args.q is not None:
@@ -141,27 +156,27 @@ def _run_constants(args) -> int:
     if any(v is not None for v in (args.p, args.q, args.alpha, args.d)):
         return _point_constants(args)
     grid = _grid_from_args(args)
-    return _finish(check_constants(grid), args)
+    return _finish(verify.check_constants(grid), args)
 
 
 def _run_interp(args) -> int:
-    return _finish(check_interpolation(_grid_from_args(args)), args)
+    return _finish(verify.check_interpolation(_grid_from_args(args)), args)
 
 
 def _run_kernel(args) -> int:
     geometry = _geometry_from_args(args)
     # validate the profile's order before the slow checks run
-    profile = GreenKernelParams(args.alpha, args.d)
-    return _finish(check_kernel(geometry, profile), args)
+    profile = kernel.GreenKernelParams(args.alpha, args.d)
+    return _finish(verify.check_kernel(geometry, profile), args)
 
 
 def _run_embed(args) -> int:
-    result = check_spectral(_geometry_from_args(args))
+    result = verify.check_spectral(_geometry_from_args(args))
     if args.dump_profiles:
-        grid = TorusGrid(1, 128)
+        grid = spectral.TorusGrid(1, 128)
         table = ResultTable("field_profiles", ("width", "x", "abs_f"))
-        for width in TRIAL_WIDTHS:
-            f = gaussian_field(grid, width)
+        for width in spectral.TRIAL_WIDTHS:
+            f = spectral.gaussian_field(grid, width)
             xs = grid.axis_coordinates()
             for x, v in zip(xs, f.values):
                 table.append((width, float(x), float(abs(v))))
@@ -170,13 +185,13 @@ def _run_embed(args) -> int:
 
 
 def _run_mt(args) -> int:
-    return _finish(check_series(), args)
+    return _finish(verify.check_series(), args)
 
 
 def _run_verify_all(args) -> int:
     geometry = _geometry_from_args(args)
     grid = _grid_from_args(args)
-    result = run_all_checks(grid, geometry)
+    result = verify.run_all_checks(grid, geometry)
     fingerprint = grid_fingerprint(grid, geometry)
     golden_dir = Path(args.golden_dir)
     if args.bless:

@@ -8,6 +8,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .params import LOG_NORMAL_MAX, LOG_NORMAL_MIN, ExponentArrays, ExponentPair
+from .report import ResultTable
+
+REL_SLACK = 1e-12  # multiplicative slack for proved pointwise inequalities
 
 
 def q_constant(p, q):
@@ -161,6 +164,35 @@ def constant_report_array(pairs: ExponentArrays) -> ConstantReport:
     with np.errstate(over="ignore"):  # S dips to about 0.88, so E_H_tilde/S may overflow
         ratio = eh / s
     return ConstantReport(pairs, s, qv, qd, f_constant(pairs.p, pairs.q), eh, ratio)
+
+
+def constants_table(report: ConstantReport) -> ResultTable:
+    """One row per pair of the report, of a grid's arrays or of one pair; the
+    last column says whether the pair meets the comparison claims: on
+    q >= p', F sits between Q/4 and 4Q and Q(p,q) <= Q(q',p'); everywhere
+    F >= S/4.  The columns of one pair's table are one-element lists of
+    Python values."""
+    pair = report.pair
+    p, q, qv, qd, fv, sv = pair.p, pair.q, report.Q, report.Q_dual, report.F, report.S
+    in_regime = (0.25 * qv * (1.0 - REL_SLACK) <= fv) & (fv <= 4.0 * qv * (1.0 + REL_SLACK))
+    in_regime &= qv <= qd * (1.0 + REL_SLACK)
+    cells = {
+        "d": pair.d,
+        "p": p,
+        "q": q,
+        "alpha": pair.alpha,
+        "S": sv,
+        "Q": qv,
+        "Q_dual": qd,
+        "F": fv,
+        "E_H_tilde": report.E_H_tilde,
+        "ratio_EH_over_S": report.ratio_EH_over_S,
+        # q < p' rather than ~(q >= p'): on a Python bool, ~True is -2, which is truthy
+        "pass": (fv >= 0.25 * sv * (1.0 - REL_SLACK)) & ((q < p / (p - 1.0)) | in_regime),
+    }
+    if isinstance(pair, ExponentPair):
+        cells = {k: [v] for k, v in cells.items()}
+    return ResultTable.from_columns("constants", cells)
 
 
 _B1_TERMS = 60  # explicitly summed coefficients of the multiplier bound

@@ -10,17 +10,19 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
-
-import numpy as np
 
 SCHEMA_VERSION = "1"
 
 
 def format_value(v) -> str:
-    if isinstance(v, np.generic):
+    # a numpy scalar or array exists only if numpy is loaded, so this module
+    # never imports it: the one-row table of a point query is Python values
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(v, np.generic):
         v = v.item()
     if v is None:
         return ""
@@ -79,15 +81,15 @@ BLOCK_ROWS = 1024  # rows formatted at a time: the memory stays flat on long tab
 _BOOL_CELLS = ("false", "true")
 
 
-def _format_floats(block: np.ndarray) -> List[str]:
+def _format_floats(block) -> List[str]:
     return list(map("%.12g".__mod__, block.tolist()))
 
 
-def _format_bools(block: np.ndarray) -> List[str]:
+def _format_bools(block) -> List[str]:
     return list(map(_BOOL_CELLS.__getitem__, block.tolist()))
 
 
-def _format_ints(block: np.ndarray) -> List[str]:
+def _format_ints(block) -> List[str]:
     return list(map(str, block.tolist()))
 
 
@@ -96,12 +98,15 @@ _ARRAY_FORMATTERS = {"f": _format_floats, "b": _format_bools, "i": _format_ints,
 
 def _array_kind(column: Sequence) -> str:
     """The numpy dtype kind of a column held as an array, else "O"."""
-    return column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    np = sys.modules.get("numpy")
+    return column.dtype.kind if np is not None and isinstance(column, np.ndarray) else "O"
 
 
 def _refuse_nonfinite(table: ResultTable) -> None:
     """Raise ValueError naming the first non-finite cell of the table in row
     order, if there is one."""
+    np = sys.modules.get("numpy")
+    floats = float if np is None else (float, np.floating)
     found = []  # (row, column index) of each column's first non-finite cell
     for j, column in enumerate(table.cells):
         kind = _array_kind(column)
@@ -110,7 +115,7 @@ def _refuse_nonfinite(table: ResultTable) -> None:
         elif kind in _ARRAY_FORMATTERS:
             continue
         else:
-            bad = [i for i, v in enumerate(column) if isinstance(v, (float, np.floating)) and not math.isfinite(v)]
+            bad = [i for i, v in enumerate(column) if isinstance(v, floats) and not math.isfinite(v)]
         if bad:
             found.append((bad[0], j))
     if found:

@@ -19,9 +19,10 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .constants import (
-    ConstantReport,
+    REL_SLACK,
     b1_multiplier_bound,
     constant_report_array,
+    constants_table,
     embedding_factors_array,
     f_constant,
     lieb_upper_bound_array,
@@ -80,8 +81,6 @@ from .spectral import (
     refined_widths,
 )
 
-REL_SLACK = 1e-12  # multiplicative slack for proved pointwise inequalities
-
 
 def _violations(table: ResultTable) -> int:
     return len(table) - int(np.count_nonzero(table.column("pass")))
@@ -118,35 +117,6 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # constants: duality, comparison claims, comparability bands, multiplier bound
 # ---------------------------------------------------------------------------
-
-
-def constants_table(report: ConstantReport) -> ResultTable:
-    """One row per pair of the report, of a grid's arrays or of one pair; the
-    last column says whether the pair meets the comparison claims: on
-    q >= p', F sits between Q/4 and 4Q and Q(p,q) <= Q(q',p'); everywhere
-    F >= S/4."""
-    pair = report.pair
-    # on arrays even for one pair: on a Python bool, ~True is -2, which is truthy
-    p, q, qv, qd, fv, sv = (
-        np.atleast_1d(v) for v in (pair.p, pair.q, report.Q, report.Q_dual, report.F, report.S)
-    )
-    regime = q >= p / (p - 1.0)
-    in_regime = (0.25 * qv * (1.0 - REL_SLACK) <= fv) & (fv <= 4.0 * qv * (1.0 + REL_SLACK))
-    in_regime &= qv <= qd * (1.0 + REL_SLACK)
-    cells = {
-        "d": pair.d,
-        "p": p,
-        "q": q,
-        "alpha": pair.alpha,
-        "S": sv,
-        "Q": qv,
-        "Q_dual": qd,
-        "F": fv,
-        "E_H_tilde": report.E_H_tilde,
-        "ratio_EH_over_S": report.ratio_EH_over_S,
-        "pass": (fv >= 0.25 * sv * (1.0 - REL_SLACK)) & (~regime | in_regime),
-    }
-    return ResultTable.from_columns("constants", {k: np.atleast_1d(v) for k, v in cells.items()})
 
 
 _DUALITY_DRAWS = 10_000

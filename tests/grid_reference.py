@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Tuple
 
-from sobolev_constants.constants import ConstantReport
+from sobolev_constants.constants import REL_SLACK, ConstantReport
 from sobolev_constants.interpolation import MarcinkiewiczData
 from sobolev_constants.params import ExponentPair, conjugate_exponent, solve_q
 from sobolev_constants.report import SCHEMA_VERSION, format_value
-from sobolev_constants.verify import REL_SLACK
 
 
 @dataclass

@@ -216,6 +216,40 @@ class TestImportBoundary:
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[-1] == f"0 {runs_quad} False"
 
+    @pytest.mark.parametrize(
+        "argv, loads_numpy",
+        [
+            (["constants", "--p", "2", "--q", "4", "--d", "4"], False),
+            (["interp"], True),
+            (["kernel", "--alpha", "1", "--d", "3"], True),
+            (["verify-all", "--golden-dir", str(REPO_GOLDEN)], True),
+        ],
+    )
+    def test_point_query_imports_no_numpy(self, argv, loads_numpy, tmp_path):
+        # interp, kernel and verify-all are the controls: their checks run on numpy
+        script = (
+            "import sys\n"
+            "from sobolev_constants import cli\n"
+            "on_import = 'numpy' in sys.modules\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, on_import, 'numpy' in sys.modules)\n"
+        )
+        out = run_python("-c", script, *argv, "--out", str(tmp_path))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == f"0 False {loads_numpy}"
+
+    def test_lazily_registered_modules_import_and_read(self):
+        # the CLI registers the numpy modules unexecuted; an import or a read runs them
+        script = (
+            "import sys\n"
+            "import sobolev_constants.cli\n"
+            "registered = 'sobolev_constants.kernel' in sys.modules and 'numpy' not in sys.modules\n"
+            "import sobolev_constants.kernel\n"
+            "print(registered, callable(sobolev_constants.kernel.quad), 'numpy' in sys.modules)\n"
+        )
+        out = run_python("-c", script)
+        assert (out.returncode, out.stdout) == (0, "True True True\n"), out.stderr
+
     def test_quad_returns_value_abserr_and_infodict(self):
         # the benchmark's tracer reads the evaluation count from the infodict
         value, abserr, info = kernel.quad(lambda x: x * x, 0.0, 1.0, 1e-8)
@@ -393,7 +427,7 @@ class TestCli:
         def unsettled():
             raise RuntimeError("term-ratio extrapolation did not settle")
 
-        monkeypatch.setattr(cli, "check_series", unsettled)
+        monkeypatch.setattr(verify, "check_series", unsettled)
         assert main(["mt", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["verification failure: term-ratio extrapolation did not settle"]
@@ -417,7 +451,7 @@ class TestCli:
         def must_not_run(geometry):
             pytest.fail("check_kernel ran before the profile order was validated")
 
-        monkeypatch.setattr(cli, "check_kernel", must_not_run)
+        monkeypatch.setattr(verify, "check_kernel", must_not_run)
         assert main(["kernel", "--alpha", "5", "--d", "3", "--out", str(tmp_path)]) == 2
 
     def test_overflowing_spectral_shift_exits_two(self, tmp_path, capsys):
@@ -622,6 +656,17 @@ class TestCli:
             ),
             # a missing --p read as a bad value: "--p must be > 1, got None"
             pytest.param(["constants", "--q", "4", "--d", "4"], None, "point mode needs --p", id="point-no-p"),
+            # point mode ignored a --config, even one naming no file
+            pytest.param(
+                ["constants", "--p", "2", "--q", "4", "--d", "4"],
+                "p_values = 2\nalpha_fractions = 0.5\nd_values = 3\n",
+                "point mode takes no --config",
+                id="point-with-config",
+            ),
+            # nan <= 1 is false, so --p nan was reported as a --q error
+            pytest.param(
+                ["constants", "--p", "nan", "--q", "4", "--d", "4"], None, "--p must be > 1, got nan", id="point-p-nan"
+            ),
         ],
     )
     def test_unusable_exponents_exit_two_with_one_error_line(self, argv, config, message, tmp_path, capsys):

@@ -7,17 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sobolev_constants.cli import main
-from sobolev_constants.constants import constant_report
-from sobolev_constants.params import ParameterGrid, default_grid
+from sobolev_constants.constants import REL_SLACK, constant_report, constants_table
+from sobolev_constants.params import ExponentPair, ParameterGrid, default_grid
 from sobolev_constants.report import BLOCK_ROWS, ResultTable, write_table
 from sobolev_constants.verify import check_constants, check_interpolation
 
 from grid_reference import RowTable, constants_rows, interpolation_rows, write_rows
-from test_params import scalar_grid
+from test_params import pair_inputs, scalar_grid
 
 GRID_TABLES = ("constants", "marcinkiewicz")
 
@@ -191,6 +191,54 @@ def test_float_columns_format_as_format_value(values):
             path = write_table(ResultTable.from_columns("floats", {"v": np.array(values)}), name, fmt)
             reference = RowTable("floats", ("v",), [(v,) for v in values])
             assert path.read_bytes() == write_rows(reference, Path(name) / "reference", fmt).read_bytes()
+
+
+def _written(table: ResultTable, directory: Path, fmt: str):
+    """The bytes write_table writes for the table, or the message it refuses it with."""
+    try:
+        return write_table(table, directory, fmt).read_bytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@example((3.0, 0.0, 7))  # alpha = 0: empty E_H_tilde cells
+@given(pair_inputs)
+def test_point_table_writes_as_its_numpy_form(inputs):
+    # the point query's one-row table holds Python values; the reference wraps
+    # each of the report's values in a numpy array and takes the pass cell by
+    # the array expression ~(q >= p') | in_regime
+    try:
+        report = constant_report(ExponentPair(*inputs))
+    except ValueError:
+        assume(False)
+    pair = report.pair
+    p, q, qv, qd, fv, sv = (
+        np.atleast_1d(v) for v in (pair.p, pair.q, report.Q, report.Q_dual, report.F, report.S)
+    )
+    regime = q >= p / (p - 1.0)
+    in_regime = (0.25 * qv * (1.0 - REL_SLACK) <= fv) & (fv <= 4.0 * qv * (1.0 + REL_SLACK))
+    in_regime &= qv <= qd * (1.0 + REL_SLACK)
+    cells = {
+        "d": pair.d,
+        "p": p,
+        "q": q,
+        "alpha": pair.alpha,
+        "S": sv,
+        "Q": qv,
+        "Q_dual": qd,
+        "F": fv,
+        "E_H_tilde": report.E_H_tilde,
+        "ratio_EH_over_S": report.ratio_EH_over_S,
+        "pass": (fv >= 0.25 * sv * (1.0 - REL_SLACK)) & (~regime | in_regime),
+    }
+    reference = ResultTable.from_columns("constants", {k: np.atleast_1d(v) for k, v in cells.items()})
+    table = constants_table(report)
+    assert all(type(column) is list for column in table.cells)
+    with tempfile.TemporaryDirectory() as name:
+        for fmt in ("csv", "json"):
+            written = _written(table, Path(name) / "point", fmt)
+            assert written == _written(reference, Path(name) / "reference", fmt)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

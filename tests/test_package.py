@@ -78,8 +78,12 @@ def test_every_traced_name_is_defined_and_read_by_package_code():
 
 
 def test_constants_and_params_import_without_numpy():
-    # numpy is imported inside their array forms, when one is called
-    code = "import sys, sobolev_constants.constants, sobolev_constants.params; print('numpy' in sys.modules)"
+    # numpy is imported inside their array forms, when one is called; report
+    # formats a numpy cell only when numpy is already loaded
+    code = (
+        "import sys, sobolev_constants.constants, sobolev_constants.params, sobolev_constants.report; "
+        "print('numpy' in sys.modules)"
+    )
     paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
