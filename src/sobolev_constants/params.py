@@ -148,7 +148,7 @@ class ExponentArrays:
     def __post_init__(self) -> None:
         import numpy as np
 
-        for d in np.unique(self.d).tolist():
+        for d in sorted(set(np.asarray(self.d).ravel().tolist())):  # np.unique imports numpy.ma
             check_dimension(d)
         p, alpha = np.asarray(self.p, dtype=float), np.asarray(self.alpha, dtype=float)
         d = np.asarray(self.d)

@@ -7,7 +7,6 @@ so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
@@ -16,6 +15,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 SCHEMA_VERSION = "1"
+NUMBER_FORMAT = "%.12g"  # every float cell, of every table and snapshot
 
 
 def format_value(v) -> str:
@@ -33,7 +33,7 @@ def format_value(v) -> str:
     if isinstance(v, float):
         if not math.isfinite(v):
             raise ValueError(f"refusing to serialize non-finite value {v}")
-        return f"{v:.12g}"
+        return NUMBER_FORMAT % v
     if isinstance(v, str):
         return v
     raise TypeError(f"unsupported cell type {type(v).__name__}")
@@ -81,21 +81,6 @@ BLOCK_ROWS = 1024  # rows formatted at a time: the memory stays flat on long tab
 _BOOL_CELLS = ("false", "true")
 
 
-def _format_floats(block) -> List[str]:
-    return list(map("%.12g".__mod__, block.tolist()))
-
-
-def _format_bools(block) -> List[str]:
-    return list(map(_BOOL_CELLS.__getitem__, block.tolist()))
-
-
-def _format_ints(block) -> List[str]:
-    return list(map(str, block.tolist()))
-
-
-_ARRAY_FORMATTERS = {"f": _format_floats, "b": _format_bools, "i": _format_ints, "u": _format_ints}
-
-
 def _array_kind(column: Sequence) -> str:
     """The numpy dtype kind of a column held as an array, else "O"."""
     np = sys.modules.get("numpy")
@@ -112,7 +97,7 @@ def _refuse_nonfinite(table: ResultTable) -> None:
         kind = _array_kind(column)
         if kind == "f":
             bad = np.flatnonzero(~np.isfinite(column)).tolist()
-        elif kind in _ARRAY_FORMATTERS:
+        elif kind in ("b", "i", "u"):
             continue
         else:
             bad = [i for i, v in enumerate(column) if isinstance(v, floats) and not math.isfinite(v)]
@@ -123,27 +108,35 @@ def _refuse_nonfinite(table: ResultTable) -> None:
         raise ValueError(f"refusing to serialize non-finite value {float(table.cells[j][i])}")
 
 
-def _formatted_blocks(table: ResultTable, cell: Callable) -> Iterator[Iterator[tuple]]:
-    """The table's rows as formatted cells, one block of BLOCK_ROWS rows at a
-    time, each block formatted one column at a time: by dtype for a numpy
-    array of floats, bools or ints, else by cell(v) cell by cell."""
-
-    def by_cell(block):
-        return [cell(v) for v in block]
-
-    formatters = [_ARRAY_FORMATTERS.get(_array_kind(column), by_cell) for column in table.cells]
+def _row_blocks(table: ResultTable, cell: Callable, separator: str, row_format: str) -> Iterator[List[str]]:
+    """The table's rows as text, BLOCK_ROWS at a time: each row is one
+    %-format of a template, the column specs joined by separator inside
+    row_format: NUMBER_FORMAT for a float array, %d for an int array, and %s
+    ("true"/"false" for a bool array, else cell(v) cell by cell) otherwise."""
+    columns = []  # per column: its spec, and its block -> the spec's arguments
+    for column in table.cells:
+        kind = _array_kind(column)
+        if kind in ("f", "i", "u"):
+            columns.append((NUMBER_FORMAT if kind == "f" else "%d", lambda block: block.tolist()))
+        elif kind == "b":
+            columns.append(("%s", lambda block: map(_BOOL_CELLS.__getitem__, block.tolist())))
+        else:
+            columns.append(("%s", lambda block: map(cell, block)))
+    template = row_format % separator.join(spec for spec, _ in columns)
     for start in range(0, len(table), BLOCK_ROWS):
         stop = start + BLOCK_ROWS
-        yield zip(*(fmt(column[start:stop]) for fmt, column in zip(formatters, table.cells)))
+        rows = zip(*(to_values(column[start:stop]) for (_, to_values), column in zip(columns, table.cells)))
+        yield list(map(template.__mod__, rows))
 
 
 def write_table(table: ResultTable, directory, fmt: str = "csv") -> Path:
     """Write the table as <name>.csv or <name>.json under directory.
 
-    CSV: header row, '.' decimal point, 12 significant digits, LF endings.
-    JSON: object {schema_version, name, columns, rows} with the identical
-    numeric formatting.  A table with a non-finite cell is refused before
-    any file is opened.
+    CSV: header row, fields quoted as csv.writer quotes them (one empty field
+    alone on its row as ""), 12 significant digits, LF endings.  JSON: object
+    {schema_version, name, columns, rows} with the identical numeric
+    formatting.  A table with a non-finite cell is refused before any file
+    is opened.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -154,10 +147,10 @@ def write_table(table: ResultTable, directory, fmt: str = "csv") -> Path:
         directory.mkdir(parents=True, exist_ok=True)
         with path.open("w", newline="") as handle:
             if fmt == "csv":
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(table.columns)
-                for block in _formatted_blocks(table, format_value):
-                    writer.writerows(block)
+                cell = _csv_cell if len(table.columns) > 1 else lambda v: _csv_cell(v) or '""'
+                handle.write(",".join(map(cell, table.columns)) + "\n")
+                for block in _row_blocks(table, cell, ",", "%s\n"):
+                    handle.write("".join(block))
             else:
                 handle.write(
                     "{\n"
@@ -167,13 +160,19 @@ def write_table(table: ResultTable, directory, fmt: str = "csv") -> Path:
                     '  "rows": [\n'
                 )
                 separator = ""
-                for block in _formatted_blocks(table, _json_cell):
-                    handle.write(separator + ",\n".join("    [" + ", ".join(row) + "]" for row in block))
+                for block in _row_blocks(table, _json_cell, ", ", "    [%s]"):
+                    handle.write(separator + ",\n".join(block))
                     separator = ",\n"
                 handle.write("\n  ]\n}\n")
     except OSError as exc:
         raise ValueError(f"cannot write table {table.name!r} under {directory}: {exc}") from exc
     return path
+
+
+def _csv_cell(v) -> str:
+    text = format_value(v)
+    quoted = "," in text or '"' in text or "\n" in text
+    return '"' + text.replace('"', '""') + '"' if quoted else text
 
 
 def _json_cell(v) -> str:

@@ -226,17 +226,44 @@ class TestImportBoundary:
         ],
     )
     def test_point_query_imports_no_numpy(self, argv, loads_numpy, tmp_path):
-        # interp, kernel and verify-all are the controls: their checks run on numpy
+        # interp, kernel and verify-all are the controls: their checks run on numpy;
+        # no command imports csv, since the table writer quotes its CSV cells itself
         script = (
             "import sys\n"
             "from sobolev_constants import cli\n"
             "on_import = 'numpy' in sys.modules\n"
             "code = cli.main(sys.argv[1:])\n"
-            "print(code, on_import, 'numpy' in sys.modules)\n"
+            "print(code, on_import, 'numpy' in sys.modules, 'csv' in sys.modules)\n"
         )
         out = run_python("-c", script, *argv, "--out", str(tmp_path))
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[-1] == f"0 False {loads_numpy}"
+        assert out.stdout.splitlines()[-1] == f"0 False {loads_numpy} False"
+
+    @pytest.mark.parametrize(
+        "argv, prelude, loads_ma",
+        [
+            (["constants", "--config", "GRID"], "", False),
+            (["interp", "--config", "GRID"], "", False),
+            (["verify-all", "--golden-dir", str(REPO_GOLDEN)], "", False),
+            # the control: np.unique is what imported numpy.ma
+            (["constants", "--config", "GRID"], "import numpy\nnumpy.unique([2, 1])\n", True),
+        ],
+        ids=["constants", "interp", "verify-all", "np-unique-control"],
+    )
+    def test_grid_commands_import_no_numpy_ma(self, argv, prelude, loads_ma, tmp_path):
+        config = tmp_path / "grid.cfg"
+        config.write_text("p_values = 1.5, 2, 4\nalpha_fractions = 0.3, 0.6\nd_values = 1, 3\n")
+        script = (
+            "import sys\n"
+            f"{prelude}"
+            "from sobolev_constants import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, 'numpy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        )
+        argv = [str(config) if a == "GRID" else a for a in argv]
+        out = run_python("-c", script, *argv, "--out", str(tmp_path / "out"))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == f"0 True {loads_ma}"
 
     def test_lazily_registered_modules_import_and_read(self):
         # the CLI registers the numpy modules unexecuted; an import or a read runs them

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from sobolev_constants import report
 from sobolev_constants.cli import main
 from sobolev_constants.constants import REL_SLACK, constant_report, constants_table
 from sobolev_constants.params import ExponentPair, ParameterGrid, default_grid
@@ -181,6 +182,65 @@ def test_row_built_tables_match_the_row_writer(tmp_path, fmt):
     path = write_table(table, tmp_path, fmt)
     reference = RowTable("mixed", table.columns, rows)
     assert path.read_bytes() == write_rows(reference, tmp_path / "reference", fmt).read_bytes()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e300, -1e-300, 0.1]
+)
+# the cells CSV quotes (',', '"', '\n'), one it leaves bare ('\r'), and '%'
+TEXT = st.text(alphabet=st.sampled_from(list('aZ0 .,"\n\r%\té')), max_size=6)
+GENERIC = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    FINITE,
+    TEXT,
+    FINITE.map(np.float64),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+ARRAY_COLUMNS = {
+    "float": (FINITE, np.float64),
+    "int": (st.integers(min_value=-(2**63), max_value=2**63 - 1), np.int64),
+    "uint": (st.integers(min_value=0, max_value=2**64 - 1), np.uint64),
+    "bool": (st.booleans(), np.bool_),
+}
+
+
+@st.composite
+def drawn_tables(draw):
+    """A table of one to four columns, each a numpy array of floats, ints,
+    uints or bools, or a list of generic cells; its rows repeat a few drawn
+    values, and their count sits on or next to a BLOCK_ROWS boundary."""
+    n = draw(st.sampled_from([0, 1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]))
+    names = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    cells = {}
+    for name in names:
+        kind = draw(st.sampled_from(["list", *ARRAY_COLUMNS]))
+        values, dtype = ARRAY_COLUMNS.get(kind, (GENERIC, None))
+        drawn = draw(st.lists(values, min_size=1, max_size=8))
+        column = [drawn[i % len(drawn)] for i in range(n)]
+        cells[name] = column if dtype is None else np.array(column, dtype=dtype)
+    return cells
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(drawn_tables())
+def test_drawn_tables_write_as_the_row_writer(cells):
+    # the row writer is csv.writer, one row at a time, with format_value per cell
+    table = ResultTable.from_columns("drawn", cells)
+    reference = RowTable("drawn", tuple(cells), list(zip(*cells.values())))
+    with tempfile.TemporaryDirectory() as name:
+        for fmt in ("csv", "json"):
+            path = write_table(table, Path(name), fmt)
+            assert path.read_bytes() == write_rows(reference, Path(name) / "reference", fmt).read_bytes()
+
+
+def test_one_number_format(tmp_path, monkeypatch):
+    # format_value and the row template both read report.NUMBER_FORMAT
+    monkeypatch.setattr(report, "NUMBER_FORMAT", "%.3g")
+    table = ResultTable.from_columns("pi", {"array": np.array([math.pi]), "list": [math.pi]})
+    assert write_table(table, tmp_path, "csv").read_text() == "array,list\n3.14,3.14\n"
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,9 +25,33 @@ TAU = tau_delta(GroupGeometry())  # 12.5 for the default geometry
 GRID1 = TorusGrid(1, 256)
 GRID2 = TorusGrid(2, 64)
 
-# reference embedding ratio (gaussian width 1, p=2 -> q=4 at d=2), frozen from
-# a two-resolution run that agreed to within 1 percent
+# reference embedding ratio (gaussian width 1, p=2 -> q=4 at d=2), a regression
+# pin frozen from the code's own output; test_mpmath_oracle holds the case to
+# an independent value
 EMBED_RATIO_2D = 0.329618360463
+
+
+def mpmath_embedding_ratio(n: int, tau: float, alpha: float) -> mpmath.mpf:
+    """||f||_4 / ||(tau + L)^{alpha/2} f||_2 at 30 digits for the width-1
+    Gaussian centred on an n x n grid of the box [0, 16)^2.
+
+    The Gaussian is separable, so its DFT is the product of two 1-D DFTs;
+    the p = 2 norm is Parseval's (1/N) sum |F_k|^2 (tau + |xi_k|^2)^alpha
+    times the cell volume, and the q = 4 norm is the Riemann sum."""
+    with mpmath.workdps(30):
+        h = mpmath.mpf(16) / n
+        g = [mpmath.exp(-((j * h - 8) ** 2) / 2) for j in range(n)]
+        power = [
+            abs(mpmath.fsum(g[j] * mpmath.expjpi(-2 * mpmath.mpf(j * k) / n) for j in range(n))) ** 2
+            for k in range(n)
+        ]
+        xi2 = [(2 * mpmath.pi * (k if k < n // 2 else k - n) / 16) ** 2 for k in range(n)]
+        shift, order = mpmath.mpf(tau), mpmath.mpf(alpha)
+        sobolev2 = mpmath.fsum(
+            power[k] * power[l] * (shift + xi2[k] + xi2[l]) ** order for k in range(n) for l in range(n)
+        ) * h**2 / n**2
+        lebesgue4 = mpmath.fsum((a * b) ** 4 for a in g for b in g) * h**2
+        return mpmath.root(lebesgue4, 4) / mpmath.sqrt(sobolev2)
 
 
 class TestTorusGrid:
@@ -128,6 +153,13 @@ class TestEmbeddingRatio:
         pair = ExponentPair(2.0, 0.5, 2)  # q = 4
         f = gaussian_field(GRID2, 1.0)
         assert embedding_ratio(f, pair, TAU) == pytest.approx(EMBED_RATIO_2D, rel=1e-6)
+
+    def test_mpmath_oracle(self):
+        pair = ExponentPair(2.0, 0.5, 2)  # q = 4
+        want = mpmath_embedding_ratio(64, 12.5, 0.5)
+        assert (GRID2.n, TAU) == (64, 12.5)
+        got = embedding_ratio(gaussian_field(GRID2, 1.0), pair, TAU)
+        assert got == pytest.approx(float(want), rel=1e-13)
 
     def test_resolution_convergence(self):
         pair = ExponentPair(2.0, 0.5, 2)
