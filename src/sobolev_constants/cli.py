@@ -12,7 +12,7 @@ import math
 import sys
 from pathlib import Path
 
-from .constants import constant_report, constants_table
+from .constants import constant_report
 from .params import (
     ExponentPair,
     GroupGeometry,
@@ -139,16 +139,13 @@ def _point_constants(args) -> int:
                 f"gives alpha = {implied:g}"
             )
     pair = ExponentPair(args.p, alpha, args.d)
-    report = constant_report(pair)
-    write_table(constants_table(report), args.out, args.format)
+    table = constant_report(pair)
+    write_table(table, args.out, args.format)
     print(f"p={pair.p:g} q={pair.q:g} alpha={pair.alpha:g} d={pair.d}")
-    print(f"S        = {report.S:.12g}")
-    print(f"Q        = {report.Q:.12g}")
-    print(f"Q_dual   = {report.Q_dual:.12g}")
-    print(f"F        = {report.F:.12g}")
-    if report.E_H_tilde is not None:
-        print(f"E_H_tilde = {report.E_H_tilde:.12g}")
-        print(f"E_H_tilde/S = {report.ratio_EH_over_S:.12g}")
+    labels = ("S       ", "Q       ", "Q_dual  ", "F       ", "E_H_tilde", "E_H_tilde/S")
+    for label, name in zip(labels, ("S", "Q", "Q_dual", "F", "E_H_tilde", "ratio_EH_over_S")):
+        if table.column(name)[0] is not None:  # the E_H_tilde cells are unset at alpha = 0
+            print(f"{label} = {table.column(name)[0]:.12g}")
     return 0
 
 
@@ -195,7 +192,7 @@ def _run_verify_all(args) -> int:
     fingerprint = grid_fingerprint(grid, geometry)
     golden_dir = Path(args.golden_dir)
     if args.bless:
-        # to_file refuses a non-finite value with ValueError (exit 2)
+        # to_file refuses a non-finite value or an unwritable directory with ValueError (exit 2)
         path = GoldenSnapshot("fitted_constants", fingerprint, dict(result.fitted)).to_file(golden_dir)
         result.record(f"golden snapshot refreshed at {path}", True)
     else:
@@ -207,13 +204,10 @@ def _run_verify_all(args) -> int:
                 f"no snapshot at {golden_path}; run with --bless to create it",
             )
         else:
-            snapshot = GoldenSnapshot.from_file(golden_path)
             values = {key: value for key, (value, _) in result.fitted.items()}
-            comparison = compare_golden(values, snapshot, fingerprint)
-            detail = f"{comparison.checked} keys"
-            if comparison.failures:
-                detail = "; ".join(comparison.failures[:4])
-            result.record("golden snapshot comparison", comparison.ok, detail)
+            failures, checked = compare_golden(values, GoldenSnapshot.from_file(golden_path), fingerprint)
+            detail = "; ".join(failures[:4]) or f"{checked} keys"
+            result.record("golden snapshot comparison", not failures, detail)
     # built last, so the golden record gets a row too
     result.tables.append(ResultTable("summary", ("check", "pass"), list(result.checks)))
     return _finish(result, args)

@@ -4,8 +4,6 @@ and multiplier total variation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .params import LOG_NORMAL_MAX, LOG_NORMAL_MIN, ExponentArrays, ExponentPair
 from .report import ResultTable
@@ -126,73 +124,50 @@ def lieb_upper_bound_array(pairs: ExponentArrays):
     return np.exp(log_val)
 
 
-@dataclass(frozen=True)
-class ConstantReport:
-    """All closed-form constants of one exponent pair, or of ExponentArrays
-    with a numpy array per field.  The Euclidean bound and its ratio to S
-    are only defined for alpha > 0."""
+def _constants_table(pairs, s, qv, qd, eh, ratio) -> ResultTable:
+    """The constants table of a grid's arrays, or of one pair as one-element
+    lists.  The last column says whether the pair meets the comparison claims:
+    on q >= p', Q/4 <= F <= 4Q and Q(p,q) <= Q(q',p'); everywhere F >= S/4."""
+    p, q = pairs.p, pairs.q
+    fv = f_constant(p, q)
+    in_regime = (0.25 * qv * (1.0 - REL_SLACK) <= fv) & (fv <= 4.0 * qv * (1.0 + REL_SLACK))
+    in_regime &= qv <= qd * (1.0 + REL_SLACK)
+    cells = {
+        "d": pairs.d,
+        "p": p,
+        "q": q,
+        "alpha": pairs.alpha,
+        "S": s,
+        "Q": qv,
+        "Q_dual": qd,
+        "F": fv,
+        "E_H_tilde": eh,
+        "ratio_EH_over_S": ratio,
+        # q < p' rather than ~(q >= p'): on a Python bool, ~True is -2, which is truthy
+        "pass": (fv >= 0.25 * s * (1.0 - REL_SLACK)) & ((q < p / (p - 1.0)) | in_regime),
+    }
+    if isinstance(pairs, ExponentPair):
+        cells = {k: [v] for k, v in cells.items()}
+    return ResultTable.from_columns("constants", cells)
 
-    pair: ExponentPair
-    S: float
-    Q: float
-    Q_dual: float
-    F: float
-    E_H_tilde: Optional[float]
-    ratio_EH_over_S: Optional[float]
 
-
-def constant_report(pair: ExponentPair) -> ConstantReport:
+def constant_report(pair: ExponentPair) -> ResultTable:
+    """The constants table of one pair; E_H_tilde and its ratio are None at alpha = 0."""
     s, qv, qd = _embedding_factors(pair)
-    f = f_constant(pair.p, pair.q)
-    if pair.alpha > 0.0:
-        eh = lieb_upper_bound(pair)
-        ratio = eh / s
-    else:
-        eh = None
-        ratio = None
-    return ConstantReport(pair, s, qv, qd, f, eh, ratio)
+    eh = lieb_upper_bound(pair) if pair.alpha > 0.0 else None
+    return _constants_table(pair, s, qv, qd, eh, None if eh is None else eh / s)
 
 
-def constant_report_array(pairs: ExponentArrays) -> ConstantReport:
-    """constant_report of each pair, as one ConstantReport of arrays; the
-    first pair that lieb_upper_bound_array refuses raises ValueError naming
-    it."""
+def constant_report_array(pairs: ExponentArrays) -> ResultTable:
+    """The constants table of all pairs; the first pair that
+    lieb_upper_bound_array refuses raises ValueError naming it."""
     import numpy as np
 
     s, qv, qd = embedding_factors_array(pairs)
     eh = lieb_upper_bound_array(pairs)
     with np.errstate(over="ignore"):  # S dips to about 0.88, so E_H_tilde/S may overflow
         ratio = eh / s
-    return ConstantReport(pairs, s, qv, qd, f_constant(pairs.p, pairs.q), eh, ratio)
-
-
-def constants_table(report: ConstantReport) -> ResultTable:
-    """One row per pair of the report, of a grid's arrays or of one pair; the
-    last column says whether the pair meets the comparison claims: on
-    q >= p', F sits between Q/4 and 4Q and Q(p,q) <= Q(q',p'); everywhere
-    F >= S/4.  The columns of one pair's table are one-element lists of
-    Python values."""
-    pair = report.pair
-    p, q, qv, qd, fv, sv = pair.p, pair.q, report.Q, report.Q_dual, report.F, report.S
-    in_regime = (0.25 * qv * (1.0 - REL_SLACK) <= fv) & (fv <= 4.0 * qv * (1.0 + REL_SLACK))
-    in_regime &= qv <= qd * (1.0 + REL_SLACK)
-    cells = {
-        "d": pair.d,
-        "p": p,
-        "q": q,
-        "alpha": pair.alpha,
-        "S": sv,
-        "Q": qv,
-        "Q_dual": qd,
-        "F": fv,
-        "E_H_tilde": report.E_H_tilde,
-        "ratio_EH_over_S": report.ratio_EH_over_S,
-        # q < p' rather than ~(q >= p'): on a Python bool, ~True is -2, which is truthy
-        "pass": (fv >= 0.25 * sv * (1.0 - REL_SLACK)) & ((q < p / (p - 1.0)) | in_regime),
-    }
-    if isinstance(pair, ExponentPair):
-        cells = {k: [v] for k, v in cells.items()}
-    return ResultTable.from_columns("constants", cells)
+    return _constants_table(pairs, s, qv, qd, eh, ratio)
 
 
 _B1_TERMS = 60  # explicitly summed coefficients of the multiplier bound

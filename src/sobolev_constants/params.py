@@ -136,8 +136,9 @@ class ExponentArrays:
 
     Construction applies ExponentPair's rules, for each pair and its dual, as
     masks; the first refused pair is rebuilt as an ExponentPair, whose
-    ValueError names it.  The grid sweeps evaluate and print every pair from
-    these arrays; iterating yields the pairs as ExponentPairs.
+    ValueError names it.  Inputs that are not three 1-D arrays of one length
+    raise ValueError naming their shapes.  The grid sweeps evaluate and print
+    every pair from these arrays; iterating yields the pairs as ExponentPairs.
     """
 
     p: "np.ndarray"
@@ -148,10 +149,15 @@ class ExponentArrays:
     def __post_init__(self) -> None:
         import numpy as np
 
-        for d in sorted(set(np.asarray(self.d).ravel().tolist())):  # np.unique imports numpy.ma
-            check_dimension(d)
         p, alpha = np.asarray(self.p, dtype=float), np.asarray(self.alpha, dtype=float)
         d = np.asarray(self.d)
+        if not (p.ndim == alpha.ndim == d.ndim == 1 and len(p) == len(alpha) == len(d)):
+            raise ValueError(
+                "p, alpha and d must be 1-D arrays of one length, got shapes "
+                f"p {p.shape}, alpha {alpha.shape} and d {d.shape}"
+            )
+        for dim in sorted(set(d.tolist())):  # np.unique imports numpy.ma
+            check_dimension(dim)
         q, usable = _usable_q_array(p, alpha, d)
         with np.errstate(divide="ignore", invalid="ignore"):
             usable &= _usable_q_array(q / (q - 1.0), alpha, d)[1]

@@ -194,38 +194,40 @@ class GoldenSnapshot:
 
     def to_file(self, directory) -> Path:
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
         path = directory / f"{self.name}.json"
         entries = ",\n".join(
             f'    {json.dumps(k)}: {{"value": {format_value(v)}, "tolerance": {format_value(tol)}}}'
             for k, (v, tol) in sorted(self.values.items())
         )
-        path.write_text(
-            "{\n"
-            f'  "name": {json.dumps(self.name)},\n'
-            f'  "grid_hash": {json.dumps(self.grid_hash)},\n'
-            '  "values": {\n' + entries + "\n  }\n}\n"
-        )
+        try:  # a non-finite value has raised above, before the directory is made
+            directory.mkdir(parents=True, exist_ok=True)
+            path.write_text(
+                "{\n"
+                f'  "name": {json.dumps(self.name)},\n'
+                f'  "grid_hash": {json.dumps(self.grid_hash)},\n'
+                '  "values": {\n' + entries + "\n  }\n}\n"
+            )
+        except OSError as exc:
+            raise ValueError(f"cannot write golden snapshot {path}: {exc}") from None
         return path
 
     @classmethod
     def from_file(cls, path) -> "GoldenSnapshot":
-        data = json.loads(Path(path).read_text())
-        values = {k: (float(e["value"]), float(e["tolerance"])) for k, e in data["values"].items()}
-        return cls(name=data["name"], grid_hash=data["grid_hash"], values=values)
-
-
-@dataclass
-class GoldenComparison:
-    ok: bool
-    checked: int
-    failures: List[str]
+        try:
+            data = json.loads(Path(path).read_text())
+            values = {k: (float(e["value"]), float(e["tolerance"])) for k, e in data["values"].items()}
+            if not all(math.isfinite(v) and 0.0 <= tol < math.inf for v, tol in values.values()):
+                raise ValueError("a value is not finite, or a tolerance is not in [0, inf)")
+            return cls(name=data["name"], grid_hash=data["grid_hash"], values=values)
+        except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
+            raise ValueError(f"cannot read golden snapshot {path}: {type(exc).__name__}: {exc}") from None
 
 
 def compare_golden(
     computed: Dict[str, float], golden: GoldenSnapshot, grid_hash: str
-) -> GoldenComparison:
-    """Per-key relative comparison of computed values against a snapshot.
+) -> Tuple[List[str], int]:
+    """Per-key relative comparison of computed values against a snapshot:
+    the failures, and the number of keys compared.
 
     A fingerprint mismatch fails loudly as 'grid or geometry changed'
     instead of producing a meaningless numeric diff; unknown and missing keys
@@ -233,19 +235,14 @@ def compare_golden(
     """
     if grid_hash != golden.grid_hash:
         mismatch = f"grid or geometry changed: run fingerprint {grid_hash} != snapshot {golden.grid_hash}"
-        return GoldenComparison(False, 0, [mismatch])
-    failures: List[str] = []
-    for key in sorted(computed):
-        if key not in golden.values:
-            failures.append(f"unknown key {key!r} (not in snapshot; re-bless to add)")
-    checked = 0
-    for key in sorted(golden.values):
+        return [mismatch], 0
+    unknown = sorted(computed.keys() - golden.values.keys())
+    failures = [f"unknown key {key!r} (not in snapshot; re-bless to add)" for key in unknown]
+    for key, (expected, tol) in sorted(golden.values.items()):
         if key not in computed:
             failures.append(f"missing value for snapshot key {key!r}")
             continue
-        expected, tol = golden.values[key]
         got = computed[key]
-        checked += 1
         scale = max(abs(expected), 1e-300)
         # written as a negation so that a nan value fails
         if not abs(got - expected) <= tol * scale:
@@ -253,4 +250,4 @@ def compare_golden(
                 f"{key}: got {got:.12g}, snapshot {expected:.12g} "
                 f"(relative error {abs(got - expected) / scale:.3g} > tolerance {tol:g})"
             )
-    return GoldenComparison(not failures, checked, failures)
+    return failures, len(golden.values.keys() & computed.keys())

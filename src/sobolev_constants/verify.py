@@ -22,7 +22,6 @@ from .constants import (
     REL_SLACK,
     b1_multiplier_bound,
     constant_report_array,
-    constants_table,
     embedding_factors_array,
     f_constant,
     lieb_upper_bound_array,
@@ -144,7 +143,7 @@ def check_duality(result: CheckResult) -> None:
 def check_constants(grid: ParameterGrid) -> CheckResult:
     result = CheckResult()
     pairs = make_grid(grid)
-    report = constant_report_array(pairs)
+    table = constant_report_array(pairs)
     refined = refine_grid(grid)
     refined_pairs = make_grid(refined)
     with np.errstate(over="ignore"):  # an infinite ratio fails the band check below
@@ -153,7 +152,6 @@ def check_constants(grid: ParameterGrid) -> CheckResult:
 
     check_duality(result)
 
-    table = constants_table(report)
     result.record_table(
         table,
         "comparison claims (F vs Q vs S) pointwise on the grid",

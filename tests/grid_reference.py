@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Tuple
 
-from sobolev_constants.constants import REL_SLACK, ConstantReport
+from sobolev_constants.constants import REL_SLACK, constant_report
 from sobolev_constants.interpolation import MarcinkiewiczData
 from sobolev_constants.params import ExponentPair, conjugate_exponent, solve_q
 from sobolev_constants.report import SCHEMA_VERSION, format_value
@@ -200,22 +200,23 @@ def assembled_bound(pair: ExponentPair) -> float:
 # ---------------------------------------------------------------------------
 
 
-def constants_rows(reports: List[ConstantReport]) -> RowTable:
+def constants_rows(pairs: List[ExponentPair]) -> RowTable:
     table = RowTable(
         "constants",
         ("d", "p", "q", "alpha", "S", "Q", "Q_dual", "F", "E_H_tilde", "ratio_EH_over_S", "pass"),
     )
-    for r in reports:
-        pair = r.pair
+    for pair in pairs:
+        report = constant_report(pair)
+        r = {name: column[0] for name, column in zip(report.columns, report.cells)}
         p, q = pair.p, pair.q
-        qv, qd, fv, sv = r.Q, r.Q_dual, r.F, r.S
+        qv, qd, fv, sv = r["Q"], r["Q_dual"], r["F"], r["S"]
         # the comparison claims: on q >= p', Q/4 <= F <= 4Q and Q <= Q_dual; F >= S/4
         ok = fv >= 0.25 * sv * (1.0 - REL_SLACK)
         if q >= conjugate_exponent(p):
             ok = ok and (0.25 * qv * (1.0 - REL_SLACK) <= fv <= 4.0 * qv * (1.0 + REL_SLACK))
             ok = ok and qv <= qd * (1.0 + REL_SLACK)
         table.rows.append(
-            (pair.d, p, q, pair.alpha, sv, qv, qd, fv, r.E_H_tilde, r.ratio_EH_over_S, ok)
+            (pair.d, p, q, pair.alpha, sv, qv, qd, fv, r["E_H_tilde"], r["ratio_EH_over_S"], ok)
         )
     return table
 

@@ -1,17 +1,22 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
 
 from sobolev_constants import cli, kernel, verify
 from sobolev_constants.cli import main
-from sobolev_constants.params import GroupGeometry, default_grid, grid_fingerprint
+from sobolev_constants.params import ExponentPair, GroupGeometry, default_grid, grid_fingerprint
 from sobolev_constants.report import (
     GoldenSnapshot,
     ResultTable,
@@ -19,6 +24,8 @@ from sobolev_constants.report import (
     format_value,
     write_table,
 )
+
+from test_params import pair_inputs
 
 REPO_GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
@@ -159,34 +166,34 @@ class TestGolden:
 
     def test_identical_values_pass(self):
         snap = GoldenSnapshot("s", "h", {"k": (2.0, 0.05)})
-        cmp = compare_golden({"k": 2.0}, snap, "h")
-        assert cmp.ok and cmp.checked == 1
+        failures, checked = compare_golden({"k": 2.0}, snap, "h")
+        assert not failures and checked == 1
 
     def test_off_by_twice_tolerance_fails_with_key(self):
         snap = GoldenSnapshot("s", "h", {"k": (2.0, 0.05)})
-        cmp = compare_golden({"k": 2.0 * 1.1}, snap, "h")
-        assert not cmp.ok
-        assert any("k" in f for f in cmp.failures)
+        failures, _ = compare_golden({"k": 2.0 * 1.1}, snap, "h")
+        assert failures
+        assert any("k" in f for f in failures)
 
     def test_unknown_key_fails(self):
         snap = GoldenSnapshot("s", "h", {"k": (2.0, 0.05)})
-        cmp = compare_golden({"k": 2.0, "extra": 1.0}, snap, "h")
-        assert not cmp.ok
-        assert any("unknown key" in f for f in cmp.failures)
+        failures, _ = compare_golden({"k": 2.0, "extra": 1.0}, snap, "h")
+        assert failures
+        assert any("unknown key" in f for f in failures)
 
     def test_hash_mismatch_is_not_a_numeric_diff(self):
         snap = GoldenSnapshot("s", "h", {"k": (2.0, 0.05)})
-        cmp = compare_golden({"k": 999.0}, snap, "other")
-        assert not cmp.ok
-        assert cmp.checked == 0
-        assert any("grid or geometry changed" in f for f in cmp.failures)
-        assert not any("999" in f for f in cmp.failures)
+        failures, checked = compare_golden({"k": 999.0}, snap, "other")
+        assert failures
+        assert checked == 0
+        assert any("grid or geometry changed" in f for f in failures)
+        assert not any("999" in f for f in failures)
 
     def test_nan_value_fails(self):
         snap = GoldenSnapshot("s", "h", {"k": (2.0, 0.05)})
-        cmp = compare_golden({"k": float("nan")}, snap, "h")
-        assert not cmp.ok
-        assert any("k: got nan" in f for f in cmp.failures)
+        failures, _ = compare_golden({"k": float("nan")}, snap, "h")
+        assert failures
+        assert any("k: got nan" in f for f in failures)
 
 
 class TestImportBoundary:
@@ -306,6 +313,34 @@ class TestCli:
     def test_point_constants_alpha_form(self, tmp_path):
         code = main(["constants", "--p", "2", "--alpha", "1", "--d", "4", "--out", str(tmp_path)])
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv, stdout",
+        [
+            (
+                ["--p", "2", "--q", "4", "--d", "4"],
+                "p=2 q=4 alpha=1 d=4\n"
+                "S        = 2\n"
+                "Q        = 2\n"
+                "Q_dual   = 3.56762134501\n"
+                "F        = 1.5946035575\n"
+                "E_H_tilde = 1.43657193254\n"
+                "E_H_tilde/S = 0.71828596627\n",
+            ),
+            (
+                ["--p", "3", "--alpha", "0", "--d", "7"],
+                "p=3 q=3 alpha=0 d=7\n"
+                "S        = 1.04004191153\n"
+                "Q        = 1.04004191153\n"
+                "Q_dual   = 2.28942848511\n"
+                "F        = 0.716621792357\n",
+            ),
+        ],
+        ids=["q-form", "alpha-zero"],
+    )
+    def test_point_constants_stdout(self, argv, stdout, tmp_path, capsys):
+        assert main(["constants", *argv, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr() == (stdout, "")
 
     def test_inconsistent_point_rejected(self, tmp_path):
         code = main(
@@ -783,6 +818,44 @@ class TestCli:
         assert main(args) == 2
         assert not (golden / "fitted_constants.json").exists()
 
+    @pytest.mark.parametrize(
+        "snapshot",
+        [
+            "{}",
+            "[1, 2]",
+            '{"name": "fitted_constants", "grid_hash": "h", "values": {"k": 1.0}}',
+            '{"name": "fitted_constants", "grid_hash": "h", "values": {"k": {"value": "abc", "tolerance": 0.1}}}',
+            "not json",
+            # an infinite tolerance would pass every value
+            '{"name": "fitted_constants", "grid_hash": "h", "values": {"k": {"value": 1.0, "tolerance": Infinity}}}',
+            None,  # --bless into a --golden-dir that is a regular file
+        ],
+        ids=[
+            "empty-object", "list", "entry-not-an-object", "value-not-a-number", "not-json",
+            "tolerance-infinite", "bless-into-a-file",
+        ],
+    )
+    def test_bad_golden_snapshot_exits_two_naming_the_path(self, snapshot, tmp_path, monkeypatch, capsys):
+        # the families run before the snapshot is read; skip them
+        monkeypatch.setattr(verify, "run_all_checks", lambda *args: verify.CheckResult())
+        golden = tmp_path / "golden"
+        argv = ["verify-all", "--out", str(tmp_path / "out"), "--golden-dir", str(golden)]
+        if snapshot is None:
+            golden.write_text("a file\n")
+            argv.append("--bless")
+            named = golden
+        else:
+            golden.mkdir()
+            named = golden / "fitted_constants.json"
+            named.write_text(snapshot)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        err = err.splitlines()
+        assert out == ""
+        assert len(err) == 1 and err[0].startswith("error: ") and str(named) in err[0], err
+        assert not (tmp_path / "out").exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["golden"]
+
     def test_bless_writes_snapshot(self, tmp_path):
         code = main(
             [
@@ -825,3 +898,50 @@ class TestCli:
         assert sorted(result.fitted) == sorted(data["values"])
         for key, entry in data["values"].items():
             assert result.fitted[key][1] == entry["tolerance"], key
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@example((3.0, 0.0, 7))
+@given(pair_inputs)
+def test_point_query_prints_its_constants_cells(inputs):
+    # each printed value is its constants.csv cell, and the E_H_tilde lines
+    # are printed exactly when those cells are set
+    p, alpha, d = inputs
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["constants", f"--p={p!r}", f"--alpha={alpha!r}", f"--d={d}", "--out", out]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        if code == 2:
+            assert stdout.getvalue() == "" and stderr.getvalue().startswith("error: ")
+            assume(False)
+        assert code == 0
+        header, rows = read_csv_cells(Path(out) / "constants.csv")
+    cells = dict(zip(header, rows[0]))
+    lines = stdout.getvalue().splitlines()
+    assert lines[0] == f"p={p:g} q={ExponentPair(p, alpha, d).q:g} alpha={alpha:g} d={d}"
+    printed = {label.strip(): value for label, value in (line.split(" = ") for line in lines[1:])}
+    names = {"E_H_tilde/S": "ratio_EH_over_S"}
+    assert {names.get(label, label): value for label, value in printed.items()} == {
+        name: cells[name] for name in ("S", "Q", "Q_dual", "F", "E_H_tilde", "ratio_EH_over_S") if cells[name] != ""
+    }
+    assert ("E_H_tilde" in printed) == (cells["E_H_tilde"] != "") == (cells["ratio_EH_over_S"] != "")
+
+
+def readme_cli_commands():
+    """The sobolev-constants lines of README's ## CLI block, without their comments."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line.split("#", 1)[0]) for line in block.splitlines() if line.startswith("sobolev-constants ")]
+    if not commands:
+        raise ValueError("README's ## CLI block has no sobolev-constants line")
+    return commands
+
+
+@pytest.mark.parametrize("command", readme_cli_commands(), ids=" ".join)
+def test_readme_cli_examples_run(command, tmp_path, capsys):
+    assert command[0] == "sobolev-constants"
+    argv = command[1:] + ["--out", str(tmp_path / "out")]
+    if argv[0] == "verify-all":
+        argv += ["--golden-dir", str(REPO_GOLDEN)]
+    assert main(argv) == 0, capsys.readouterr().err

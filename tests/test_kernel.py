@@ -390,6 +390,25 @@ class TestLocalBound:
         ]
         assert max(values) / min(values) < 10.0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the sup is the largest value on a grid that starts at R_LOCAL_MIN = 1e-3, "
+        "where the normalized envelope still rises toward its r -> 0 limit",
+    )
+    def test_sup_reaches_the_small_radius_limit(self):
+        # at b = 1 the normalized envelope green(r) r^{d - alpha} (d - alpha)/alpha
+        # tends to Gamma((d - alpha)/2)/Gamma(alpha/2) (d - alpha)/alpha as r -> 0,
+        # so a sup over (0, 1] is at least that; the profiles of check_kernel
+        short = []
+        for d in (1, 2, 3):
+            for frac in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+                alpha = frac * d
+                limit = math.gamma(0.5 * (d - alpha)) / math.gamma(0.5 * alpha) * (d - alpha) / alpha
+                sup = local_bound_constant(GreenKernelParams(alpha, d, 1.0, 1.0))[1]
+                if sup < limit:
+                    short.append(f"d={d} alpha={alpha:g}: sup {sup:.6g} < limit {limit:.6g}")
+        assert not short, "; ".join(short)
+
     def test_profile_bounded_toward_zero(self):
         kp = GreenKernelParams(1.0, 3, 1.0, 1.0)
         small = [

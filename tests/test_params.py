@@ -189,6 +189,21 @@ def test_exponent_arrays_refuse_exactly_where_exponent_pair_raises(inputs):
     assert (pairs.q[0], dual.p[0], dual.q[0]) == (pair.q, pair_dual.p, pair_dual.q)
 
 
+@pytest.mark.parametrize(
+    "p, alpha, d, shapes",
+    [
+        pytest.param([2.0, 3.0], [1.0], [4, 4], "p (2,), alpha (1,) and d (2,)", id="alpha-short"),
+        pytest.param([2.0], [1.0], 4, "p (1,), alpha (1,) and d ()", id="d-scalar"),
+        pytest.param([2.0], [1.0], [[4]], "p (1,), alpha (1,) and d (1, 1)", id="d-2d"),
+        pytest.param([2.0, 3.0], [1.0, 1.0], [4, 4, 4], "p (2,), alpha (2,) and d (3,)", id="d-long"),
+    ],
+)
+def test_exponent_arrays_refuse_other_shapes(p, alpha, d, shapes):
+    message = f"p, alpha and d must be 1-D arrays of one length, got shapes {shapes}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExponentArrays(p, alpha, d)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
 @given(exponent_inputs())
 def test_pair_rules_hold_on_every_accepted_pair(inputs):
