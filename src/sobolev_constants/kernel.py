@@ -4,8 +4,12 @@ machinery built on a radial volume-growth model.
 The envelope sweeps behind the local and global suprema use one vectorized
 rule in log space (log_green_kernel): an exact split into a Bessel K term,
 summed by the trapezoid rule, plus a smooth remainder, summed by
-Gauss-Legendre.  The adaptive-quadrature envelope green_kernel_upper is its
-cross-check, and it computes the plot-ready envelope profile.
+Gauss-Legendre.  One pass serves several profiles (alpha, d) that share the
+shift a and the rate b: the radius-dependent nodes and decay factors are
+built once, and each profile adds only its own exponents, so the 27 local
+suprema of the verification sweep take one pass.  The adaptive-quadrature
+envelope green_kernel_upper is its cross-check, and it computes the
+plot-ready envelope profile.
 
 No group is ever discretized.  Integrals over the group are replaced by
 radial integrals: the unit-mass density d r^{d-1} inside the unit ball and
@@ -259,8 +263,8 @@ def green_kernel_upper(r: float, kp: GreenKernelParams, rel_tol: float = 1e-8) -
 
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    # built on first use: leggauss(128) takes ~20 ms, and most commands never
-    # evaluate the envelope
+    # built on first use: leggauss(128) takes ~3 ms with the numpy.polynomial
+    # import, and most commands never evaluate the envelope
     return np.polynomial.legendre.leggauss(_GL_NODES)
 
 
@@ -270,8 +274,9 @@ def _log_sum_exp(v: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(v - m).sum(axis=1, keepdims=True))
 
 
-def log_green_kernel(radii, kp: GreenKernelParams) -> np.ndarray:
-    """log green_kernel_upper(r, kp) at every r in radii, in one array pass.
+def log_green_kernel(radii, *kps: GreenKernelParams) -> np.ndarray:
+    """log green_kernel_upper(r, kp) at every r in radii, one row per profile
+    kp, in one array pass; the profiles share a and b.
 
     The envelope splits exactly (DLMF 10.32.10), with nu = (alpha - d)/2,
     c = b r^2 and z = 2 sqrt(a c), into
@@ -288,32 +293,35 @@ def log_green_kernel(radii, kp: GreenKernelParams) -> np.ndarray:
     [max(0, log t* - U), max(log t* + U, log 2)].  Both node sets scale with
     U, so one node count serves every shift a and radius r; the sums are
     taken in logs, so envelopes far below the double range stay finite.
+    The nodes and every term that depends on r, a and b alone are built once
+    for all the profiles; each profile adds its nu, alpha and d terms.
     green_kernel_upper is the adaptive-quadrature cross-check of this rule.
     """
+    a, b = kps[0].a, kps[0].b
+    for kp in kps:
+        if (kp.a, kp.b) != (a, b):
+            raise ValueError(f"profiles in one envelope pass must share a and b: {kps[0]} and {kp}")
     r = np.asarray(radii, dtype=float)[:, None]
     if not np.all(r > 0.0):
         raise ValueError("radii must be positive: the envelope diverges at r = 0 for alpha < d")
     x_gl, w_gl = _gauss_legendre()
-    half_alpha, half_d, nu = 0.5 * kp.alpha, 0.5 * kp.d, 0.5 * (kp.alpha - kp.d)
     with np.errstate(over="ignore"):  # refused just below
-        c = kp.b * r * r
+        c = b * r * r
     if not np.all(np.isfinite(c)):
         raise ValueError(
-            f"kernel envelope at r={float(r.max()):g} needs b r^2, which overflows, with {kp}"
+            f"kernel envelope at r={float(r.max()):g} needs b r^2, which overflows, with {kps[0]}"
         )
-    z = 2.0 * np.sqrt(kp.a * c)
+    z = 2.0 * np.sqrt(a * c)
     # c/a itself may underflow (b = 1e-300 with a = 8e300)
-    log_t_star = 0.5 * (np.log(c) - math.log(kp.a))
+    log_t_star = 0.5 * (np.log(c) - math.log(a))
     # z (cosh U - 1) = 2 z sinh^2(U/2) = 750, solved without cancellation at large z
     cut = 2.0 * np.arcsinh(np.sqrt(0.5 * _TAIL_EXPONENT / z))
 
-    # log(K_nu(z) e^z), with log cosh(nu u) = |nu u| + log1p(e^{-2 |nu u|}) - log 2
+    # log(K_nu(z) e^z) = log(h sum_u e^{-2 z sinh^2(u/2)} cosh(nu u)), with
+    # log cosh(nu u) = |nu u| + log1p(e^{-2 |nu u|}) - log 2
     h = cut / (_TRAPEZOID_NODES - 1)
     u = h * np.arange(_TRAPEZOID_NODES)
-    nu_u = abs(nu) * u
-    log_f = -2.0 * z * np.sinh(0.5 * u) ** 2 + nu_u + np.log1p(np.exp(-2.0 * nu_u)) - math.log(2.0)
-    log_f[:, [0, -1]] -= math.log(2.0)  # trapezoid end weights h/2
-    log_bessel = math.log(2.0) + nu * log_t_star + np.log(h) + _log_sum_exp(log_f)
+    bessel_decay = -2.0 * z * np.sinh(0.5 * u) ** 2
 
     # remainder e^z: t^{alpha/2} - t^nu = t^{alpha/2} (1 - t^{-d/2}) at x = log t > 0;
     # the log 2 floor keeps the interval nonempty, and past log t* + U the
@@ -322,30 +330,45 @@ def log_green_kernel(radii, kp: GreenKernelParams) -> np.ndarray:
     x_hi = np.maximum(log_t_star + cut, math.log(2.0))
     half_width = 0.5 * (x_hi - x_lo)
     x = x_lo + half_width * (x_gl + 1.0)
-    log_g = (
-        np.log(w_gl)
-        + half_alpha * x
-        + np.log(-np.expm1(-half_d * x))
-        - 2.0 * z * np.sinh(0.5 * (x - log_t_star)) ** 2
-    )
+    log_w_gl = np.log(w_gl)
+    remainder_decay = 2.0 * z * np.sinh(0.5 * (x - log_t_star)) ** 2
     # at very large z the interval rounds to zero width, and its remainder,
     # rightly, to e^-inf
     with np.errstate(divide="ignore"):
-        log_remainder = np.log(half_width) + _log_sum_exp(log_g)
+        log_half_width = np.log(half_width)
 
-    return (np.logaddexp(log_bessel, log_remainder) - z)[:, 0] - math.lgamma(half_alpha)
+    out = np.empty((len(kps), len(r)))
+    half_d = None
+    for row, kp in enumerate(kps):
+        nu = 0.5 * (kp.alpha - kp.d)
+        nu_u = abs(nu) * u
+        log_f = bessel_decay + nu_u + np.log1p(np.exp(-2.0 * nu_u)) - math.log(2.0)
+        log_f[:, [0, -1]] -= math.log(2.0)  # trapezoid end weights h/2
+        log_bessel = math.log(2.0) + nu * log_t_star + np.log(h) + _log_sum_exp(log_f)
+        if 0.5 * kp.d != half_d:  # one d's 1 - t^{-d/2} at a time
+            half_d = 0.5 * kp.d
+            log_one_minus = np.log(-np.expm1(-half_d * x))
+        log_g = log_w_gl + 0.5 * kp.alpha * x + log_one_minus - remainder_decay
+        log_remainder = log_half_width + _log_sum_exp(log_g)
+        out[row] = (np.logaddexp(log_bessel, log_remainder) - z)[:, 0] - math.lgamma(0.5 * kp.alpha)
+    return out
 
 
-def local_bound_constant(kp: GreenKernelParams) -> tuple[float, float]:
-    """(r*, sup): where on a log-spaced grid of [R_LOCAL_MIN, R_SPLIT] the
-    normalized envelope green(r) r^{d - alpha} (d - alpha)/alpha peaks, and
-    its value there; finite because the envelope matches the r^{alpha - d}
-    singularity at small r."""
+def local_bound_constant(*kps: GreenKernelParams) -> list[tuple[float, float]]:
+    """(r*, sup) per profile kp: where on a log-spaced grid of
+    [R_LOCAL_MIN, R_SPLIT] the normalized envelope green(r) r^{d - alpha}
+    (d - alpha)/alpha peaks, and its value there; finite because the envelope
+    matches the r^{alpha - d} singularity at small r.  The profiles share a
+    and b, and one envelope pass serves them all."""
     radii = np.geomspace(R_LOCAL_MIN, R_SPLIT, 200)
-    log_values = log_green_kernel(radii, kp) + (kp.d - kp.alpha) * np.log(radii)
-    i = int(np.argmax(log_values))
-    sup = _normal_exp(float(log_values[i]), "local envelope sup", kp)
-    return float(radii[i]), sup * (kp.d - kp.alpha) / kp.alpha
+    log_radii = np.log(radii)
+    peaks = []
+    for kp, log_green in zip(kps, log_green_kernel(radii, *kps)):
+        log_values = log_green + (kp.d - kp.alpha) * log_radii
+        i = int(np.argmax(log_values))
+        sup = _normal_exp(float(log_values[i]), "local envelope sup", kp)
+        peaks.append((float(radii[i]), sup * (kp.d - kp.alpha) / kp.alpha))
+    return peaks
 
 
 def global_bound_constant(kp: GreenKernelParams, g: GroupGeometry) -> float:
@@ -366,16 +389,17 @@ def global_bound_constant(kp: GreenKernelParams, g: GroupGeometry) -> float:
             "take a = tau_delta(geometry) + c_delta^2/4 or larger"
         )
     radii = np.geomspace(R_SPLIT, R_GLOBAL_MAX, 120)
-    log_values = log_green_kernel(radii, kp) + g.weight_rate * radii
+    log_values = log_green_kernel(radii, kp)[0] + g.weight_rate * radii
     return _normal_exp(float(log_values.max()), "weighted global envelope sup", kp)
 
 
-def _check_kalpha_args(alpha: float, d: int, s: float, r_exp: float) -> None:
+def _check_kalpha_args(alpha: float, d: int, s: float, *r_exps: float) -> None:
     _check_order(alpha, d)
     if not (0.0 < s <= 1.0):
         raise ValueError(f"need s in (0, 1], got {s}")
-    if not r_exp >= 1.0:
-        raise ValueError(f"need r_exp >= 1, got {r_exp}")
+    for r_exp in r_exps:
+        if not r_exp >= 1.0:
+            raise ValueError(f"need r_exp >= 1, got {r_exp}")
 
 
 def kalpha_norms(alpha: float, d: int, s: float, r_exp: float) -> tuple[float, float]:
@@ -401,20 +425,24 @@ def kalpha_norms(alpha: float, d: int, s: float, r_exp: float) -> tuple[float, f
     return l1_inner, outer_pow ** (1.0 / r_exp)
 
 
-def kalpha_norms_quadrature(alpha: float, d: int, s: float, r_exp: float) -> tuple[float, float]:
+def kalpha_norms_quadrature(alpha: float, d: int, s: float, *r_exps: float) -> tuple[float, ...]:
     """Direct-quadrature twin of kalpha_norms: the same radial integrals with
-    no closed form, for cross-checking."""
-    _check_kalpha_args(alpha, d, s, r_exp)
+    no closed form, for cross-checking.  Returns the inner L^1 norm, which no
+    r_exp changes, then the outer L^{r_exp} norm for each r_exp."""
+    _check_kalpha_args(alpha, d, s, *r_exps)
     # the inner piece r^{alpha - 1} on [0, s] in x = log r, as e^{alpha x} on
     # (-inf, log s] (no endpoint singularity), cut at e^-_TAIL_EXPONENT of its
     # peak, with breakpoints spacing the intervals as it decays
     top = math.log(s)
     points = [top - 2.0**j / alpha for j in range(9, -1, -1)]
     inner = quad(lambda x: np.exp(alpha * x), top - _TAIL_EXPONENT / alpha, top, 1e-12, points)[0]
-    if s == 1.0:
-        return inner, 0.0
-    outer = quad(lambda r: d * r ** ((alpha - d) * r_exp + d - 1.0), s, 1.0, 1e-12)[0]
-    return inner, outer ** (1.0 / r_exp)
+    outer = [
+        quad(lambda r: d * r ** ((alpha - d) * r_exp + d - 1.0), s, 1.0, 1e-12)[0] ** (1.0 / r_exp)
+        if s < 1.0
+        else 0.0
+        for r_exp in r_exps
+    ]
+    return (inner, *outer)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ behaviour to the local/scaling regime the proxy is meant for.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
@@ -20,6 +21,11 @@ from .params import ExponentPair
 
 BOX_LENGTH = 16.0  # side of the periodic box; trial fields stay much narrower
 TRIAL_WIDTHS = (0.5, 1.0, 2.0)  # widths of the Gaussian trial fields, ascending
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -52,18 +58,15 @@ class TorusGrid:
         return np.arange(self.n) * (BOX_LENGTH / self.n)
 
     def meshgrid(self) -> List[np.ndarray]:
-        x = self.axis_coordinates()
-        return list(np.meshgrid(*([x] * self.dim), indexing="ij"))
+        return list(np.meshgrid(*([self.axis_coordinates()] * self.dim), indexing="ij"))
 
+    @functools.cached_property
     def squared_frequencies(self) -> np.ndarray:
-        """|xi|^2 on the Fourier grid, xi = 2 pi k / BOX_LENGTH, k integer."""
+        """|xi|^2 on the Fourier grid, xi = 2 pi k / BOX_LENGTH, k integer; read-only."""
         k = np.fft.fftfreq(self.n) * self.n
         xi = 2.0 * math.pi * k / BOX_LENGTH
         axes = np.meshgrid(*([xi] * self.dim), indexing="ij")
-        return sum(a**2 for a in axes)
-
-    def bessel_multiplier(self, tau: float, alpha: float) -> np.ndarray:
-        return (tau + self.squared_frequencies()) ** (0.5 * alpha)
+        return _read_only(sum(a**2 for a in axes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,9 +80,12 @@ class SpectralField:
         arr = np.asarray(self.values, dtype=np.complex128)
         if arr.shape != self.grid.shape:
             raise ValueError(f"values shape {arr.shape} does not match grid {self.grid.shape}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _read_only(arr.copy()))
+
+    @functools.cached_property
+    def coeffs(self) -> np.ndarray:
+        """fftn of the values, computed once per field, read-only."""
+        return _read_only(np.fft.fftn(self.values))
 
 
 def gaussian_field(grid: TorusGrid, width: float) -> SpectralField:
@@ -104,9 +110,8 @@ def bessel_apply(f: SpectralField, tau: float, alpha: float) -> SpectralField:
     the inverse operator."""
     if alpha == 0.0:
         return f
-    coeffs = np.fft.fftn(np.asarray(f.values))
-    coeffs *= f.grid.bessel_multiplier(tau, alpha)
-    return SpectralField(f.grid, np.fft.ifftn(coeffs))
+    multiplier = (tau + f.grid.squared_frequencies) ** (0.5 * alpha)
+    return SpectralField(f.grid, np.fft.ifftn(f.coeffs * multiplier))
 
 
 def lp_norm(f: SpectralField, p: float) -> float:
@@ -173,10 +178,7 @@ def _exp_tail(z: np.ndarray, m: int) -> np.ndarray:
         acc += term
     out[small] = acc
     zl = z[~small]
-    partial = np.zeros_like(zl)
-    for k in range(m):
-        partial += zl**k / math.factorial(k)
-    out[~small] = np.exp(zl) - partial
+    out[~small] = np.exp(zl) - sum(zl**k / math.factorial(k) for k in range(m))
     return out
 
 
@@ -197,9 +199,7 @@ def mt_functional(f: SpectralField, gamma: float, p: float) -> float:
     z = gamma * np.abs(np.asarray(f.values)) ** pp
     zmax = float(z.max())
     if zmax > 700.0:
-        raise ValueError(
-            f"exp argument reaches {zmax:.3g} and would overflow; use a smaller gamma"
-        )
+        raise ValueError(f"exp argument reaches {zmax:.3g} and would overflow; use a smaller gamma")
     m = math.ceil(p - 1.0)
     tail = _exp_tail(z, m)
     return float(np.sum(tail) * f.grid.cell_volume)

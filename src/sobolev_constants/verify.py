@@ -292,16 +292,16 @@ def check_kernel(
     local_table = ResultTable(
         "kernel_local", ("d", "alpha", "sup", "sup_tight", "rel_change", "pass")
     )
-    for d in (1, 2, 3):
-        for frac in _LOCAL_FRACTIONS:
-            kp = GreenKernelParams(frac * d, d)
-            # the fast split rule against adaptive quad at its arg-sup radius
-            r_star, v = local_bound_constant(kp)
-            green_tight = green_kernel_upper(r_star, kp, rel_tol=1e-9)
-            v_tight = green_tight * r_star ** (d - kp.alpha) * (d - kp.alpha) / kp.alpha
-            change = abs(v_tight - v) / v
-            local_table.append((d, frac * d, v, v_tight, change, math.isfinite(v) and change <= 0.02))
-            result.fitted[f"kernel_local_sup_d{d}_f{int(round(frac * 10))}"] = (v, 0.02)
+    cases = [(d, frac) for d in (1, 2, 3) for frac in _LOCAL_FRACTIONS]
+    profiles = [GreenKernelParams(frac * d, d) for d, frac in cases]
+    # the fast split rule, one pass for every profile, against adaptive quad
+    # at each arg-sup radius
+    for (d, frac), kp, (r_star, v) in zip(cases, profiles, local_bound_constant(*profiles)):
+        green_tight = green_kernel_upper(r_star, kp, rel_tol=1e-9)
+        v_tight = green_tight * r_star ** (d - kp.alpha) * (d - kp.alpha) / kp.alpha
+        change = abs(v_tight - v) / v
+        local_table.append((d, frac * d, v, v_tight, change, math.isfinite(v) and change <= 0.02))
+        result.fitted[f"kernel_local_sup_d{d}_f{int(round(frac * 10))}"] = (v, 0.02)
     result.record_table(local_table, "local kernel envelope finite and quadrature-stable (2%)")
 
     global_table = ResultTable("kernel_global", ("d", "alpha", "a", "sup", "pass"))
@@ -325,13 +325,15 @@ def check_kernel(
         "kalpha_agreement",
         ("d", "alpha", "s", "r_exp", "l1_closed", "l1_quad", "outer_closed", "outer_quad", "pass"),
     )
+    r_exps = (1.0, 1.7, 3.0)
     for d in (1, 2, 3):
         for frac in (0.25, 0.5, 0.75):
             for s in (0.25, 0.5, 1.0):
-                for r_exp in (1.0, 1.7, 3.0):
-                    alpha = frac * d
+                alpha = frac * d
+                # one inner integral serves every r_exp
+                l1q, *outer_quads = kalpha_norms_quadrature(alpha, d, s, *r_exps)
+                for r_exp, outq in zip(r_exps, outer_quads):
                     l1c, outc = kalpha_norms(alpha, d, s, r_exp)
-                    l1q, outq = kalpha_norms_quadrature(alpha, d, s, r_exp)
                     ok = abs(l1c - l1q) <= 1e-8 * l1c
                     if outc > 0.0:
                         ok = ok and abs(outc - outq) <= 1e-8 * outc
@@ -436,8 +438,7 @@ def check_spectral(geometry: GroupGeometry) -> CheckResult:
     detail = []
     for dim, grid in grids.items():
         f = gaussian_field(grid, 1.0)
-        values = np.asarray(f.values)
-        coeffs = np.fft.fftn(values)
+        values, coeffs = f.values, f.coeffs
         back = np.fft.ifftn(coeffs)
         rt = float(np.max(np.abs(back - values)) / np.max(np.abs(values)))
         grid_sum = float(np.sum(np.abs(values) ** 2) * grid.cell_volume)

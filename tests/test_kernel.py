@@ -49,6 +49,12 @@ ORACLE_CASES = (
     (10.4, 0.1, 1, 840.5, 1.0),
     (0.17320508075688776, 0.15, 3, 1.0, 1.0),
 )
+# the 27 local profiles of verify.check_kernel, in its order
+CHECK_KERNEL_PROFILES = tuple(
+    GreenKernelParams(frac * d, d, 1.0, 1.0)
+    for d in (1, 2, 3)
+    for frac in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+)
 # Regression pins, frozen at build; the live oracles are green_oracle at the
 # sups' arg-sup radii (TestLocalBound, TestGlobalBound) and tilde_k_oracle
 LOCAL_SUP_REF = 1.1283638992488583  # alpha=1, d=3, a=1, b=1 sweep
@@ -135,7 +141,7 @@ class TestGreenKernelUpper:
             kp = GreenKernelParams(alpha, d, a, b)
             expected = green_oracle(r, alpha, d, a, b)
             assert green_kernel_upper(r, kp, rel_tol=1e-8) == pytest.approx(expected, rel=1e-10), kp
-            assert math.exp(log_green_kernel([r], kp)[0]) == pytest.approx(expected, rel=1e-10), kp
+            assert math.exp(log_green_kernel([r], kp)[0, 0]) == pytest.approx(expected, rel=1e-10), kp
 
     def test_subnormal_envelope_raises(self):
         # e^-712.3 is below the normal doubles, whose last digits could not
@@ -167,7 +173,7 @@ class TestGreenKernelUpper:
     def test_far_peak_on_the_last_piece(self, r):
         # the [1, inf) integrand peaks far out at t* = r; e^-340 to e^-680
         kp = GreenKernelParams(1.0, 3, 1.0, 1.0)
-        expected = log_green_kernel([r], kp)[0]
+        expected = log_green_kernel([r], kp)[0, 0]
         assert math.log(green_kernel_upper(r, kp)) == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("a", (1.0, 12.5, 40.0, 220.5, 840.5))
@@ -177,7 +183,7 @@ class TestGreenKernelUpper:
         for d in (1, 2, 3):
             for frac in (0.1, 0.5, 0.9):
                 kp = GreenKernelParams(frac * d, d, a, 1.0)
-                for r, log_green in zip(radii, log_green_kernel(radii, kp)):
+                for r, log_green in zip(radii, log_green_kernel(radii, kp)[0]):
                     if log_green < math.log(sys.float_info.min):
                         continue
                     got = math.log(green_kernel_upper(float(r), kp))
@@ -332,10 +338,43 @@ class TestLogGreenKernel:
     @pytest.mark.parametrize("frac", (0.1, 0.5, 0.9))
     @pytest.mark.parametrize("d", (1, 2, 3))
     def test_matches_log_oracle(self, d, frac, a):
-        got = log_green_kernel(self.RADII, GreenKernelParams(frac * d, d, a, 1.0))
+        (got,) = log_green_kernel(self.RADII, GreenKernelParams(frac * d, d, a, 1.0))
         for r, log_green in zip(self.RADII, got):
             expected = green_oracle(r, frac * d, d, a, 1.0, log=True)
             assert abs(math.expm1(log_green - expected)) <= 1e-10, (r, log_green, expected)
+
+    @pytest.mark.parametrize(
+        "profiles",
+        (
+            CHECK_KERNEL_PROFILES,
+            # d out of order, so the pass rebuilds its per-d factor between rows
+            tuple(
+                GreenKernelParams(frac * d, d, 12.5, 1.0) for frac in (0.1, 0.5, 0.9) for d in (3, 1, 2, 1)
+            ),
+        ),
+        ids=("check-kernel", "a-12.5"),
+    )
+    def test_shared_pass_equals_one_pass_per_profile(self, profiles):
+        # both sweeps' radii; each row is exactly the single-profile row
+        radii = np.concatenate(
+            (np.geomspace(R_LOCAL_MIN, R_SPLIT, 200), np.geomspace(R_SPLIT, R_GLOBAL_MAX, 120))
+        )
+        shared = log_green_kernel(radii, *profiles)
+        assert shared.shape == (len(profiles), len(radii))
+        for kp, row in zip(profiles, shared):
+            assert np.array_equal(row, log_green_kernel(radii, kp)[0]), kp
+        assert local_bound_constant(*profiles) == [local_bound_constant(kp)[0] for kp in profiles]
+
+    @pytest.mark.parametrize(
+        "other", (GreenKernelParams(0.5, 1, 2.0, 1.0), GreenKernelParams(0.5, 1, 1.0, 4.0))
+    )
+    def test_profiles_with_other_a_or_b_rejected(self, other):
+        first = GreenKernelParams(1.0, 3, 1.0, 1.0)
+        with pytest.raises(ValueError, match="must share a and b") as info:
+            log_green_kernel(self.RADII, first, other)
+        assert str(first) in str(info.value) and str(other) in str(info.value)
+        with pytest.raises(ValueError, match="must share a and b"):
+            local_bound_constant(first, other)
 
 
 class TestGreenOracle:
@@ -361,13 +400,13 @@ class TestGreenOracle:
 class TestLocalBound:
     def test_frozen_sweep_value(self):
         kp = GreenKernelParams(1.0, 3, 1.0, 1.0)
-        assert local_bound_constant(kp)[1] == pytest.approx(LOCAL_SUP_REF, rel=1e-6)
+        assert local_bound_constant(kp)[0][1] == pytest.approx(LOCAL_SUP_REF, rel=1e-6)
 
     def test_matches_the_oracle_at_the_arg_sup(self):
         # normalized by r^{d - alpha} (d - alpha)/alpha = 2 r^2; the sup sits
         # on the first radius of the sweep
         kp = GreenKernelParams(1.0, 3, 1.0, 1.0)
-        r_star, sup = local_bound_constant(kp)
+        [(r_star, sup)] = local_bound_constant(kp)
         radii = np.geomspace(R_LOCAL_MIN, R_SPLIT, 200)
         i = int(np.flatnonzero(radii == r_star)[0])
         assert i == 0
@@ -376,7 +415,7 @@ class TestLocalBound:
     def test_stable_under_tighter_quadrature(self):
         # the fast sup against adaptive quad at the arg-sup radius
         kp = GreenKernelParams(1.0, 3, 1.0, 1.0)
-        r_star, v = local_bound_constant(kp)
+        [(r_star, v)] = local_bound_constant(kp)
         # normalized by r^{d - alpha} (d - alpha)/alpha = 2 r^2
         v_tight = green_kernel_upper(r_star, kp, rel_tol=1e-9) * r_star**2 * 2.0
         assert v == pytest.approx(v_tight, rel=1e-10)
@@ -384,10 +423,9 @@ class TestLocalBound:
     def test_normalization_stable_across_alpha(self):
         # normalized sups for alpha/d from 1/12 to 11/12 stay within one
         # order of magnitude of each other
-        values = [
-            local_bound_constant(GreenKernelParams(alpha, 3, 1.0, 1.0))[1]
-            for alpha in (0.25, 0.75, 1.25, 1.75, 2.25, 2.75)
-        ]
+        alphas = (0.25, 0.75, 1.25, 1.75, 2.25, 2.75)
+        profiles = [GreenKernelParams(alpha, 3, 1.0, 1.0) for alpha in alphas]
+        values = [sup for _, sup in local_bound_constant(*profiles)]
         assert max(values) / min(values) < 10.0
 
     @pytest.mark.xfail(
@@ -400,13 +438,11 @@ class TestLocalBound:
         # tends to Gamma((d - alpha)/2)/Gamma(alpha/2) (d - alpha)/alpha as r -> 0,
         # so a sup over (0, 1] is at least that; the profiles of check_kernel
         short = []
-        for d in (1, 2, 3):
-            for frac in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-                alpha = frac * d
-                limit = math.gamma(0.5 * (d - alpha)) / math.gamma(0.5 * alpha) * (d - alpha) / alpha
-                sup = local_bound_constant(GreenKernelParams(alpha, d, 1.0, 1.0))[1]
-                if sup < limit:
-                    short.append(f"d={d} alpha={alpha:g}: sup {sup:.6g} < limit {limit:.6g}")
+        for kp, (_, sup) in zip(CHECK_KERNEL_PROFILES, local_bound_constant(*CHECK_KERNEL_PROFILES)):
+            d, alpha = kp.d, kp.alpha
+            limit = math.gamma(0.5 * (d - alpha)) / math.gamma(0.5 * alpha) * (d - alpha) / alpha
+            if sup < limit:
+                short.append(f"d={d} alpha={alpha:g}: sup {sup:.6g} < limit {limit:.6g}")
         assert not short, "; ".join(short)
 
     def test_profile_bounded_toward_zero(self):
@@ -430,7 +466,7 @@ class TestGlobalBound:
         kp = GreenKernelParams(1.0, 3, 1.0, 4.0)
         rate = self.GEOMETRY.weight_rate
         radii = np.geomspace(R_SPLIT, R_GLOBAL_MAX, 120)
-        i = int(np.argmax(log_green_kernel(radii, kp) + rate * radii))
+        i = int(np.argmax(log_green_kernel(radii, kp)[0] + rate * radii))
         assert i == 0
         sup = global_bound_constant(kp, self.GEOMETRY)
         assert_sup_matches_the_oracle(
@@ -505,6 +541,19 @@ class TestKalphaNorms:
                         quad = kalpha_norms_quadrature(frac * d, d, s, r_exp)
                         assert closed[0] == pytest.approx(quad[0], rel=1e-8)
                         assert closed[1] == pytest.approx(quad[1], rel=1e-8)
+
+    def test_one_inner_integral_serves_every_r_exp(self):
+        # the several-r_exp form is exactly the one-r_exp calls, including s = 1
+        for d, frac, s in ((1, 0.25, 0.25), (2, 0.5, 0.5), (3, 0.75, 1.0)):
+            r_exps = (1.0, 1.7, 3.0)
+            singles = [kalpha_norms_quadrature(frac * d, d, s, r_exp) for r_exp in r_exps]
+            assert kalpha_norms_quadrature(frac * d, d, s, *r_exps) == (
+                singles[0][0],
+                *(outer for _, outer in singles),
+            )
+            assert all(inner == singles[0][0] for inner, _ in singles)
+        with pytest.raises(ValueError, match="r_exp"):
+            kalpha_norms_quadrature(1.0, 2, 0.5, 1.0, 0.5)
 
     def test_degenerate_exponent_rejected(self):
         # r_exp = d/(d - alpha) makes the outer exponent vanish

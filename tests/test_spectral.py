@@ -108,6 +108,29 @@ class TestBesselApply:
         err = float(np.max(np.abs(np.asarray(back.values) - np.asarray(f.values))))
         assert err <= 1e-10 * float(np.max(np.abs(np.asarray(f.values))))
 
+    def test_cached_transform_equals_a_fresh_one(self):
+        # one field through several orders, then each against the transform
+        # and frequencies computed from scratch
+        for grid in (GRID1, GRID2):
+            f = gaussian_field(grid, 0.8)
+            k = 2.0 * math.pi * np.fft.fftfreq(grid.n) * grid.n / BOX_LENGTH
+            xi2 = sum(a**2 for a in np.meshgrid(*([k] * grid.dim), indexing="ij"))
+            for alpha in (0.5, -1.0, 1.3):
+                fresh = np.fft.ifftn(np.fft.fftn(np.array(f.values)) * (TAU + xi2) ** (0.5 * alpha))
+                assert np.array_equal(bessel_apply(f, TAU, alpha).values, fresh)
+
+    def test_cached_transforms_are_read_only(self):
+        f = gaussian_field(GRID2, 1.0)
+        assert f.coeffs is f.coeffs and GRID2.squared_frequencies is GRID2.squared_frequencies
+        with pytest.raises(ValueError, match="read-only"):
+            f.coeffs[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            GRID2.squared_frequencies[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            f.coeffs = np.zeros(GRID2.shape)
+        with pytest.raises(AttributeError):
+            GRID2.squared_frequencies = np.zeros(GRID2.shape)
+
 
 class TestLpNorm:
     def test_constant_field(self):
@@ -175,6 +198,14 @@ class TestEmbeddingRatio:
             embedding_ratio(g, pair, TAU), rel=1e-12
         )
 
+    def test_overflow_raises_through_the_cached_transform(self):
+        # the transform is finite; the order-alpha field's |.|^2 sum is not
+        f = SpectralField(GRID1, np.full(GRID1.shape, 1e154))
+        assert np.all(np.isfinite(f.coeffs))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not finite"):
+                embedding_ratio(f, ExponentPair(2.0, 0.25, 1), TAU)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             embedding_ratio(gaussian_field(GRID1, 1.0), ExponentPair(2.0, 0.5, 2), TAU)
@@ -195,6 +226,21 @@ class TestEmbeddingSweep:
         assert len(rows) == len(TRIAL_WIDTHS) * len(self.PAIRS)
         assert all(math.isfinite(r[6]) and r[6] > 0.0 for r in rows)
         assert 0.0 < fitted < 10.0
+
+    @pytest.mark.parametrize("grid", (GRID1, GRID2), ids=("1d", "2d"))
+    def test_rows_equal_one_ratio_per_field(self, grid):
+        # the sweep transforms each trial field once for all its pairs; each
+        # row is exactly the ratio of a field built for that pair alone
+        pairs = [
+            ExponentPair(p, frac * grid.dim / p, grid.dim) for p in (1.05, 2.0, 4.0) for frac in (0.3, 0.9)
+        ]
+        rows, fitted = embedding_sweep(TRIAL_WIDTHS, pairs, TAU, grid)
+        cases = [(width, pair) for width in TRIAL_WIDTHS for pair in pairs]
+        assert len(rows) == len(cases)
+        for row, (width, pair) in zip(rows, cases):
+            assert row[1] == width and row[2:6] == (pair.d, pair.p, pair.q, pair.alpha)
+            assert row[6] == embedding_ratio(gaussian_field(grid, width), pair, TAU)
+        assert fitted == max(row[7] for row in rows)
 
     def test_fitted_stable_under_width_refinement(self):
         assert refined_widths(TRIAL_WIDTHS) == (0.5, math.sqrt(0.5), 1.0, math.sqrt(2.0), 2.0)
