@@ -1,11 +1,12 @@
 """Closed-form constants: embedding factors, the Euclidean comparison bound
-and multiplier total variation."""
+and multiplier total variation.  Each is written once, for an ExponentPair
+and for ExponentArrays, over the library (`xp`) its number type carries."""
 
 from __future__ import annotations
 
 import math
 
-from .params import LOG_NORMAL_MAX, LOG_NORMAL_MIN, ExponentArrays, ExponentPair
+from .params import LOG_NORMAL_MAX, LOG_NORMAL_MIN, ExponentPair, rules
 from .report import ResultTable
 
 REL_SLACK = 1e-12  # multiplicative slack for proved pointwise inequalities
@@ -17,28 +18,18 @@ def q_constant(p, q):
     return q ** (1.0 - 1.0 / p) / (p - 1.0)
 
 
-def _embedding_factors(pair: ExponentPair) -> tuple[float, float, float]:
-    """(S, Q, Q_dual): the one-sided factors Q of the pair and Q_dual of its
-    dual, and the smaller of the two."""
-    qv = q_constant(pair.p, pair.q)
-    qd = q_constant(pair.q_conj, pair.p_conj)
-    return min(qv, qd), qv, qd
+def q_dual_constant(p, q):
+    """The one-sided factor Q(q', p') of the dual pair, of floats or of numpy
+    arrays, as p'^{1/q} (q - 1): no q' - 1 is formed, which cancels once
+    q' = q/(q - 1) is rounded near 1 (Goldberg 1991)."""
+    return (p / (p - 1.0)) ** (1.0 / q) * (q - 1.0)
 
 
-def s_constant(pair: ExponentPair) -> float:
+def s_constant(pairs):
     """min(q^{1/p'}/(p - 1), p'^{1/q}/(q' - 1)), i.e. the smaller of the two
-    one-sided factors of a pair and its dual; symmetric under dualization."""
-    return _embedding_factors(pair)[0]
-
-
-def embedding_factors_array(pairs: ExponentArrays):
-    """(S, Q, Q_dual) of each pair, as s_constant and constant_report compute
-    them."""
-    import numpy as np
-
-    p, q = pairs.p, pairs.q
-    qv, qd = q_constant(p, q), q_constant(q / (q - 1.0), p / (p - 1.0))
-    return np.minimum(qv, qd), qv, qd
+    one-sided factors of a pair and its dual, of an ExponentPair or of each
+    pair of ExponentArrays; symmetric under dualization."""
+    return pairs.xp.minimum(q_constant(pairs.p, pairs.q), q_dual_constant(pairs.p, pairs.q))
 
 
 def f_constant(p, q):
@@ -48,14 +39,20 @@ def f_constant(p, q):
     return (1.0 / (1.0 / pp + 1.0 / q)) * (1.0 / (p * qq)) * (pp ** (1.0 / q) + q ** (1.0 / pp))
 
 
-def _logaddexp(a: float, b: float) -> float:
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
+def _lgamma_half(d):
+    """lgamma(d/2) of an integer d, or of an integer array once per distinct d:
+    a grid has few (np.unique would import numpy.ma)."""
+    if isinstance(d, int):
+        return math.lgamma(0.5 * d)
+    import numpy as np
+
+    dims = sorted(set(d.tolist()))
+    return np.array([math.lgamma(0.5 * dim) for dim in dims])[np.searchsorted(dims, d)]
 
 
-def lieb_upper_bound(pair: ExponentPair) -> float:
+def lieb_upper_bound(pairs):
     """Best known upper bound for the homogeneous embedding constant on
-    Euclidean space:
+    Euclidean space, of an ExponentPair or of each pair of ExponentArrays:
 
         (2 pi)^{-alpha} [Gamma((d-alpha)/2)/Gamma(alpha/2)] (d/alpha)
         (omega_{d-1}/d)^{1-alpha/d} (1-alpha/d)^{1-alpha/d}
@@ -63,73 +60,45 @@ def lieb_upper_bound(pair: ExponentPair) -> float:
 
     with omega_{d-1} = 2 pi^{d/2}/Gamma(d/2) the unit-sphere surface measure.
     Evaluated wholly in log space and exponentiated once, so large d and
-    extreme exponents cannot overflow intermediates; a value outside the
-    normal double range raises instead of reading inf or 0.
+    extreme exponents cannot overflow intermediates.  The first pair with
+    alpha = 0, or with a value outside the normal double range, raises
+    ValueError naming it.
     """
-    if pair.alpha <= 0.0:
-        raise ValueError(f"E_H_tilde needs alpha > 0 (the formula carries 1/alpha) for {pair}")
-    a = pair.alpha
-    d = float(pair.d)
-    p, q, pp, qq = pair.p, pair.q, pair.p_conj, pair.q_conj
-    e = 1.0 / pp + 1.0 / q  # = 1 - alpha/d
-    log_omega = math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
-    log_val = (
-        -a * math.log(2.0 * math.pi)
-        + math.lgamma(0.5 * (d - a))
-        - math.lgamma(0.5 * a)
-        + math.log(d / a)
-        + (1.0 - a / d) * (log_omega - math.log(d))
-        + (1.0 - a / d) * math.log1p(-a / d)
-        - math.log(p * qq)
-        + _logaddexp(e * math.log(pp), e * math.log(q))
-    )
-    if not LOG_NORMAL_MIN < log_val < LOG_NORMAL_MAX:
-        raise ValueError(f"Euclidean bound exp({log_val:.6g}) leaves double range for {pair}")
-    return math.exp(log_val)
-
-
-def lieb_upper_bound_array(pairs: ExponentArrays):
-    """lieb_upper_bound of each pair, by the same operations.  The first pair
-    with alpha = 0 or a bound outside the normal doubles raises ValueError
-    naming it."""
-    import numpy as np
-
-    def lgamma(x):
-        return np.fromiter(map(math.lgamma, x.tolist()), float, len(x))
-
-    a, d, p, q = pairs.alpha, pairs.d, pairs.p, pairs.q
-    dims, which = np.unique(d, return_inverse=True)  # a grid has few distinct d
+    xp, a, d, p, q = pairs.xp, pairs.alpha, pairs.d, pairs.p, pairs.q
     pp, qq = p / (p - 1.0), q / (q - 1.0)
-    e = 1.0 / pp + 1.0 / q
-    log_omega = math.log(2.0) + 0.5 * d * math.log(math.pi) - lgamma(0.5 * dims)[which]
-    with np.errstate(divide="ignore"):  # alpha = 0 gives log(d/0) = inf, refused below
-        log_d_over_a = np.log(d / a)
-    log_val = (
-        -a * math.log(2.0 * math.pi)
-        + lgamma(0.5 * (d - a))
-        - lgamma(0.5 * np.where(a > 0.0, a, 1.0))  # lgamma has a pole at 0
-        + log_d_over_a
-        + (1.0 - a / d) * (log_omega - np.log(d))
-        + (1.0 - a / d) * np.log1p(-a / d)
-        - np.log(p * qq)
-        + np.logaddexp(e * np.log(pp), e * np.log(q))
-    )
-    refused = ~((LOG_NORMAL_MIN < log_val) & (log_val < LOG_NORMAL_MAX))
-    if refused.any():
-        i = int(np.argmax(refused))
-        pair = pairs.pair(i)
-        if pair.alpha == 0.0:
-            raise ValueError(f"E_H_tilde needs alpha > 0 (the formula carries 1/alpha) for {pair}")
-        raise ValueError(f"Euclidean bound exp({log_val[i]:.6g}) leaves double range for {pair}")
-    return np.exp(log_val)
+    e = 1.0 / pp + 1.0 / q  # = 1 - alpha/d
+    with rules(xp) as rule:
+        rule(a > 0.0, "E_H_tilde needs alpha > 0 (the formula carries 1/alpha) for {}", pairs)
+        log_omega = math.log(2.0) + 0.5 * d * math.log(math.pi) - _lgamma_half(d)
+        log_val = (
+            -a * math.log(2.0 * math.pi)
+            + xp.lgamma(0.5 * (d - a))
+            - xp.lgamma(0.5 * xp.where(a > 0.0, a, 1.0))  # lgamma has a pole at 0
+            + xp.log(d / a)
+            + (1.0 - a / d) * (log_omega - xp.log(d))
+            + (1.0 - a / d) * xp.log1p(-a / d)
+            - xp.log(p * qq)
+            + xp.logaddexp(e * xp.log(pp), e * xp.log(q))
+        )
+        in_range = (LOG_NORMAL_MIN < log_val) & (log_val < LOG_NORMAL_MAX)
+        rule(in_range, "Euclidean bound exp({:.6g}) leaves double range for {}", log_val, pairs)
+    return xp.exp(log_val)
 
 
-def _constants_table(pairs, s, qv, qd, eh, ratio) -> ResultTable:
-    """The constants table of a grid's arrays, or of one pair as one-element
-    lists.  The last column says whether the pair meets the comparison claims:
-    on q >= p', Q/4 <= F <= 4Q and Q(p,q) <= Q(q',p'); everywhere F >= S/4."""
-    p, q = pairs.p, pairs.q
-    fv = f_constant(p, q)
+def constant_report(pairs) -> ResultTable:
+    """The constants table of an ExponentPair, or of ExponentArrays one numpy
+    column each.  The last column says whether the pair meets the comparison
+    claims: on q >= p', Q/4 <= F <= 4Q and Q(p,q) <= Q(q',p'); everywhere
+    F >= S/4.  A pair with alpha = 0 leaves E_H_tilde and its ratio None;
+    arrays raise for the first pair that lieb_upper_bound refuses (alpha = 0 too)."""
+    xp, p, q = pairs.xp, pairs.p, pairs.q
+    qv, qd, fv = q_constant(p, q), q_dual_constant(p, q), f_constant(p, q)
+    s = xp.minimum(qv, qd)
+    eh = ratio = None
+    if not (isinstance(pairs, ExponentPair) and pairs.alpha == 0.0):
+        eh = lieb_upper_bound(pairs)
+        with rules(xp):  # no rule: on arrays, only quiets an overflow (S dips to about 0.88)
+            ratio = eh / s
     in_regime = (0.25 * qv * (1.0 - REL_SLACK) <= fv) & (fv <= 4.0 * qv * (1.0 + REL_SLACK))
     in_regime &= qv <= qd * (1.0 + REL_SLACK)
     cells = {
@@ -149,25 +118,6 @@ def _constants_table(pairs, s, qv, qd, eh, ratio) -> ResultTable:
     if isinstance(pairs, ExponentPair):
         cells = {k: [v] for k, v in cells.items()}
     return ResultTable.from_columns("constants", cells)
-
-
-def constant_report(pair: ExponentPair) -> ResultTable:
-    """The constants table of one pair; E_H_tilde and its ratio are None at alpha = 0."""
-    s, qv, qd = _embedding_factors(pair)
-    eh = lieb_upper_bound(pair) if pair.alpha > 0.0 else None
-    return _constants_table(pair, s, qv, qd, eh, None if eh is None else eh / s)
-
-
-def constant_report_array(pairs: ExponentArrays) -> ResultTable:
-    """The constants table of all pairs; the first pair that
-    lieb_upper_bound_array refuses raises ValueError naming it."""
-    import numpy as np
-
-    s, qv, qd = embedding_factors_array(pairs)
-    eh = lieb_upper_bound_array(pairs)
-    with np.errstate(over="ignore"):  # S dips to about 0.88, so E_H_tilde/S may overflow
-        ratio = eh / s
-    return _constants_table(pairs, s, qv, qd, eh, ratio)
 
 
 _B1_TERMS = 60  # explicitly summed coefficients of the multiplier bound

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ExponentArrays, conjugate_exponent
+from .params import ExponentArrays, conjugate_exponent, rules
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def assemble(pairs: ExponentArrays) -> MarcinkiewiczData:
     positive value, a finite ratio.
     """
     p, q, a, d = pairs.p, pairs.q, pairs.alpha, pairs.d
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with rules(pairs.xp) as rule:
         ad = a / d
         q1 = 1.0 / (1.0 - ad)
         q2 = q + 1.0
@@ -106,19 +106,13 @@ def assemble(pairs: ExponentArrays) -> MarcinkiewiczData:
         assembled = np.exp(np.log(v0) / q + (1.0 - th) * np.log(v1) + th * np.log(v2))
         rhs_shape = (d - a) / a * (p / (p - 1.0)) * np.exp((1.0 - 1.0 / p) * np.log(q))
         ratio = assembled / rhs_shape
-    exp_log = np.isfinite(grow) & np.isfinite(v1) & np.isfinite(v2) & (bracket > 0.0)
-    refusals = (
-        (a > 0.0, "endpoints need alpha > 0 (for alpha = 0 nothing is interpolated)"),
-        (denom > 0.0, "impossible endpoint gap"),
-        ((q1 < q) & (q < q2), "q must lie strictly between the endpoint exponents"),
-        (exp_log & (v0 > 0.0) & (v1 > 0.0) & (v2 > 0.0), "math range or domain error in the assembly"),
-        (np.isfinite(ratio), "non-finite assembly ratio"),
-    )
-    usable = np.logical_and.reduce([ok for ok, _ in refusals])
-    if not usable.all():
-        i = int(np.argmin(usable))
-        message = next(text for ok, text in refusals if not ok[i])
-        raise ValueError(f"{message} for {pairs.pair(i)}")
+        in_range = np.isfinite(grow) & np.isfinite(v1) & np.isfinite(v2) & (bracket > 0.0)
+        in_range &= (v0 > 0.0) & (v1 > 0.0) & (v2 > 0.0)
+        rule(a > 0.0, "endpoints need alpha > 0 (for alpha = 0 nothing is interpolated) for {}", pairs)
+        rule(denom > 0.0, "impossible endpoint gap for {}", pairs)
+        rule((q1 < q) & (q < q2), "q must lie strictly between the endpoint exponents for {}", pairs)
+        rule(in_range, "math range or domain error in the assembly for {}", pairs)
+        rule(np.isfinite(ratio), "non-finite assembly ratio for {}", pairs)
     return MarcinkiewiczData(pairs, np.ones_like(q), q1, p2, q2, th, v0, v1, v2, assembled, rhs_shape, ratio)
 
 

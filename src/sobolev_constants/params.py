@@ -2,17 +2,22 @@
 
 Everything downstream (closed-form constants, the interpolation assembly,
 kernel envelopes, spectral sweeps) consumes the validated types defined
-here.  All types are immutable and all operations are pure.
+here.  All types are immutable and all operations are pure.  One pair is an
+ExponentPair and many are ExponentArrays; each carries the library (`xp`,
+math or numpy) its closed forms run on, and one list of rules validates both.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 
 # the logs of the least and greatest normal doubles
 LOG_NORMAL_MIN = math.log(sys.float_info.min)
@@ -33,62 +38,97 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def solve_q(p: float, alpha: float, d: int) -> float:
-    """The exponent q of the scaling relation 1/q = 1/p - alpha/d; alpha = 0
-    gives q = p exactly.  A gap 1/p - alpha/d that is not positive (alpha at
-    d/p or above, also after rounding) has no q and raises ValueError."""
-    gap = 1.0 / p - alpha / d
-    if not gap > 0.0:
-        raise ValueError(
-            f"1/q = 1/p - alpha/d is not positive for p={p}, alpha={alpha}, d={d}: "
-            "alpha must stay below d/p"
-        )
-    return p if alpha == 0.0 else 1.0 / gap
+def _logaddexp(a: float, b: float) -> float:
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi))
 
 
-def _usable_q(p: float, alpha: float, d: int) -> float:
-    """q for exponents (p, alpha, d) that are usable in double precision:
-    p in (1, inf), alpha in [0, d/p), a positive alpha moves q above p, q is
-    finite and its conjugate q' = q/(q - 1) stays above 1."""
-    if not (math.isfinite(p) and p > 1.0):
-        raise ValueError(f"p must lie in (1, inf), got {p}")
-    if not (math.isfinite(alpha) and 0.0 <= alpha < d / p):
-        raise ValueError(f"alpha must lie in [0, d/p) = [0, {d / p:g}), got {alpha}")
-    q = solve_q(p, alpha, d)
-    if alpha > 0.0 and not q > p:
-        raise ValueError(
-            f"alpha={alpha} is too small to move q above p={p} in double precision (d={d})"
-        )
-    if not math.isfinite(q):
-        raise ValueError(f"q = 1/(1/p - alpha/d) overflows for p={p}, alpha={alpha}, d={d}")
-    if not q / (q - 1.0) > 1.0:
-        raise ValueError(
-            f"p={p:g}, q={q:g}: the conjugate exponent q' = q/(q - 1) rounds to 1, "
-            "so the dual pair (q', p') is undefined"
-        )
-    return q
+# The library (`xp`) of the closed forms for an ExponentPair; ExponentArrays
+# carry numpy's.  A pair and a one-entry array may differ in the last bit
+# where numpy's exp or pow is not libm's.  `where` evaluates both branches.
+FLOATS = SimpleNamespace(
+    **{name: getattr(math, name) for name in ("exp", "log", "log1p", "lgamma", "isfinite")},
+    minimum=min, where=lambda condition, x, y: x if condition else y, logaddexp=_logaddexp,
+)
 
 
-def _usable_q_array(p, alpha, d):
-    """_usable_q over arrays: q as solve_q computes it, and the mask of the
-    entries that _usable_q accepts (it raises for the others)."""
+@functools.cache
+def _arrays() -> SimpleNamespace:
+    """FLOATS over numpy arrays, built on first use: this module imports without numpy."""
     import numpy as np
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gap = 1.0 / p - alpha / d
-        q = np.where(alpha == 0.0, p, 1.0 / gap)
-        usable = (
-            np.isfinite(p)
-            & (p > 1.0)
-            & np.isfinite(alpha)
-            & (0.0 <= alpha)
-            & (alpha < d / p)
-            & (gap > 0.0)
-            & ((alpha == 0.0) | (q > p))
-            & np.isfinite(q)
-            & (q / (q - 1.0) > 1.0)
-        )
-    return q, usable
+    names = ("exp", "log", "log1p", "isfinite", "minimum", "where", "logaddexp")
+    return SimpleNamespace(
+        **{name: getattr(np, name) for name in names},
+        lgamma=lambda x: np.fromiter(map(math.lgamma, x.tolist()), float, len(x)),
+    )
+
+
+def _refuse_unless(ok, template: str, *values) -> None:
+    if not ok:
+        raise ValueError(template.format(*values))
+
+
+def rules(xp):
+    """Context for ordered refusal rules over the library xp, yielding
+    rule(ok, template, *values): an input refused by ok raises
+    ValueError(template.format(*values)).  On floats a failed rule raises at
+    once, so no later rule runs (it may divide by zero).  On arrays all rules
+    run under np.errstate, and leaving the context raises for the first
+    refused entry the message of the first rule it fails, formatted with that
+    entry of each value (an ExponentArrays entry as its ExponentPair)."""
+    return nullcontext(_refuse_unless) if xp is FLOATS else _array_rules()
+
+
+@contextmanager
+def _array_rules():
+    import numpy as np
+
+    checked = []
+    with np.errstate(all="ignore"):
+        yield lambda ok, template, *values: checked.append((ok, template, values))
+    refused = ~np.logical_and.reduce([ok for ok, _, _ in checked])
+    if refused.any():
+        i = int(np.argmax(refused))
+        template, values = next((template, values) for ok, template, values in checked if not ok[i])
+        entry = (v.pair(i) if isinstance(v, ExponentArrays) else v[i].item() for v in values)
+        raise ValueError(template.format(*entry))
+
+
+def solve_q(p, alpha, d, xp=FLOATS, rule=_refuse_unless):
+    """The exponent q of the scaling relation 1/q = 1/p - alpha/d, of floats or
+    (with a numpy xp and its rule) of arrays; alpha = 0 gives q = p exactly.
+    A gap that is not positive (alpha >= d/p, also after rounding) is refused."""
+    gap = 1.0 / p - alpha / d
+    gap_text = "1/q = 1/p - alpha/d is not positive for p={}, alpha={}, d={}: alpha must stay below d/p"
+    rule(gap > 0.0, gap_text, p, alpha, d)
+    return xp.where(alpha == 0.0, p, 1.0 / gap)
+
+
+def _usable_q(p, alpha, d, xp=FLOATS, rule=_refuse_unless, dual=True):
+    """q for exponents (p, alpha, d) usable in double precision, by these rules
+    in this order: p in (1, inf), alpha in [0, d/p), a positive gap, a positive
+    alpha moves q above p, q is finite and q' = q/(q - 1) stays above 1; then
+    the same rules for the dual pair (q', p', alpha, d)."""
+    rule(xp.isfinite(p) & (p > 1.0), "p must lie in (1, inf), got {}", p)
+    d_over_p = d / p
+    alpha_text = "alpha must lie in [0, d/p) = [0, {:g}), got {}"
+    rule(xp.isfinite(alpha) & (0.0 <= alpha) & (alpha < d_over_p), alpha_text, d_over_p, alpha)
+    q = solve_q(p, alpha, d, xp, rule)
+    small_text = "alpha={} is too small to move q above p={} in double precision (d={})"
+    rule((alpha == 0.0) | (q > p), small_text, alpha, p, d)
+    rule(xp.isfinite(q), "q = 1/(1/p - alpha/d) overflows for p={}, alpha={}, d={}", p, alpha, d)
+    q_conj = q / (q - 1.0)
+    conj_text = "p={:g}, q={:g}: the conjugate exponent q' = q/(q - 1) rounds to 1, so the dual pair"
+    rule(q_conj > 1.0, conj_text + " (q', p') is undefined", p, q)
+    if dual:
+        def dual_rule(ok, template, *values):
+            if ok is not True:  # on floats, a rule that holds needs no message
+                head = "p={}, alpha={}, d={}: the dual pair (q', p') with q' = {} is not usable in double"
+                rule(ok, head + " precision (" + template + ")", p, alpha, d, q_conj, *values)
+
+        _usable_q(q_conj, alpha, d, xp, dual_rule, dual=False)
+    return q
 
 
 @dataclass(frozen=True)
@@ -106,27 +146,12 @@ class ExponentPair:
     alpha: float
     d: int
     q: float = field(init=False, default=0.0)
+    xp = FLOATS  # the library of the closed forms
 
     def __post_init__(self) -> None:
         check_dimension(self.d)
-        q = _usable_q(self.p, self.alpha, self.d)
-        object.__setattr__(self, "q", q)
-        q_conj = conjugate_exponent(q)
-        try:
-            _usable_q(q_conj, self.alpha, self.d)
-        except ValueError as exc:
-            raise ValueError(
-                f"p={self.p}, alpha={self.alpha}, d={self.d}: the dual pair (q', p') "
-                f"with q' = {q_conj} is not usable in double precision ({exc})"
-            ) from None
-
-    @property
-    def p_conj(self) -> float:
-        return conjugate_exponent(self.p)
-
-    @property
-    def q_conj(self) -> float:
-        return conjugate_exponent(self.q)
+        object.__setattr__(self, "alpha", self.alpha + 0.0)  # -0.0 is alpha = 0, and prints so
+        object.__setattr__(self, "q", _usable_q(self.p, self.alpha, self.d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,22 +159,24 @@ class ExponentArrays:
     """Many ExponentPairs at once: float arrays p and alpha, an integer array
     d, and q derived as ExponentPair derives it.
 
-    Construction applies ExponentPair's rules, for each pair and its dual, as
-    masks; the first refused pair is rebuilt as an ExponentPair, whose
-    ValueError names it.  Inputs that are not three 1-D arrays of one length
-    raise ValueError naming their shapes.  The grid sweeps evaluate and print
-    every pair from these arrays; iterating yields the pairs as ExponentPairs.
+    Construction applies ExponentPair's rules, for each pair and its dual,
+    to all entries at once; the first refused pair raises the ValueError
+    that ExponentPair raises for it.  Inputs that are not three 1-D arrays of
+    one length raise ValueError naming their shapes.  The grid sweeps
+    evaluate and print every pair from these arrays; iterating yields the
+    pairs as ExponentPairs.
     """
 
     p: "np.ndarray"
     alpha: "np.ndarray"
     d: "np.ndarray"
     q: "np.ndarray" = field(init=False, default=None)
+    xp: SimpleNamespace = field(init=False, default=None, repr=False)  # the library of the closed forms
 
     def __post_init__(self) -> None:
         import numpy as np
 
-        p, alpha = np.asarray(self.p, dtype=float), np.asarray(self.alpha, dtype=float)
+        p, alpha = np.asarray(self.p, dtype=float), np.asarray(self.alpha, dtype=float) + 0.0
         d = np.asarray(self.d)
         if not (p.ndim == alpha.ndim == d.ndim == 1 and len(p) == len(alpha) == len(d)):
             raise ValueError(
@@ -158,13 +185,11 @@ class ExponentArrays:
             )
         for dim in sorted(set(d.tolist())):  # np.unique imports numpy.ma
             check_dimension(dim)
-        q, usable = _usable_q_array(p, alpha, d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            usable &= _usable_q_array(q / (q - 1.0), alpha, d)[1]
-        for name, value in (("p", p), ("alpha", alpha), ("d", d), ("q", q)):
+        xp = _arrays()
+        with rules(xp) as rule:
+            q = _usable_q(p, alpha, d, xp, rule)
+        for name, value in (("p", p), ("alpha", alpha), ("d", d), ("q", q), ("xp", xp)):
             object.__setattr__(self, name, value)
-        for i in np.flatnonzero(~usable).tolist():
-            self.pair(i)  # raises ExponentPair's ValueError, which names the pair
 
     def __len__(self) -> int:
         return len(self.p)

@@ -21,10 +21,10 @@ import numpy as np
 from .constants import (
     REL_SLACK,
     b1_multiplier_bound,
-    constant_report_array,
-    embedding_factors_array,
+    constant_report,
     f_constant,
-    lieb_upper_bound_array,
+    lieb_upper_bound,
+    s_constant,
 )
 from .interpolation import (
     assemble,
@@ -128,7 +128,7 @@ def check_duality(result: CheckResult) -> None:
     p = 1.0 + np.exp(rng.uniform(math.log(0.02), math.log(50.0), size=n))
     pairs = ExponentArrays(p, rng.uniform(0.01, 0.99, size=n) * d / p, d)
     dual = pairs.dual()
-    s1, s2 = embedding_factors_array(pairs)[0], embedding_factors_array(dual)[0]
+    s1, s2 = s_constant(pairs), s_constant(dual)
     f1, f2 = f_constant(pairs.p, pairs.q), f_constant(dual.p, dual.q)
     max_s = float(np.max(np.abs(s1 - s2) / s1))
     max_f = float(np.max(np.abs(f1 - f2) / f1))
@@ -143,11 +143,11 @@ def check_duality(result: CheckResult) -> None:
 def check_constants(grid: ParameterGrid) -> CheckResult:
     result = CheckResult()
     pairs = make_grid(grid)
-    table = constant_report_array(pairs)
+    table = constant_report(pairs)
     refined = refine_grid(grid)
     refined_pairs = make_grid(refined)
     with np.errstate(over="ignore"):  # an infinite ratio fails the band check below
-        ratios = lieb_upper_bound_array(refined_pairs) / embedding_factors_array(refined_pairs)[0]
+        ratios = lieb_upper_bound(refined_pairs) / s_constant(refined_pairs)
     ratios = ratios.reshape(len(refined.d_values), len(refined.p_values), len(refined.alpha_fractions))
 
     check_duality(result)

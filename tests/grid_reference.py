@@ -149,7 +149,7 @@ def assemble(pair: ExponentPair) -> MarcinkiewiczData:
     rhs_shape = (
         (pair.d - pair.alpha)
         / pair.alpha
-        * pair.p_conj
+        * conjugate_exponent(pair.p)
         * math.exp((1.0 - 1.0 / pair.p) * math.log(pair.q))
     )
     ratio = assembled / rhs_shape

@@ -342,6 +342,17 @@ class TestCli:
         assert main(["constants", *argv, "--out", str(tmp_path)]) == 0
         assert capsys.readouterr() == (stdout, "")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_zero_alpha_prints_as_alpha_zero(self, fmt, tmp_path, capsys):
+        outputs = []
+        for alpha in ("-0.0", "0"):
+            out = tmp_path / alpha
+            argv = ["constants", "--p", "3", "--alpha", alpha, "--d", "7", "--format", fmt]
+            assert main([*argv, "--out", str(out)]) == 0
+            outputs.append((capsys.readouterr(), (out / f"constants.{fmt}").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].out.startswith("p=3 q=3 alpha=0 d=7\n")
+
     def test_inconsistent_point_rejected(self, tmp_path):
         code = main(
             ["constants", "--p", "2", "--q", "4", "--alpha", "0.2", "--d", "4", "--out", str(tmp_path)]

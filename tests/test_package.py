@@ -78,10 +78,16 @@ def test_every_traced_name_is_defined_and_read_by_package_code():
 
 
 def test_constants_and_params_import_without_numpy():
-    # numpy is imported inside their array forms, when one is called; report
-    # formats a numpy cell only when numpy is already loaded
+    # numpy is imported when ExponentArrays are built or read; a pair's
+    # closed forms run on math, and report formats a numpy cell only when
+    # numpy is already loaded
     code = (
-        "import sys, sobolev_constants.constants, sobolev_constants.params, sobolev_constants.report; "
+        "import sys, sobolev_constants.report; "
+        "from sobolev_constants.constants import constant_report, f_constant, lieb_upper_bound, s_constant; "
+        "from sobolev_constants.params import ExponentPair; "
+        "pair = ExponentPair(2.0, 1.0, 4); "
+        "s_constant(pair), lieb_upper_bound(pair), constant_report(pair), f_constant(pair.p, pair.q); "
+        "constant_report(ExponentPair(2.0, 0.0, 4)); "
         "print('numpy' in sys.modules)"
     )
     paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]

@@ -94,9 +94,9 @@ class TestExponentPair:
 
     def test_dual_swaps_conjugates(self):
         pair = ExponentPair(2.0, 1.0, 4)
-        dual = ExponentPair(pair.q_conj, pair.alpha, pair.d)
-        assert dual.p == pytest.approx(pair.q_conj, rel=1e-15)
-        assert dual.q == pytest.approx(pair.p_conj, rel=1e-14)
+        dual = ExponentPair(conjugate_exponent(pair.q), pair.alpha, pair.d)
+        assert dual.p == pytest.approx(conjugate_exponent(pair.q), rel=1e-15)
+        assert dual.q == pytest.approx(conjugate_exponent(pair.p), rel=1e-14)
         assert dual.alpha == pair.alpha and dual.d == pair.d
 
     def test_solver(self):
@@ -110,6 +110,12 @@ class TestExponentPair:
     @pytest.mark.parametrize(
         "p, alpha, d, message",
         [
+            pytest.param(1.0, 0.5, 4, "p must lie in (1, inf), got 1.0", id="p-one"),
+            pytest.param(math.inf, 0.5, 4, "p must lie in (1, inf), got inf", id="p-inf"),
+            pytest.param(math.nan, 0.5, 4, "p must lie in (1, inf), got nan", id="p-nan"),
+            pytest.param(2.0, -1.0, 4, "alpha must lie in [0, d/p) = [0, 2), got -1.0", id="alpha-negative"),
+            pytest.param(2.0, math.nan, 4, "alpha must lie in [0, d/p) = [0, 2), got nan", id="alpha-nan"),
+            pytest.param(4.0, 0.75, 3, "alpha must lie in [0, d/p) = [0, 0.75), got 0.75", id="alpha-d-over-p"),
             # 1/p - alpha/d rounds to 0 although alpha < d/p
             pytest.param(
                 3.0, 0.9999999999999999, 3, "1/q = 1/p - alpha/d is not positive for p=3.0",
@@ -137,6 +143,14 @@ class TestExponentPair:
             ExponentPair(p, alpha, d)
         with pytest.raises(ValueError, match=re.escape(message)):
             ExponentArrays([2.0, p], [1.0, alpha], [4, d])
+        # two refused entries: the first is named, though the second fails an earlier rule (p = 1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExponentArrays([2.0, p, 1.0], [1.0, alpha, 0.5], [4, d, 4])
+
+    def test_negative_zero_alpha_is_alpha_zero(self):
+        pair, pairs = ExponentPair(3.0, -0.0, 7), ExponentArrays([3.0], [-0.0], [7])
+        assert math.copysign(1.0, pair.alpha) == math.copysign(1.0, pairs.alpha[0]) == 1.0
+        assert pair == ExponentPair(3.0, 0.0, 7) and pair.q == 3.0
 
 
 @st.composite
@@ -185,7 +199,7 @@ def test_exponent_arrays_refuse_exactly_where_exponent_pair_raises(inputs):
             ExponentArrays([p], [alpha], [d])
         return
     pairs = ExponentArrays([p], [alpha], [d])
-    dual, pair_dual = pairs.dual(), ExponentPair(pair.q_conj, pair.alpha, pair.d)
+    dual, pair_dual = pairs.dual(), ExponentPair(conjugate_exponent(pair.q), pair.alpha, pair.d)
     assert (pairs.q[0], dual.p[0], dual.q[0]) == (pair.q, pair_dual.p, pair_dual.q)
 
 
@@ -216,7 +230,7 @@ def test_pair_rules_hold_on_every_accepted_pair(inputs):
     assert (pair.q > pair.p) == (pair.alpha > 0.0)
     assert pair.q / (pair.q - 1.0) > 1.0
     # the closed forms in constants trust this, for the pair and its dual
-    for one in (pair, ExponentPair(pair.q_conj, pair.alpha, pair.d)):
+    for one in (pair, ExponentPair(conjugate_exponent(pair.q), pair.alpha, pair.d)):
         assert 1.0 < one.p <= one.q < math.inf
     try:
         constant_report(pair)
