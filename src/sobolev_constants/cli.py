@@ -18,9 +18,11 @@ from .params import (
     GroupGeometry,
     ParameterGrid,
     check_dimension,
+    check_p,
     default_grid,
     grid_fingerprint,
     read_grid_config,
+    refuse_unless,
 )
 from .report import GoldenSnapshot, ResultTable, compare_golden, write_table
 
@@ -114,20 +116,14 @@ def _finish(result: verify.CheckResult, args) -> int:
 
 
 def _point_constants(args) -> int:
-    if args.config is not None:
-        raise ValueError("point mode takes no --config")
-    if args.d is None:
-        raise ValueError("point mode needs --d")
-    if args.q is None and args.alpha is None:
-        raise ValueError("point mode needs --q or --alpha")
-    if args.p is None:
-        raise ValueError("point mode needs --p")
-    if not args.p > 1.0:
-        raise ValueError(f"--p must be > 1, got {args.p}")
+    refuse_unless(args.config is None, "point mode takes no --config")
+    refuse_unless(args.d is not None, "point mode needs --d")
+    refuse_unless(args.q is not None or args.alpha is not None, "point mode needs --q or --alpha")
+    refuse_unless(args.p is not None, "point mode needs --p")
+    check_p(args.p)  # ExponentPair's rule, before 1/p is taken below
     alpha = args.alpha
     if args.q is not None:
-        if not args.q >= args.p:
-            raise ValueError(f"--q must be >= --p, got q={args.q} < p={args.p}")
+        refuse_unless(args.q >= args.p, "--q must be >= --p, got q={} < p={}", args.q, args.p)
         check_dimension(args.d)
         implied = args.d * (1.0 / args.p - 1.0 / args.q)
         # agreement relative to alpha, with a few ulps of 1/p for the rounding of 1/p - 1/q

@@ -10,32 +10,19 @@ overflow later.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ExponentArrays, conjugate_exponent, rules
+from .params import ExponentArrays, Value, conjugate_exponent, rules
 
 
-@dataclass(frozen=True)
-class MarcinkiewiczData:
+class MarcinkiewiczData(Value):
     """The interpolation data of each pair, one numpy array per field:
     endpoints, weight, component norms, the assembled constant
     m0^{1/q} m1^{1-theta} m2^theta, the target shape
-    ((d - alpha)/alpha) p' q^{1 - 1/p}, and their ratio."""
+    ((d - alpha)/alpha) p' q^{1 - 1/p}, and their ratio, given in this order."""
 
-    pair: ExponentArrays
-    p1: np.ndarray
-    q1: np.ndarray
-    p2: np.ndarray
-    q2: np.ndarray
-    theta: np.ndarray
-    m0: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
-    assembled: np.ndarray
-    ipq_rhs_shape: np.ndarray
-    ratio: np.ndarray
+    __slots__ = ("pair", "p1", "q1", "p2", "q2", "theta", "m0", "m1", "m2", "assembled", "ipq_rhs_shape", "ratio")
 
 
 def m1_bound(alpha, d):

@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,8 +30,10 @@ from .params import (
     LOG_NORMAL_MAX,
     LOG_NORMAL_MIN,
     GroupGeometry,
+    Value,
     check_dimension,
     conjugate_exponent,
+    refuse_unless,
     solve_q,
     tau_delta,
 )
@@ -53,33 +54,26 @@ _TAIL_EXPONENT = 750.0
 
 
 def _check_order(alpha: float, d: int) -> None:
-    if not (0.0 < alpha < d):
-        raise ValueError(f"need 0 < alpha < d, got alpha={alpha}, d={d}")
+    refuse_unless(0.0 < alpha < d, "need 0 < alpha < d, got alpha={}, d={}", alpha, d)
 
 
-@dataclass(frozen=True)
-class GreenKernelParams:
+class GreenKernelParams(Value):
     """Parameters (alpha, d, a, b) of the subordination integrand
     t^{alpha/2 - 1} min(1, t)^{-d/2} e^{-a t} e^{-b r^2/t}.
 
     a >= 1 is required: the t >= 1 piece of the integral is bounded using it.
     """
 
-    alpha: float
-    d: int
-    a: float = 1.0
-    b: float = 1.0
+    __slots__ = ("alpha", "d", "a", "b")
 
-    def __post_init__(self) -> None:
-        check_dimension(self.d)
-        _check_order(self.alpha, self.d)
+    def __init__(self, alpha: float, d: int, a: float = 1.0, b: float = 1.0) -> None:
+        check_dimension(d)
+        _check_order(alpha, d)
         # the slope alpha/2 and the normalization 1/Gamma(alpha/2) need alpha/2 > 0
-        if not 0.5 * self.alpha > 0.0:
-            raise ValueError(f"alpha={self.alpha} is too small: alpha/2 rounds to 0")
-        if not self.a >= 1.0:
-            raise ValueError(f"need a >= 1, got {self.a}")
-        if not self.b > 0.0:
-            raise ValueError(f"need b > 0, got {self.b}")
+        refuse_unless(0.5 * alpha > 0.0, "alpha={} is too small: alpha/2 rounds to 0", alpha)
+        refuse_unless(a >= 1.0, "need a >= 1, got {}", a)
+        refuse_unless(b > 0.0, "need b > 0, got {}", b)
+        self._set(alpha=alpha, d=d, a=a, b=b)
 
 
 def green_kernel_params_from_geometry(alpha: float, d: int, g: GroupGeometry) -> GreenKernelParams:
@@ -445,23 +439,18 @@ def kalpha_norms_quadrature(alpha: float, d: int, s: float, *r_exps: float) -> t
     return (inner, *outer)
 
 
-@dataclass(frozen=True)
-class CutoffSchedule:
+class CutoffSchedule(Value):
     """Radius schedule s(t) <= 1 splitting the singular kernel so that the
     outer convolution stays below t/2 in sup norm: the integrable schedule
     for inputs with p > 1, the endpoint schedule for L^1 inputs (p = 1)."""
 
-    p_t: float
-    alpha: float
-    d: int
-    q_t: float = field(init=False, default=0.0)  # q of the scaling relation 1/q = 1/p - alpha/d
+    __slots__ = ("p_t", "alpha", "d", "q_t")  # q_t: q of the scaling relation 1/q = 1/p - alpha/d
 
-    def __post_init__(self) -> None:
-        _check_order(self.alpha, self.d)
-        if not self.p_t >= 1.0:
-            raise ValueError(f"need p >= 1, got {self.p_t}")
+    def __init__(self, p_t: float, alpha: float, d: int) -> None:
+        _check_order(alpha, d)
+        refuse_unless(p_t >= 1.0, "need p >= 1, got {}", p_t)
         # solve_q raises once alpha >= d/p
-        object.__setattr__(self, "q_t", solve_q(self.p_t, self.alpha, self.d))
+        self._set(p_t=p_t, alpha=alpha, d=d, q_t=solve_q(p_t, alpha, d))
 
 
 def cutoff_s(t: float, sched: CutoffSchedule) -> float:

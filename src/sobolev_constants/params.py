@@ -5,23 +5,60 @@ kernel envelopes, spectral sweeps) consumes the validated types defined
 here.  All types are immutable and all operations are pure.  One pair is an
 ExponentPair and many are ExponentArrays; each carries the library (`xp`,
 math or numpy) its closed forms run on, and one list of rules validates both.
+
+Every value type of the package derives from Value, defined here, which
+needs no import.  A point query loads no numpy, hashlib or decimal: each is
+imported by the functions that read it.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
-from decimal import Decimal
 from pathlib import Path
 from types import SimpleNamespace
 
 # the logs of the least and greatest normal doubles
 LOG_NORMAL_MIN = math.log(sys.float_info.min)
 LOG_NORMAL_MAX = math.log(sys.float_info.max)
+
+
+class Value:
+    """Base of the package's value types: a subclass names its fields in
+    __slots__ and sets them once in __init__ (by _set).  Assignment raises
+    AttributeError; equality, hash and repr go field by field, in slot
+    order.  A slot whose name starts with _ is no field: "__dict__" gives
+    an instance a dict for functools.cached_property."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def __init__(self, *values) -> None:
+        self._set(**dict(zip(self._fields, values, strict=True)))
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def check_dimension(d) -> None:
@@ -64,7 +101,8 @@ def _arrays() -> SimpleNamespace:
     )
 
 
-def _refuse_unless(ok, template: str, *values) -> None:
+def refuse_unless(ok, template: str, *values) -> None:
+    """Raise ValueError(template.format(*values)) unless ok."""
     if not ok:
         raise ValueError(template.format(*values))
 
@@ -77,7 +115,7 @@ def rules(xp):
     run under np.errstate, and leaving the context raises for the first
     refused entry the message of the first rule it fails, formatted with that
     entry of each value (an ExponentArrays entry as its ExponentPair)."""
-    return nullcontext(_refuse_unless) if xp is FLOATS else _array_rules()
+    return nullcontext(refuse_unless) if xp is FLOATS else _array_rules()
 
 
 @contextmanager
@@ -95,7 +133,12 @@ def _array_rules():
         raise ValueError(template.format(*entry))
 
 
-def solve_q(p, alpha, d, xp=FLOATS, rule=_refuse_unless):
+def check_p(p, xp=FLOATS, rule=refuse_unless) -> None:
+    """The first rule of ExponentPair and ExponentArrays: p lies in (1, inf)."""
+    rule(xp.isfinite(p) & (p > 1.0), "p must lie in (1, inf), got {}", p)
+
+
+def solve_q(p, alpha, d, xp=FLOATS, rule=refuse_unless):
     """The exponent q of the scaling relation 1/q = 1/p - alpha/d, of floats or
     (with a numpy xp and its rule) of arrays; alpha = 0 gives q = p exactly.
     A gap that is not positive (alpha >= d/p, also after rounding) is refused."""
@@ -105,12 +148,12 @@ def solve_q(p, alpha, d, xp=FLOATS, rule=_refuse_unless):
     return xp.where(alpha == 0.0, p, 1.0 / gap)
 
 
-def _usable_q(p, alpha, d, xp=FLOATS, rule=_refuse_unless, dual=True):
+def _usable_q(p, alpha, d, xp=FLOATS, rule=refuse_unless, dual=True):
     """q for exponents (p, alpha, d) usable in double precision, by these rules
     in this order: p in (1, inf), alpha in [0, d/p), a positive gap, a positive
     alpha moves q above p, q is finite and q' = q/(q - 1) stays above 1; then
     the same rules for the dual pair (q', p', alpha, d)."""
-    rule(xp.isfinite(p) & (p > 1.0), "p must lie in (1, inf), got {}", p)
+    check_p(p, xp, rule)
     d_over_p = d / p
     alpha_text = "alpha must lie in [0, d/p) = [0, {:g}), got {}"
     rule(xp.isfinite(alpha) & (0.0 <= alpha) & (alpha < d_over_p), alpha_text, d_over_p, alpha)
@@ -131,8 +174,7 @@ def _usable_q(p, alpha, d, xp=FLOATS, rule=_refuse_unless, dual=True):
     return q
 
 
-@dataclass(frozen=True)
-class ExponentPair:
+class ExponentPair(Value):
     """A (p, q, alpha, d) quadruple locked to the scaling relation
     1/q = 1/p - alpha/d.
 
@@ -142,11 +184,16 @@ class ExponentPair:
     (q', p', alpha, d) are usable in double precision.
     """
 
-    p: float
-    alpha: float
-    d: int
-    q: float = field(init=False, default=0.0)
+    __slots__ = ("p", "alpha", "d", "q")
     xp = FLOATS  # the library of the closed forms
+
+    # object.__setattr__, not _set (1.3 us more a pair): a grid sweep builds 10^4 pairs;
+    # __post_init__ is looked up at each call, where perfbench/tracer.py counts the pairs
+    def __init__(self, p: float, alpha: float, d: int) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "d", d)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_dimension(self.d)
@@ -154,8 +201,7 @@ class ExponentPair:
         object.__setattr__(self, "q", _usable_q(self.p, self.alpha, self.d))
 
 
-@dataclass(frozen=True, eq=False)
-class ExponentArrays:
+class ExponentArrays(Value):
     """Many ExponentPairs at once: float arrays p and alpha, an integer array
     d, and q derived as ExponentPair derives it.
 
@@ -164,20 +210,17 @@ class ExponentArrays:
     that ExponentPair raises for it.  Inputs that are not three 1-D arrays of
     one length raise ValueError naming their shapes.  The grid sweeps
     evaluate and print every pair from these arrays; iterating yields the
-    pairs as ExponentPairs.
+    pairs as ExponentPairs.  Equality is identity.
     """
 
-    p: "np.ndarray"
-    alpha: "np.ndarray"
-    d: "np.ndarray"
-    q: "np.ndarray" = field(init=False, default=None)
-    xp: SimpleNamespace = field(init=False, default=None, repr=False)  # the library of the closed forms
+    __slots__ = ("p", "alpha", "d", "q")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
+    def __init__(self, p, alpha, d) -> None:
         import numpy as np
 
-        p, alpha = np.asarray(self.p, dtype=float), np.asarray(self.alpha, dtype=float) + 0.0
-        d = np.asarray(self.d)
+        p, alpha = np.asarray(p, dtype=float), np.asarray(alpha, dtype=float) + 0.0
+        d = np.asarray(d)
         if not (p.ndim == alpha.ndim == d.ndim == 1 and len(p) == len(alpha) == len(d)):
             raise ValueError(
                 "p, alpha and d must be 1-D arrays of one length, got shapes "
@@ -185,11 +228,14 @@ class ExponentArrays:
             )
         for dim in sorted(set(d.tolist())):  # np.unique imports numpy.ma
             check_dimension(dim)
-        xp = _arrays()
-        with rules(xp) as rule:
-            q = _usable_q(p, alpha, d, xp, rule)
-        for name, value in (("p", p), ("alpha", alpha), ("d", d), ("q", q), ("xp", xp)):
-            object.__setattr__(self, name, value)
+        with rules(self.xp) as rule:
+            q = _usable_q(p, alpha, d, self.xp, rule)
+        self._set(p=p, alpha=alpha, d=d, q=q)
+
+    @property
+    def xp(self) -> SimpleNamespace:
+        """The library of the closed forms: numpy's."""
+        return _arrays()
 
     def __len__(self) -> int:
         return len(self.p)
@@ -206,8 +252,7 @@ class ExponentArrays:
         return ExponentArrays(self.q / (self.q - 1.0), self.alpha, self.d)
 
 
-@dataclass(frozen=True)
-class GroupGeometry:
+class GroupGeometry(Value):
     """Geometry record (D, b, c_delta).
 
     D is the exponential volume-growth rate, b the Gaussian heat-bound decay
@@ -220,31 +265,22 @@ class GroupGeometry:
     unit growth rate.
     """
 
-    D: float = 1.0
-    b: float = 1.0
-    c_delta: float = 0.0
+    __slots__ = ("D", "b", "c_delta")
 
-    def __post_init__(self) -> None:
-        for name in ("D", "b", "c_delta"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-        if self.D < 0.0:
-            raise ValueError(f"D must be >= 0, got {self.D}")
-        if self.b <= 0.0:
-            raise ValueError("b must be positive")
-        if self.c_delta < 0.0:
-            raise ValueError("character gradient norms must be >= 0")
+    def __init__(self, D: float = 1.0, b: float = 1.0, c_delta: float = 0.0) -> None:
+        for name, v in zip(self._fields, (D, b, c_delta)):
+            refuse_unless(math.isfinite(v), "{} must be finite, got {}", name, v)
+        refuse_unless(D >= 0.0, "D must be >= 0, got {}", D)
+        refuse_unless(b > 0.0, "b must be positive")
+        refuse_unless(c_delta >= 0.0, "character gradient norms must be >= 0")
+        self._set(D=D, b=b, c_delta=c_delta)
         # the kernel shift a = tau_delta + c_delta^2/4 is at most this sum
         try:
-            shift = self.shift_threshold + 0.25 * self.c_delta**2
+            shift = self.shift_threshold + 0.25 * c_delta**2
         except OverflowError:
             shift = math.inf
-        if not math.isfinite(shift):
-            raise ValueError(
-                f"shift threshold (2/b)(2D + b0)^2 plus c_delta^2/4 overflows for "
-                f"D={self.D}, b={self.b}, c_delta={self.c_delta}"
-            )
+        shift_text = "shift threshold (2/b)(2D + b0)^2 plus c_delta^2/4 overflows for D={}, b={}, c_delta={}"
+        refuse_unless(math.isfinite(shift), shift_text, D, b, c_delta)
 
     @property
     def b0(self) -> float:
@@ -274,35 +310,26 @@ def tau_delta(g: GroupGeometry) -> float:
     return max(g.shift_threshold - 0.25 * g.c_delta**2, 1.0)
 
 
-@dataclass(frozen=True)
-class ParameterGrid:
+class ParameterGrid(Value):
     """Sweep axes: p values in (1, inf), alpha fractions alpha*p/d in (0, 1),
     integer dimensions.  Axes are sorted and deduplicated at construction;
     a d value with a fractional part is rejected, not truncated."""
 
-    p_values: tuple
-    alpha_fractions: tuple
-    d_values: tuple
+    __slots__ = ("p_values", "alpha_fractions", "d_values")
 
-    def __post_init__(self) -> None:
-        for d in self.d_values:
-            # an int is exact, and float() would overflow past 1e308
-            if not (isinstance(d, int) or float(d).is_integer()):
-                raise ValueError(f"d values must be integers, got {d}")
-        ps = tuple(sorted(set(float(p) for p in self.p_values)))
-        fr = tuple(sorted(set(float(f) for f in self.alpha_fractions)))
-        ds = tuple(sorted(set(int(d) for d in self.d_values)))
+    def __init__(self, p_values: tuple, alpha_fractions: tuple, d_values: tuple) -> None:
+        for d in d_values:  # an int is exact, and float() would overflow past 1e308
+            refuse_unless(isinstance(d, int) or float(d).is_integer(), "d values must be integers, got {}", d)
+        ps = tuple(sorted(set(float(p) for p in p_values)))
+        fr = tuple(sorted(set(float(f) for f in alpha_fractions)))
+        ds = tuple(sorted(set(int(d) for d in d_values)))
         for p in ps:
-            if not (math.isfinite(p) and p > 1.0):
-                raise ValueError(f"p values must lie in (1, inf), got {p}")
+            refuse_unless(math.isfinite(p) and p > 1.0, "p values must lie in (1, inf), got {}", p)
         for f in fr:
-            if not (0.0 < f < 1.0):
-                raise ValueError(f"alpha fractions must lie in (0, 1), got {f}")
+            refuse_unless(0.0 < f < 1.0, "alpha fractions must lie in (0, 1), got {}", f)
         for d in ds:
             check_dimension(d)
-        object.__setattr__(self, "p_values", ps)
-        object.__setattr__(self, "alpha_fractions", fr)
-        object.__setattr__(self, "d_values", ds)
+        self._set(p_values=ps, alpha_fractions=fr, d_values=ds)
 
 
 def make_grid(spec: ParameterGrid) -> ExponentArrays:
@@ -352,6 +379,8 @@ def grid_fingerprint(spec: ParameterGrid, geometry: GroupGeometry) -> str:
     if geometry != GroupGeometry():
         axes.append((geometry.D, geometry.b, geometry.c_delta))
     text = ";".join(",".join(f"{v:.17g}" for v in axis) for axis in axes)
+    import hashlib
+
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -394,6 +423,8 @@ def read_grid_config(path) -> ParameterGrid:
             return int(tok)
         except ValueError:
             value = float(tok)
+        from decimal import Decimal
+
         if value.is_integer() and Decimal(value) != Decimal(tok):
             raise ValueError(f"{tok.strip()} is no integer of at most 2^53")
         return value

@@ -2,17 +2,18 @@
 golden-snapshot regression.
 
 Numbers are always rendered with 12 significant digits and LF line endings
-so identical runs produce byte-identical files.
+so identical runs produce byte-identical files.  json is imported by the
+JSON writer and the golden-snapshot files alone: a CSV table needs none.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+
+from .params import Value
 
 SCHEMA_VERSION = "1"
 NUMBER_FORMAT = "%.12g"  # every float cell, of every table and snapshot
@@ -154,9 +155,9 @@ def write_table(table: ResultTable, directory, fmt: str = "csv") -> Path:
             else:
                 handle.write(
                     "{\n"
-                    f'  "schema_version": {json.dumps(SCHEMA_VERSION)},\n'
-                    f'  "name": {json.dumps(table.name)},\n'
-                    f'  "columns": {json.dumps(list(table.columns))},\n'
+                    f'  "schema_version": {_json_cell(SCHEMA_VERSION)},\n'
+                    f'  "name": {_json_cell(table.name)},\n'
+                    f'  "columns": [{", ".join(map(_json_cell, table.columns))}],\n'
                     '  "rows": [\n'
                 )
                 separator = ""
@@ -179,32 +180,36 @@ def _json_cell(v) -> str:
     if v is None:
         return "null"
     if isinstance(v, str):
+        import json
+
         return json.dumps(v)
     return format_value(v)
 
 
-@dataclass
-class GoldenSnapshot:
-    """Named collection of fitted values with per-key relative tolerances,
-    tied to the grid fingerprint it was produced from."""
+class GoldenSnapshot(Value):
+    """Named collection of fitted values with per-key relative tolerances
+    (values: key -> (value, rel tolerance)), tied to the grid fingerprint it
+    was produced from; mutable, so unhashable."""
 
-    name: str
-    grid_hash: str
-    values: Dict[str, Tuple[float, float]]  # key -> (value, rel tolerance)
+    __slots__ = ("name", "grid_hash", "values")
+    __setattr__, __hash__ = object.__setattr__, None
+
+    def __init__(self, name: str, grid_hash: str, values: Dict[str, Tuple[float, float]]) -> None:
+        self._set(name=name, grid_hash=grid_hash, values=values)
 
     def to_file(self, directory) -> Path:
         directory = Path(directory)
         path = directory / f"{self.name}.json"
         entries = ",\n".join(
-            f'    {json.dumps(k)}: {{"value": {format_value(v)}, "tolerance": {format_value(tol)}}}'
+            f'    {_json_cell(k)}: {{"value": {format_value(v)}, "tolerance": {format_value(tol)}}}'
             for k, (v, tol) in sorted(self.values.items())
         )
         try:  # a non-finite value has raised above, before the directory is made
             directory.mkdir(parents=True, exist_ok=True)
             path.write_text(
                 "{\n"
-                f'  "name": {json.dumps(self.name)},\n'
-                f'  "grid_hash": {json.dumps(self.grid_hash)},\n'
+                f'  "name": {_json_cell(self.name)},\n'
+                f'  "grid_hash": {_json_cell(self.grid_hash)},\n'
                 '  "values": {\n' + entries + "\n  }\n}\n"
             )
         except OSError as exc:
@@ -213,6 +218,8 @@ class GoldenSnapshot:
 
     @classmethod
     def from_file(cls, path) -> "GoldenSnapshot":
+        import json
+
         try:
             data = json.loads(Path(path).read_text())
             values = {k: (float(e["value"]), float(e["tolerance"])) for k, e in data["values"].items()}

@@ -8,33 +8,29 @@ term has to be a double.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .constants import s_constant
-from .params import ExponentPair, conjugate_exponent
+from .params import ExponentPair, Value, conjugate_exponent, refuse_unless
 
 
 K_MAX = 2000  # the far term index of the radius extrapolation
 K_RATIOS = 600  # term_ratios runs k = start..K_RATIOS-1
 
 
-@dataclass(frozen=True)
-class MTSeriesSpec:
+class MTSeriesSpec(Value):
     """Series family term_k = gamma^k/k! * c^{p'k} (p'k)^k, summed from
     k = ceil(p - 1); c stands for the product of embedding and interpolation
     constants times (p' - 1)."""
 
-    p: float
-    c: float
+    __slots__ = ("p", "c")
 
-    def __post_init__(self) -> None:
-        if not self.p > 1.0:
-            raise ValueError(f"need p > 1, got {self.p}")
-        if not self.c > 0.0:
-            raise ValueError(f"need c > 0, got {self.c}")
+    def __init__(self, p: float, c: float) -> None:
+        refuse_unless(p > 1.0, "need p > 1, got {}", p)
+        refuse_unless(c > 0.0, "need c > 0, got {}", c)
+        self._set(p=p, c=c)
 
     @property
     def p_conj(self) -> float:

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from .constants import s_constant
-from .params import ExponentPair
+from .params import ExponentPair, Value, refuse_unless
 
 BOX_LENGTH = 16.0  # side of the periodic box; trial fields stay much narrower
 TRIAL_WIDTHS = (0.5, 1.0, 2.0)  # widths of the Gaussian trial fields, ascending
@@ -28,23 +27,19 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class TorusGrid:
+class TorusGrid(Value):
     """Uniform periodic grid: dim axes of n points (power of two) over a box
     of side BOX_LENGTH."""
 
-    dim: int
-    n: int
+    __slots__ = ("dim", "n", "__dict__")
 
-    def __post_init__(self) -> None:
-        if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if not (isinstance(self.n, int) and self.n >= 2 and (self.n & (self.n - 1)) == 0):
-            raise ValueError(f"n must be a power of two >= 2, got {self.n!r}")
-        if self.n > 256:
-            raise ValueError(f"n must be <= 256, got {self.n}")
-        if self.n**self.dim > 2**22:
-            raise ValueError(f"total points {self.n}^{self.dim} exceed 2^22")
+    def __init__(self, dim: int, n: int) -> None:
+        refuse_unless(dim in (1, 2, 3), "dim must be 1, 2 or 3, got {}", dim)
+        power_of_two = isinstance(n, int) and n >= 2 and (n & (n - 1)) == 0
+        refuse_unless(power_of_two, "n must be a power of two >= 2, got {!r}", n)
+        refuse_unless(n <= 256, "n must be <= 256, got {}", n)
+        refuse_unless(n**dim <= 2**22, "total points {}^{} exceed 2^22", n, dim)
+        self._set(dim=dim, n=n)
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -69,18 +64,17 @@ class TorusGrid:
         return _read_only(sum(a**2 for a in axes))
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralField:
-    """Complex values on a TorusGrid; immutable once constructed."""
+class SpectralField(Value):
+    """Complex values on a TorusGrid; immutable once constructed.  Equality
+    is identity."""
 
-    grid: TorusGrid
-    values: np.ndarray
+    __slots__ = ("grid", "values", "__dict__")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.complex128)
-        if arr.shape != self.grid.shape:
-            raise ValueError(f"values shape {arr.shape} does not match grid {self.grid.shape}")
-        object.__setattr__(self, "values", _read_only(arr.copy()))
+    def __init__(self, grid: TorusGrid, values: np.ndarray) -> None:
+        arr = np.asarray(values, dtype=np.complex128)
+        refuse_unless(arr.shape == grid.shape, "values shape {} does not match grid {}", arr.shape, grid.shape)
+        self._set(grid=grid, values=_read_only(arr.copy()))
 
     @functools.cached_property
     def coeffs(self) -> np.ndarray:
@@ -90,8 +84,7 @@ class SpectralField:
 
 def gaussian_field(grid: TorusGrid, width: float) -> SpectralField:
     """exp(-|x - center|^2 / (2 width^2)) centered in the box."""
-    if not width > 0.0:
-        raise ValueError("width must be positive")
+    refuse_unless(width > 0.0, "width must be positive")
     c = BOX_LENGTH / 2.0
     rho2 = sum((x - c) ** 2 for x in grid.meshgrid())
     return SpectralField(grid, np.exp(-rho2 / (2.0 * width**2)))
@@ -117,8 +110,7 @@ def bessel_apply(f: SpectralField, tau: float, alpha: float) -> SpectralField:
 def lp_norm(f: SpectralField, p: float) -> float:
     """Riemann-sum norm (sum |f(x)|^p cellvolume)^{1/p}; an overflowed
     (non-finite) norm raises, since ratios built on it would read 0."""
-    if not p >= 1.0:
-        raise ValueError(f"need p >= 1, got {p}")
+    refuse_unless(p >= 1.0, "need p >= 1, got {}", p)
     mags = np.abs(np.asarray(f.values))
     with np.errstate(over="ignore"):  # an overflow is refused just below
         norm = float((np.sum(mags**p) * f.grid.cell_volume) ** (1.0 / p))
@@ -129,8 +121,7 @@ def lp_norm(f: SpectralField, p: float) -> float:
 
 def embedding_ratio(f: SpectralField, pair: ExponentPair, tau: float) -> float:
     """||f||_q divided by the order-alpha Sobolev norm ||(tau + L)^{alpha/2} f||_p."""
-    if pair.d != f.grid.dim:
-        raise ValueError(f"pair dimension d={pair.d} must match grid dim={f.grid.dim}")
+    refuse_unless(pair.d == f.grid.dim, "pair dimension d={} must match grid dim={}", pair.d, f.grid.dim)
     denom = lp_norm(bessel_apply(f, tau, pair.alpha), pair.p)
     if denom == 0.0:
         raise ValueError("zero Sobolev norm: the field vanishes")
@@ -147,15 +138,15 @@ def embedding_sweep(
     Returns the rows ("gaussian", width, d, p, q, alpha, ratio, ratio_over_S)
     and the fitted constant max(ratio/S) over the table."""
     pairs = list(pairs)
-    if not pairs:
-        raise ValueError("embedding sweep needs at least one exponent pair")
+    refuse_unless(pairs, "embedding sweep needs at least one exponent pair")
     rows: List[tuple] = []
     fitted = 0.0
+    s_values = [s_constant(pair) for pair in pairs]  # once per pair, not per width
     for width in widths:
         f = gaussian_field(grid, width)
-        for pair in pairs:
+        for pair, s in zip(pairs, s_values):
             ratio = embedding_ratio(f, pair, tau)
-            rel = ratio / s_constant(pair)
+            rel = ratio / s
             rows.append(("gaussian", width, pair.d, pair.p, pair.q, pair.alpha, ratio, rel))
             fitted = max(fitted, rel)
     return rows, fitted
@@ -189,10 +180,8 @@ def mt_functional(f: SpectralField, gamma: float, p: float) -> float:
     Raises on overflow instead of returning inf: exponents above ~700 mean
     gamma is too large for the field's height.
     """
-    if not gamma >= 0.0:
-        raise ValueError(f"need gamma >= 0, got {gamma}")
-    if not p > 1.0:
-        raise ValueError(f"need p > 1, got {p}")
+    refuse_unless(gamma >= 0.0, "need gamma >= 0, got {}", gamma)
+    refuse_unless(p > 1.0, "need p > 1, got {}", p)
     if gamma == 0.0:
         return 0.0
     pp = p / (p - 1.0)
@@ -214,10 +203,8 @@ def interpolation_check(
     At p = 2 the ratio never exceeds 1: on the frequency side it is the
     weighted power-mean inequality for the multiplier weights.
     """
-    if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"need theta in [0, 1], got {theta}")
-    if not alpha >= 0.0:
-        raise ValueError(f"need alpha >= 0, got {alpha}")
+    refuse_unless(0.0 <= theta <= 1.0, "need theta in [0, 1], got {}", theta)
+    refuse_unless(alpha >= 0.0, "need alpha >= 0, got {}", alpha)
     lhs = lp_norm(bessel_apply(f, tau, theta * alpha), p)
     rhs = lp_norm(f, p) ** (1.0 - theta) * lp_norm(bessel_apply(f, tau, alpha), p) ** theta
     return lhs, rhs, lhs / rhs
@@ -228,10 +215,8 @@ def gagliardo_interp_check(
 ) -> Tuple[float, float]:
     """(||f||_q, S(p,q) ||f||_{p,d/p}^{1 - p/q} ||f||_p^{p/q}) for
     fitted-constant reporting; both sides scale identically under f -> c f."""
-    if pair.alpha <= 0.0:
-        raise ValueError("needs q > p, i.e. alpha > 0")
-    if pair.d != f.grid.dim:
-        raise ValueError(f"pair dimension d={pair.d} must match grid dim={f.grid.dim}")
+    refuse_unless(pair.alpha > 0.0, "needs q > p, i.e. alpha > 0")
+    refuse_unless(pair.d == f.grid.dim, "pair dimension d={} must match grid dim={}", pair.d, f.grid.dim)
     lhs = lp_norm(f, pair.q)
     sobolev_top = lp_norm(bessel_apply(f, tau, pair.d / pair.p), pair.p)
     base = lp_norm(f, pair.p)

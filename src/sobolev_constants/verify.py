@@ -13,7 +13,6 @@ reductions run in a fixed order, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -54,6 +53,7 @@ from .params import (
     ExponentPair,
     GroupGeometry,
     ParameterGrid,
+    Value,
     make_grid,
     refine_grid,
     tau_delta,
@@ -85,11 +85,18 @@ def _violations(table: ResultTable) -> int:
     return len(table) - int(np.count_nonzero(table.column("pass")))
 
 
-@dataclass
-class CheckResult:
-    tables: List[ResultTable] = field(default_factory=list)
-    fitted: Dict[str, Tuple[float, float]] = field(default_factory=dict)  # key -> (value, rel tolerance)
-    checks: List[Tuple[str, bool]] = field(default_factory=list)  # (name plus " (detail)", passed)
+class CheckResult(Value):
+    """The tables, the fitted values (key -> (value, rel tolerance)) and the
+    checks ((name plus " (detail)", passed)) of a run.  Each starts empty,
+    fitted unless given; mutable, so unhashable."""
+
+    __slots__ = ("tables", "fitted", "checks")
+    __setattr__, __hash__ = object.__setattr__, None
+
+    def __init__(self, fitted: Dict[str, Tuple[float, float]] = None) -> None:
+        self.tables: List[ResultTable] = []
+        self.fitted = {} if fitted is None else fitted
+        self.checks: List[Tuple[str, bool]] = []
 
     @property
     def lines(self) -> List[str]:

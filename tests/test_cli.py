@@ -272,6 +272,42 @@ class TestImportBoundary:
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[-1] == f"0 True {loads_ma}"
 
+    LIBRARIES = ("dataclasses", "inspect", "hashlib", "decimal", "json")
+
+    @pytest.mark.parametrize(
+        "argv, d_values, present",
+        [
+            (["constants", "--p", "2", "--q", "4", "--d", "4"], None, ()),
+            # the controls: verify-all loads hashlib (for its grid fingerprint, and
+            # numpy.random does too), the JSON writer json, and a d token with a
+            # decimal point decimal
+            (["verify-all", "--golden-dir", str(REPO_GOLDEN)], None, ("hashlib",)),
+            (["constants", "--p", "2", "--q", "4", "--d", "4", "--format", "json"], None, ("json",)),
+            (["constants", "--config", "GRID"], "4.0", ("decimal",)),
+        ],
+        ids=["point-query", "verify-all", "point-query-json", "config-d-4.0"],
+    )
+    def test_cli_import_and_point_query_load_no_unread_library(self, argv, d_values, present, tmp_path):
+        config = tmp_path / "grid.cfg"
+        config.write_text(f"p_values = 1.5, 2\nalpha_fractions = 0.5\nd_values = {d_values}\n")
+        script = (
+            "import sys\n"
+            "import sobolev_constants.cli\n"
+            f"libraries = {self.LIBRARIES!r}\n"
+            "print(*(m for m in libraries if m in sys.modules))\n"
+            "code = sobolev_constants.cli.main(sys.argv[1:])\n"
+            "print(code, *(m for m in libraries if m in sys.modules))\n"
+        )
+        argv = [str(config) if a == "GRID" else a for a in argv]
+        out = run_python("-c", script, *argv, "--out", str(tmp_path / "out"))
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        code, *loaded = lines[-1].split()
+        assert (lines[0], code) == ("", "0")
+        assert set(present) <= set(loaded) and "dataclasses" not in loaded
+        if argv[0] == "constants" and "--config" not in argv:
+            assert loaded == list(present)  # a point query loads what its format reads, nothing else
+
     def test_lazily_registered_modules_import_and_read(self):
         # the CLI registers the numpy modules unexecuted; an import or a read runs them
         script = (
@@ -736,9 +772,25 @@ class TestCli:
                 "point mode takes no --config",
                 id="point-with-config",
             ),
-            # nan <= 1 is false, so --p nan was reported as a --q error
+            # --p is refused by ExponentPair's own rule, with its message, before 1/p is taken
             pytest.param(
-                ["constants", "--p", "nan", "--q", "4", "--d", "4"], None, "--p must be > 1, got nan", id="point-p-nan"
+                ["constants", "--p", "nan", "--q", "4", "--d", "4"],
+                None,
+                "error: p must lie in (1, inf), got nan",
+                id="point-p-nan",
+            ),
+            # inf passed the CLI's own "--p must be > 1" and was reported as a --q error
+            pytest.param(
+                ["constants", "--p", "inf", "--q", "4", "--d", "4"],
+                None,
+                "error: p must lie in (1, inf), got inf",
+                id="point-p-inf-with-q",
+            ),
+            pytest.param(
+                ["constants", "--p", "0", "--q", "4", "--d", "4"],
+                None,
+                "error: p must lie in (1, inf), got 0.0",
+                id="point-p-zero-with-q",
             ),
         ],
     )
