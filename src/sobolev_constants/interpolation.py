@@ -1,6 +1,7 @@
-"""Marcinkiewicz constant assembly over arrays of pairs: endpoint exponents,
-interpolation weight theta, the component norms m0/m1/m2, and the assembled
-strong-type bound together with every intermediate bound it must respect.
+"""Marcinkiewicz constant assembly over arrays of pairs: the interpolation
+weight theta, the component norms m0/m1/m2 and the assembled strong-type
+bound, returned as the marcinkiewicz table together with the endpoint
+identity errors and every intermediate bound the assembly must respect.
 
 Products of powers are evaluated in log space throughout: exponents like
 q2/p2 grow linearly with q and direct powering would lose accuracy first and
@@ -13,16 +14,9 @@ import math
 
 import numpy as np
 
-from .params import ExponentArrays, Value, conjugate_exponent, rules
-
-
-class MarcinkiewiczData(Value):
-    """The interpolation data of each pair, one numpy array per field:
-    endpoints, weight, component norms, the assembled constant
-    m0^{1/q} m1^{1-theta} m2^theta, the target shape
-    ((d - alpha)/alpha) p' q^{1 - 1/p}, and their ratio, given in this order."""
-
-    __slots__ = ("pair", "p1", "q1", "p2", "q2", "theta", "m0", "m1", "m2", "assembled", "ipq_rhs_shape", "ratio")
+from .constants import REL_SLACK
+from .params import ExponentArrays, conjugate_exponent, rules
+from .report import ResultTable
 
 
 def m1_bound(alpha, d):
@@ -56,9 +50,11 @@ def assembled_bound(pairs: ExponentArrays) -> np.ndarray:
     return 2.0 * pairs.d / pairs.alpha * m0_bound(pairs) ** (1.0 / q) * np.exp((1.0 - 1.0 / p) * np.log(q / p))
 
 
-def assemble(pairs: ExponentArrays) -> MarcinkiewiczData:
-    """Assemble m0^{1/q} m1^{1-theta} m2^theta of each pair and its ratio to
-    the target shape ((d - alpha)/alpha) p' q^{1 - 1/p}.
+def assemble(pairs: ExponentArrays) -> ResultTable:
+    """The marcinkiewicz table: one row per pair with theta, m0, m1, m2, the
+    assembled constant m0^{1/q} m1^{1-theta} m2^theta, the target shape
+    ((d - alpha)/alpha) p' q^{1 - 1/p}, their ratio, the errors of the two
+    convex-combination identities, and a pass cell.
 
     - endpoints (p1, q1) = (1, 1/(1 - alpha/d)) and
       (p2, q2) = (1/(alpha/d + 1/(q+1)), q + 1) flank (p, q);
@@ -73,7 +69,9 @@ def assemble(pairs: ExponentArrays) -> MarcinkiewiczData:
     The first pair that fails one of these conditions, checked in this
     order, raises ValueError naming it: alpha > 0, a positive endpoint gap
     1 - alpha/d - 1/(q+1), q1 < q < q2, every exp finite and every log of a
-    positive value, a finite ratio.
+    positive value, a finite ratio.  A pair passes when both identity
+    errors are at most 1e-10 and m1, m0, m2^theta and the assembled constant
+    stay below m1_bound, m0_bound, m2_theta_bound and assembled_bound.
     """
     p, q, a, d = pairs.p, pairs.q, pairs.alpha, pairs.d
     with rules(pairs.xp) as rule:
@@ -100,7 +98,31 @@ def assemble(pairs: ExponentArrays) -> MarcinkiewiczData:
         rule((q1 < q) & (q < q2), "q must lie strictly between the endpoint exponents for {}", pairs)
         rule(in_range, "math range or domain error in the assembly for {}", pairs)
         rule(np.isfinite(ratio), "non-finite assembly ratio for {}", pairs)
-    return MarcinkiewiczData(pairs, np.ones_like(q), q1, p2, q2, th, v0, v1, v2, assembled, rhs_shape, ratio)
+    with np.errstate(all="ignore"):  # after the rules: a refused grid runs no bound
+        err_p = np.abs(1.0 / p - ((1.0 - th) + th / p2))  # p1 = 1
+        err_q = np.abs(1.0 / q - ((1.0 - th) / q1 + th / q2))
+        ok = (err_p <= 1e-10) & (err_q <= 1e-10)
+        ok &= v1 <= m1_bound(a, d) * (1.0 + REL_SLACK)
+        ok &= v0 <= m0_bound(pairs) * (1.0 + REL_SLACK)
+        ok &= np.exp(th * np.log(v2)) <= m2_theta_bound(pairs, th) * (1.0 + REL_SLACK)
+        ok &= assembled <= assembled_bound(pairs) * (1.0 + REL_SLACK)
+    cells = {
+        "d": d,
+        "p": p,
+        "q": q,
+        "alpha": a,
+        "theta": th,
+        "m0": v0,
+        "m1": v1,
+        "m2": v2,
+        "assembled": assembled,
+        "ipq_rhs_shape": rhs_shape,
+        "ratio": ratio,
+        "identity_err_p": err_p,
+        "identity_err_q": err_q,
+        "pass": ok,
+    }
+    return ResultTable.from_columns("marcinkiewicz", cells)
 
 
 def weak_sup_factor(p_t: float, q_t: float) -> float:

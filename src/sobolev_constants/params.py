@@ -27,18 +27,15 @@ LOG_NORMAL_MAX = math.log(sys.float_info.max)
 
 class Value:
     """Base of the package's value types: a subclass names its fields in
-    __slots__ and sets them once in __init__ (by _set).  Assignment raises
-    AttributeError; equality, hash and repr go field by field, in slot
-    order.  A slot whose name starts with _ is no field: "__dict__" gives
-    an instance a dict for functools.cached_property."""
+    __slots__ and sets them once, by _set, in an __init__ of its own (Value
+    has none).  Assignment raises AttributeError; equality, hash and repr go
+    field by field, in slot order.  A slot whose name starts with _ is no
+    field: "__dict__" gives an instance a dict for functools.cached_property."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
-
-    def __init__(self, *values) -> None:
-        self._set(**dict(zip(self._fields, values, strict=True)))
 
     def _set(self, **fields) -> None:
         for name, value in fields.items():
@@ -187,18 +184,15 @@ class ExponentPair(Value):
     __slots__ = ("p", "alpha", "d", "q")
     xp = FLOATS  # the library of the closed forms
 
-    # object.__setattr__, not _set (1.3 us more a pair): a grid sweep builds 10^4 pairs;
     # __post_init__ is looked up at each call, where perfbench/tracer.py counts the pairs
     def __init__(self, p: float, alpha: float, d: int) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "d", d)
+        self._set(p=p, alpha=alpha, d=d)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         check_dimension(self.d)
-        object.__setattr__(self, "alpha", self.alpha + 0.0)  # -0.0 is alpha = 0, and prints so
-        object.__setattr__(self, "q", _usable_q(self.p, self.alpha, self.d))
+        alpha = self.alpha + 0.0  # -0.0 is alpha = 0, and prints so
+        self._set(alpha=alpha, q=_usable_q(self.p, alpha, self.d))
 
 
 class ExponentArrays(Value):

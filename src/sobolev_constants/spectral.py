@@ -153,23 +153,37 @@ def embedding_sweep(
 
 
 def _exp_tail(z: np.ndarray, m: int) -> np.ndarray:
-    """exp(z) minus its Taylor terms of index < m, accurate for all z >= 0.
+    """exp(z) minus its Taylor terms of index < m, for 0 <= z <= 700 and m >= 1.
 
-    For z <= 1 the tail is summed termwise (all terms positive, no
-    cancellation); elsewhere exp minus the partial sum is safe because the
-    tail dominates.
+    Where z <= m the tail is summed termwise, from z^m/m! taken as
+    exp(m log(z/m) + log(m^m/m!)), the second log an exactly rounded sum:
+    no m! is formed, and both exponents stay below about 1,400 where the
+    term is a normal double (m log z and log m! reach 4,600, and their
+    rounding alone costs 1e-12).  The terms are positive and fall by
+    z/k < 1, so nothing cancels, and since z <= 700 they reach rounding
+    within about 250 terms.  Above m, m < 700 and the partial sum is at
+    most about e^z/2, so exp minus it loses at most a bit.
     """
     out = np.empty_like(z)
-    small = z <= 1.0
+    small = z <= m
     zs = z[small]
-    term = zs**m / math.factorial(m)
+    log_mm_over_factorial = math.fsum(math.log(m / k) for k in range(1, m + 1))
+    with np.errstate(divide="ignore"):  # log 0 = -inf: the term is 0
+        term = np.exp(m * np.log(zs / m) + log_mm_over_factorial)
     acc = term.copy()
-    for k in range(m + 1, m + 31):
+    k = m + 1.0
+    while np.any(term > 2.0**-54 * acc):  # below half an ulp of acc, a term adds nothing
         term = term * zs / k
         acc += term
+        k += 1.0
     out[small] = acc
     zl = z[~small]
-    out[~small] = np.exp(zl) - sum(zl**k / math.factorial(k) for k in range(m))
+    if zl.size:
+        term, partial = np.ones_like(zl), np.ones_like(zl)
+        for k in range(1, m):
+            term = term * zl / k
+            partial += term
+        out[~small] = np.exp(zl) - partial
     return out
 
 
@@ -181,7 +195,7 @@ def mt_functional(f: SpectralField, gamma: float, p: float) -> float:
     gamma is too large for the field's height.
     """
     refuse_unless(gamma >= 0.0, "need gamma >= 0, got {}", gamma)
-    refuse_unless(p > 1.0, "need p > 1, got {}", p)
+    refuse_unless(1.0 < p < math.inf, "need p in (1, inf), got {}", p)
     if gamma == 0.0:
         return 0.0
     pp = p / (p - 1.0)
@@ -189,8 +203,8 @@ def mt_functional(f: SpectralField, gamma: float, p: float) -> float:
     zmax = float(z.max())
     if zmax > 700.0:
         raise ValueError(f"exp argument reaches {zmax:.3g} and would overflow; use a smaller gamma")
-    m = math.ceil(p - 1.0)
-    tail = _exp_tail(z, m)
+    # the tail is below e^z (e z/m)^m, which underflows to 0 for m > 6000 and z <= 700
+    tail = _exp_tail(z, min(math.ceil(p - 1.0), 6000))
     return float(np.sum(tail) * f.grid.cell_volume)
 
 

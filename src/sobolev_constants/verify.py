@@ -3,11 +3,14 @@
 Each check_* function runs one family of assertions at desk scale and
 returns a CheckResult: its result tables, the fitted (grid-dependent)
 constants with the golden tolerance each is regressed at, and one
-(text, passed) record per check.  A table-backed check passes exactly when
-every row of its table has a true pass cell.  The printed [PASS]/[FAIL]
-lines, the failure list and summary.csv are all rendered from the check
-records.  Everything is deterministic: random draws use fixed seeds and
-reductions run in a fixed order, so repeated runs are byte-identical.
+(text, passed) record per check.  Each table with a pass column backs one
+check (record_table), which passes exactly when every row of the table has
+a true pass cell; interpolation.assemble returns the marcinkiewicz table
+whole, as constants.constant_report returns the constants table.  The
+printed [PASS]/[FAIL] lines, the failure list and summary.csv are all
+rendered from the check records.  Everything is deterministic: random draws
+use fixed seeds and reductions run in a fixed order, so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -18,21 +21,13 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .constants import (
-    REL_SLACK,
     b1_multiplier_bound,
     constant_report,
     f_constant,
     lieb_upper_bound,
     s_constant,
 )
-from .interpolation import (
-    assemble,
-    assembled_bound,
-    m0_bound,
-    m1_bound,
-    m2_theta_bound,
-    weak_sup_factor,
-)
+from .interpolation import assemble, weak_sup_factor
 from .kernel import (
     R_GLOBAL_MAX,
     R_LOCAL_MIN,
@@ -197,53 +192,19 @@ def check_constants(grid: ParameterGrid) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def interpolation_table(pairs: ExponentArrays) -> Tuple[ResultTable, np.ndarray]:
-    """Assembly rows for every pair, and the ratio of each pair."""
-    md = assemble(pairs)
-    th = md.theta
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        err_p = np.abs(1.0 / pairs.p - ((1.0 - th) / md.p1 + th / md.p2))
-        err_q = np.abs(1.0 / pairs.q - ((1.0 - th) / md.q1 + th / md.q2))
-        ok = (err_p <= 1e-10) & (err_q <= 1e-10)
-        ok &= md.m1 <= m1_bound(pairs.alpha, pairs.d) * (1.0 + REL_SLACK)
-        ok &= md.m0 <= m0_bound(pairs) * (1.0 + REL_SLACK)
-        ok &= np.exp(th * np.log(md.m2)) <= m2_theta_bound(pairs, th) * (1.0 + REL_SLACK)
-        ok &= md.assembled <= assembled_bound(pairs) * (1.0 + REL_SLACK)
-    table = ResultTable.from_columns(
-        "marcinkiewicz",
-        {
-            "d": pairs.d,
-            "p": pairs.p,
-            "q": pairs.q,
-            "alpha": pairs.alpha,
-            "theta": th,
-            "m0": md.m0,
-            "m1": md.m1,
-            "m2": md.m2,
-            "assembled": md.assembled,
-            "ipq_rhs_shape": md.ipq_rhs_shape,
-            "ratio": md.ratio,
-            "identity_err_p": err_p,
-            "identity_err_q": err_q,
-            "pass": ok,
-        },
-    )
-    return table, md.ratio
-
-
 def check_interpolation(grid: ParameterGrid) -> CheckResult:
     result = CheckResult()
     pairs = make_grid(grid)
-    table, ratios = interpolation_table(pairs)
+    table = assemble(pairs)
     result.record_table(
         table,
         "assembly identities and intermediate bounds pointwise",
         f"{_violations(table)} violations over {len(pairs)} pairs",
     )
 
-    refined = make_grid(refine_grid(grid))
-    refined_ratios = assemble(refined).ratio
-    grid_max, refined_max = (r.reshape(len(grid.d_values), -1).max(axis=1) for r in (ratios, refined_ratios))
+    refined = assemble(make_grid(refine_grid(grid)))
+    ratios = (t.column("ratio").reshape(len(grid.d_values), -1) for t in (table, refined))
+    grid_max, refined_max = (r.max(axis=1) for r in ratios)
     global_max = float(grid_max.max())
     stable = abs(float(refined_max.max()) - global_max) / global_max <= 0.05
     for d, value, value_refined in zip(grid.d_values, grid_max.tolist(), refined_max.tolist()):
@@ -508,27 +469,21 @@ def check_spectral(geometry: GroupGeometry) -> CheckResult:
     )
 
     interp_table = ResultTable("interp_ratios", ("p", "theta", "alpha", "width", "ratio", "pass"))
-    ok_interp = True
     c4 = 0.0
     for width in TRIAL_WIDTHS:
         f1 = gaussian_field(grids[1], width)
-        lhs, rhs, ratio2 = interpolation_check(f1, 2.0, 1.0, 0.5, tau)
-        ok = ratio2 <= 1.0 + 1e-9
-        ok_interp = ok_interp and ok
-        interp_table.append((2.0, 0.5, 1.0, width, ratio2, ok))
+        _, _, ratio2 = interpolation_check(f1, 2.0, 1.0, 0.5, tau)
+        interp_table.append((2.0, 0.5, 1.0, width, ratio2, ratio2 <= 1.0 + 1e-9))
         _, _, ratio4 = interpolation_check(f1, 4.0, 1.0, 0.5, tau)
         c4 = max(c4, ratio4)
         interp_table.append((4.0, 0.5, 1.0, width, ratio4, math.isfinite(ratio4)))
         for boundary in (0.0, 1.0):
             _, _, ratio_b = interpolation_check(f1, 2.0, 1.0, boundary, tau)
-            ok_b = ratio_b == 1.0
-            ok_interp = ok_interp and ok_b
-            interp_table.append((2.0, boundary, 1.0, width, ratio_b, ok_b))
+            interp_table.append((2.0, boundary, 1.0, width, ratio_b, ratio_b == 1.0))
     result.fitted["c4_empirical"] = (c4, 0.10)
-    result.tables.append(interp_table)
-    result.record(
+    result.record_table(
+        interp_table,
         "interpolation ratio at p = 2 within the frequency-side bound; exact at the ends",
-        ok_interp,
         f"empirical p=4 constant {c4:.6g}",
     )
 

@@ -16,10 +16,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import List, Tuple
 
 from sobolev_constants.constants import REL_SLACK, constant_report
-from sobolev_constants.interpolation import MarcinkiewiczData
 from sobolev_constants.params import ExponentPair, conjugate_exponent, solve_q
 from sobolev_constants.report import SCHEMA_VERSION, format_value
 
@@ -135,10 +135,11 @@ def m0(pair: ExponentPair) -> float:
     return first + second
 
 
-def assemble(pair: ExponentPair) -> MarcinkiewiczData:
+def assemble(pair: ExponentPair) -> SimpleNamespace:
     """Assemble m0^{1/q} m1^{1-theta} m2^theta and its ratio to the target
-    shape ((d - alpha)/alpha) p' q^{1 - 1/p}."""
-    ends = endpoints(pair)
+    shape ((d - alpha)/alpha) p' q^{1 - 1/p}: the endpoints p1, q1, p2, q2,
+    theta, m0, m1, m2, the assembled constant, ipq_rhs_shape and ratio."""
+    p1, q1, p2, q2 = endpoints(pair)
     th = theta(pair)
     v0 = m0(pair)
     v1 = m1(pair.alpha, pair.d)
@@ -155,7 +156,10 @@ def assemble(pair: ExponentPair) -> MarcinkiewiczData:
     ratio = assembled / rhs_shape
     if not math.isfinite(ratio):
         raise ValueError(f"non-finite assembly ratio for {pair}")
-    return MarcinkiewiczData(pair, *ends, th, v0, v1, v2, assembled, rhs_shape, ratio)
+    return SimpleNamespace(
+        p1=p1, q1=q1, p2=p2, q2=q2, theta=th, m0=v0, m1=v1, m2=v2,
+        assembled=assembled, ipq_rhs_shape=rhs_shape, ratio=ratio,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -829,6 +829,39 @@ class TestCli:
         assert (name, "false") in rows
         assert ("series radius matches the closed-form threshold (2%)", "true") in rows
 
+    def test_false_interp_ratios_cell_fails_its_check(self, tmp_path, monkeypatch, capsys):
+        name = "interpolation ratio at p = 2 within the frequency-side bound; exact at the ends"
+        real = verify.interpolation_check
+
+        def patched(ratio_at):
+            def check(f, p, alpha, theta, tau):
+                lhs, rhs, ratio = real(f, p, alpha, theta, tau)
+                return lhs, rhs, ratio_at.get((p, theta), ratio)
+
+            monkeypatch.setattr(verify, "interpolation_check", check)
+
+        # a p = 4 row passes only with a finite ratio, and the check passes by every row
+        patched({(4.0, 0.5): math.inf})
+        result = verify.check_spectral(GroupGeometry())
+        table = next(table for table in result.tables if table.name == "interp_ratios")
+        p4_cells = [ok for p, ok in zip(table.column("p"), table.column("pass")) if p == 4.0]
+        assert p4_cells and not any(p4_cells)
+        assert (f"{name} (empirical p=4 constant inf)", False) in result.checks
+        # no file holds the infinite ratio: the run stops at the table with exit 2
+        assert main(["embed", "--out", str(tmp_path / "inf")]) == 2
+        assert "refusing to serialize non-finite value inf" in capsys.readouterr().err
+        # a finite false cell writes its table, fails the run and its summary row
+        patched({(2.0, 0.5): 1.5})
+        assert main(["embed", "--out", str(tmp_path / "embed")]) == 1
+        assert any(line.startswith(f"[FAIL] {name}") for line in capsys.readouterr().out.splitlines())
+        header, rows = read_csv_cells(tmp_path / "embed" / "interp_ratios.csv")
+        assert {row[-1] for row in rows if row[:2] == ("2", "0.5")} == {"false"}
+        for family in ("check_constants", "check_interpolation", "check_kernel", "check_series"):
+            monkeypatch.setattr(verify, family, lambda *args: verify.CheckResult())
+        main(["verify-all", "--out", str(tmp_path / "all"), "--golden-dir", str(REPO_GOLDEN)])
+        header, rows = read_csv_cells(tmp_path / "all" / "summary.csv")
+        assert [row[1] for row in rows if row[0].startswith(name)] == ["false"]
+
     @pytest.mark.parametrize("config", [None, "p_values = 1.5, 2\nalpha_fractions = 0.5\nd_values = 2\n"])
     def test_constants_writes_each_grid_number_once(self, config, tmp_path):
         # the comparison claims are the last column of constants.csv

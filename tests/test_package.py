@@ -116,16 +116,15 @@ def _value_types():
     calls build two instances from equal inputs."""
     import numpy as np
 
-    from sobolev_constants import interpolation, kernel, params, report, series, spectral, verify
+    from sobolev_constants import kernel, params, report, series, spectral, verify
 
-    pairs, grid = params.ExponentArrays([2.0], [1.0], [4]), spectral.TorusGrid(1, 8)
+    grid = spectral.TorusGrid(1, 8)
     makers = [
         lambda: params.ExponentPair(2.0, 1.0, 4),
         lambda: params.ExponentArrays([2.0], [1.0], [4]),
         lambda: params.GroupGeometry(2.0, 1.0, 0.5),
         lambda: params.ParameterGrid((2.0, 1.5), (0.5,), (1, 2)),
         lambda: report.GoldenSnapshot("fitted", "abc", {"k": (1.0, 0.1)}),
-        lambda: interpolation.MarcinkiewiczData(pairs, *(float(i) for i in range(11))),
         lambda: kernel.GreenKernelParams(1.0, 3),
         lambda: kernel.CutoffSchedule(2.0, 1.0, 4),
         lambda: series.MTSeriesSpec(2.0, 1.0),

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -287,6 +288,38 @@ class TestMtFunctional:
     def test_integrand_positive_fractional_p(self):
         f = gaussian_field(GRID1, 1.0)
         assert mt_functional(f, 0.3, 1.5) > 0.0
+
+    def test_tail_matches_an_incomplete_gamma_oracle(self):
+        # a field of ones gives z = gamma everywhere, and p = m + 1 subtracts
+        # the terms k < m, so the functional is 16 times the tail
+        # e^z - sum_{k<m} z^k/k! = e^z P(m, z), with P the regularized lower
+        # incomplete gamma function
+        ones = SpectralField(TorusGrid(1, 2), np.ones(2))
+        compared = 0
+        for m in (1, 2, 3, 5, 10, 20, 50, 100, 170, 171, 172, 300, 500, 699, 700):
+            zs = {0.0, 1e-3, 0.5, 1.0, 1.0001, 1.01, 2.0, 5.0, 10.0, 21.0, 50.0, 100.0, 171.0, 300.0, 500.0}
+            zs |= {698.0, 699.0, 700.0, max(m - 0.5, 0.0), float(m), min(m + 0.5, 700.0)}
+            for z in sorted(zs):
+                tail = mt_functional(ones, z, m + 1.0) / BOX_LENGTH
+                with mpmath.workdps(40):
+                    oracle = float(mpmath.gammainc(m, 0, z, regularized=True) * mpmath.exp(z))
+                if oracle == 0.0:
+                    assert tail == 0.0, (m, z)
+                elif sys.float_info.min <= oracle <= sys.float_info.max:
+                    assert tail == pytest.approx(oracle, rel=1e-12), (m, z)
+                    compared += 1
+        assert compared > 200
+
+    def test_large_p_stays_nonnegative_and_finite(self):
+        # a partial sum subtracted from exp cancelled to -5.5e-17 at p = 21,
+        # and m! overflowed a float past p = 171
+        f = gaussian_field(TorusGrid(1, 128), 1.0)
+        assert mt_functional(f, 1.01, 21.0) >= 0.0
+        for p in (172.0, 1e4, 1e300, sys.float_info.max):
+            value = mt_functional(f, 1.01, p)
+            assert math.isfinite(value) and value >= 0.0, p
+        with pytest.raises(ValueError, match="p in"):
+            mt_functional(f, 1.01, math.inf)
 
 
 class TestInterpolationCheck:
