@@ -13,11 +13,12 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .constants import s_constant
-from .params import ExponentPair, Value, conjugate_exponent, refuse_unless
+from .params import LOG_NORMAL_MAX, LOG_NORMAL_MIN, ExponentPair, Value, conjugate_exponent, refuse_unless
 
 
 K_MAX = 2000  # the far term index of the radius extrapolation
 K_RATIOS = 600  # term_ratios runs k = start..K_RATIOS-1
+_K_FACTORIAL_MAX = 170  # 171! is past the largest double
 
 
 class MTSeriesSpec(Value):
@@ -28,8 +29,8 @@ class MTSeriesSpec(Value):
     __slots__ = ("p", "c")
 
     def __init__(self, p: float, c: float) -> None:
-        refuse_unless(p > 1.0, "need p > 1, got {}", p)
-        refuse_unless(c > 0.0, "need c > 0, got {}", c)
+        refuse_unless(1.0 < p < math.inf, "need 1 < p < inf, got {}", p)
+        refuse_unless(0.0 < c < math.inf, "need 0 < c < inf, got {}", c)
         self._set(p=p, c=c)
 
     @property
@@ -52,14 +53,22 @@ class MTSeriesSpec(Value):
 def _ratios(spec: MTSeriesSpec, gamma: float, k: np.ndarray) -> np.ndarray:
     """term_{k+1}/term_k = gamma c^{p'} p' (1 + 1/k)^k at each k, as exp(log gamma
     + p' log c + log p' + k log1p(1/k)): no two large term logs are
-    subtracted, and log1p keeps the digits of 1/k (Goldberg 1991)."""
+    subtracted, and log1p keeps the digits of 1/k (Goldberg 1991).
+    ValueError when a ratio is not a normal double."""
     pp = spec.p_conj
-    return np.exp(math.log(gamma) + pp * math.log(spec.c) + math.log(pp) + k * np.log1p(1.0 / k))
+    log_ratios = math.log(gamma) + pp * math.log(spec.c) + math.log(pp) + k * np.log1p(1.0 / k)
+    lo, hi = float(log_ratios.min()), float(log_ratios.max())
+    if not (LOG_NORMAL_MIN <= lo and hi < LOG_NORMAL_MAX):
+        raise ValueError(
+            f"term ratios from e^{lo:.6g} to e^{hi:.6g} at gamma={gamma} leave the normal doubles with {spec}"
+        )
+    return np.exp(log_ratios)
 
 
 def term_ratios(spec: MTSeriesSpec, gamma: float) -> np.ndarray:
     """term_{k+1}/term_k for k = start..K_RATIOS-1 in closed form (_ratios),
     as an array; below the radius they stay under 1, above it they cross 1 once."""
+    refuse_unless(0.0 < gamma < math.inf, "need 0 < gamma < inf, got {}", gamma)
     return _ratios(spec, gamma, np.arange(spec.start_index, K_RATIOS, dtype=float))
 
 
@@ -105,26 +114,45 @@ def mt_scaling_divergence(
 
     lhs >= rhs termwise for sigma >= 1 because p'k >= p p' from the first
     index on, so lhs/sigma^p grows at least like sigma^{p(p'-1)}.
+
+    ValueError names the input when an argument is out of its domain, when
+    a moment's k! leaves the doubles (k > 170) or when a sum overflows.
     """
-    if not p > 1.0:
-        raise ValueError(f"need p > 1, got {p}")
-    if not gamma > 0.0:
-        raise ValueError(f"need gamma > 0, got {gamma}")
-    if not sigma >= 1.0:
-        raise ValueError(f"need sigma >= 1, got {sigma}")
-    if any(m < 0.0 for m in moments):
-        raise ValueError("moments must be >= 0")
+    refuse_unless(1.0 < p < math.inf, "need 1 < p < inf, got {}", p)
+    refuse_unless(0.0 < gamma < math.inf, "need 0 < gamma < inf, got {}", gamma)
+    refuse_unless(1.0 <= sigma < math.inf, "need 1 <= sigma < inf, got {}", sigma)
+    refuse_unless(
+        all(0.0 <= m < math.inf for m in moments), "moments must be finite and >= 0, got {}", moments
+    )
     pp = conjugate_exponent(p)
     k0 = math.ceil(p)
+    refuse_unless(
+        k0 + len(moments) - 1 <= _K_FACTORIAL_MAX,
+        "need ceil(p) + len(moments) - 1 <= {}, past which k! leaves the doubles, got p={} and {} moments",
+        _K_FACTORIAL_MAX,
+        p,
+        len(moments),
+    )
     lhs_terms = []
     plain_terms = []
-    for i, m in enumerate(moments):
-        if m == 0.0:
-            continue
-        k = k0 + i
-        base = gamma**k * m / math.factorial(k)
-        plain_terms.append(base)
-        lhs_terms.append(base * sigma ** (pp * k))
-    lhs = math.fsum(lhs_terms)
-    rhs = sigma ** (p * pp) * math.fsum(plain_terms)
+    try:
+        for i, m in enumerate(moments):
+            if m == 0.0:
+                continue
+            k = k0 + i
+            base = gamma**k * m / math.factorial(k)
+            plain_terms.append(base)
+            lhs_terms.append(base * sigma ** (pp * k))
+        lhs = math.fsum(lhs_terms)
+        rhs = sigma ** (p * pp) * math.fsum(plain_terms)
+    except OverflowError:
+        lhs = rhs = math.inf
+    refuse_unless(
+        math.isfinite(lhs) and math.isfinite(rhs),
+        "the scaling sums overflow at p={}, gamma={}, sigma={} with {} moments",
+        p,
+        gamma,
+        sigma,
+        len(moments),
+    )
     return lhs, rhs

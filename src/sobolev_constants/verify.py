@@ -9,13 +9,16 @@ a true pass cell; interpolation.assemble returns the marcinkiewicz table
 whole, as constants.constant_report returns the constants table.  The
 printed [PASS]/[FAIL] lines, the failure list and summary.csv are all
 rendered from the check records.  Everything is deterministic: random draws
-use fixed seeds and reductions run in a fixed order, so repeated runs are
-byte-identical.
+are uniforms from random.Random(seed).random() at fixed seeds, a stream that
+Python keeps the same across versions for an integer seed (numpy's Generator
+streams carry no such promise, NEP 19), and reductions run in a fixed order,
+so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -76,6 +79,11 @@ from .spectral import (
 )
 
 
+def _uniform(draw, lo: float, hi: float) -> float:
+    """lo + (hi - lo) u for the next u = draw() of a random.Random(seed).random."""
+    return lo + (hi - lo) * draw()
+
+
 def _violations(table: ResultTable) -> int:
     return len(table) - int(np.count_nonzero(table.column("pass")))
 
@@ -124,11 +132,12 @@ _DUALITY_DRAWS = 10_000
 
 
 def check_duality(result: CheckResult) -> None:
-    rng = np.random.default_rng(20240811)
+    draw = random.Random(20240811).random
     n = _DUALITY_DRAWS
-    d = rng.integers(1, 5, size=n)
-    p = 1.0 + np.exp(rng.uniform(math.log(0.02), math.log(50.0), size=n))
-    pairs = ExponentArrays(p, rng.uniform(0.01, 0.99, size=n) * d / p, d)
+    d = np.array([1 + math.floor(4.0 * draw()) for _ in range(n)])
+    p = 1.0 + np.exp([_uniform(draw, math.log(0.02), math.log(50.0)) for _ in range(n)])
+    frac = np.array([_uniform(draw, 0.01, 0.99) for _ in range(n)])
+    pairs = ExponentArrays(p, frac * d / p, d)
     dual = pairs.dual()
     s1, s2 = s_constant(pairs), s_constant(dual)
     f1, f2 = f_constant(pairs.p, pairs.q), f_constant(dual.p, dual.q)
@@ -218,10 +227,10 @@ def check_interpolation(grid: ParameterGrid) -> CheckResult:
     )
 
     sup_table = ResultTable("weak_sup", ("p", "q", "value", "pass"))
-    rng = np.random.default_rng(20240812)
+    draw = random.Random(20240812).random
     for _ in range(50):
-        p_t = 1.0 + math.exp(rng.uniform(math.log(0.02), math.log(20.0)))
-        frac = float(rng.uniform(0.05, 0.95))
+        p_t = 1.0 + math.exp(_uniform(draw, math.log(0.02), math.log(20.0)))
+        frac = _uniform(draw, 0.05, 0.95)
         q_t = ExponentPair(p_t, frac / p_t, 1).q
         v = weak_sup_factor(p_t, q_t)
         sup_table.append((p_t, q_t, v, (1.0 - 1e-6) <= v <= 1.0 + 1e-12))
@@ -366,14 +375,15 @@ def check_series() -> CheckResult:
         majorant_table.append((p, 200, min_gap, min_gap >= -1e-8))
     result.record_table(majorant_table, "embedding-factor powers stay below the counting majorant (k <= 200)")
 
-    rng = np.random.default_rng(20240813)
+    draw = random.Random(20240813).random
     scaling_table = ResultTable("mt_scaling", ("case", "lhs", "rhs", "pass"))
     # every failing random case gets a row, so the table carries the verdict
     for i in range(1000):
-        p = float(rng.uniform(1.1, 4.5))
-        gamma = math.exp(rng.uniform(math.log(1e-3), math.log(2.0)))
-        sigma = math.exp(rng.uniform(0.0, math.log(20.0)))
-        moments = [float(m) if rng.random() > 0.3 else 0.0 for m in rng.uniform(0.0, 5.0, size=6)]
+        p = _uniform(draw, 1.1, 4.5)
+        gamma = math.exp(_uniform(draw, math.log(1e-3), math.log(2.0)))
+        sigma = math.exp(_uniform(draw, 0.0, math.log(20.0)))
+        moments = [_uniform(draw, 0.0, 5.0) for _ in range(6)]
+        moments = [m if draw() > 0.3 else 0.0 for m in moments]
         if all(m == 0.0 for m in moments):
             moments[0] = 1.0
         lhs, rhs = mt_scaling_divergence(p, gamma, moments, sigma)

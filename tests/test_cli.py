@@ -272,15 +272,46 @@ class TestImportBoundary:
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[-1] == f"0 True {loads_ma}"
 
+    @pytest.mark.parametrize(
+        "argv, prelude, loaded",
+        [
+            (["verify-all", "--golden-dir", str(REPO_GOLDEN)], "", "False False"),
+            (["kernel"], "", "False False"),
+            (["constants", "--config", "GRID"], "", "False False"),
+            (["interp", "--config", "GRID"], "", "False False"),
+            # the controls: the probe sees either module once something imports it
+            (["constants", "--config", "GRID"], "import numpy.random\n", "True False"),
+            (["kernel"], "import numpy.polynomial\n", "False True"),
+        ],
+        ids=[
+            "verify-all", "kernel", "constants", "interp", "numpy-random-control", "numpy-polynomial-control"
+        ],
+    )
+    def test_commands_load_neither_numpy_random_nor_polynomial(self, argv, prelude, loaded, tmp_path):
+        # the seeded draws come from the standard library's random, and the
+        # Gauss-Legendre rule from the package's own Newton iteration
+        config = tmp_path / "grid.cfg"
+        config.write_text("p_values = 1.5, 2, 4\nalpha_fractions = 0.3, 0.6\nd_values = 1, 3\n")
+        script = (
+            "import sys\n"
+            f"{prelude}"
+            "from sobolev_constants import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, 'numpy.random' in sys.modules, 'numpy.polynomial' in sys.modules)\n"
+        )
+        argv = [str(config) if a == "GRID" else a for a in argv]
+        out = run_python("-c", script, *argv, "--out", str(tmp_path / "out"))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == f"0 {loaded}"
+
     LIBRARIES = ("dataclasses", "inspect", "hashlib", "decimal", "json")
 
     @pytest.mark.parametrize(
         "argv, d_values, present",
         [
             (["constants", "--p", "2", "--q", "4", "--d", "4"], None, ()),
-            # the controls: verify-all loads hashlib (for its grid fingerprint, and
-            # numpy.random does too), the JSON writer json, and a d token with a
-            # decimal point decimal
+            # the controls: verify-all loads hashlib (for its grid fingerprint),
+            # the JSON writer json, and a d token with a decimal point decimal
             (["verify-all", "--golden-dir", str(REPO_GOLDEN)], None, ("hashlib",)),
             (["constants", "--p", "2", "--q", "4", "--d", "4", "--format", "json"], None, ("json",)),
             (["constants", "--config", "GRID"], "4.0", ("decimal",)),

@@ -234,6 +234,16 @@ class TestGreenKernelUpper:
         with pytest.raises(ValueError):
             green_kernel_upper(0.0, GreenKernelParams(1.0, 3))
 
+    def test_underflowing_rate_refused(self):
+        # b r^2 underflows to 0 at r = 1e-300, whose log c was a bare math domain error
+        kp = GreenKernelParams(1.0, 3)
+        for envelope in (lambda: green_kernel_upper(1e-300, kp), lambda: log_green_kernel([1e-300, 1.0], kp)):
+            with pytest.raises(ValueError, match=r"at r=1e-300 needs b r\^2, which underflows to 0") as info:
+                envelope()
+            assert str(kp) in str(info.value)
+        with pytest.raises(ValueError, match=r"at r=inf needs b r\^2, which overflows"):
+            green_kernel_upper(math.inf, kp)
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             GreenKernelParams(3.0, 3)  # alpha = d
@@ -241,6 +251,57 @@ class TestGreenKernelUpper:
             GreenKernelParams(1.0, 3, a=0.5)
         with pytest.raises(ValueError):
             GreenKernelParams(1.0, 3, b=0.0)
+
+
+def gauss_legendre_oracle(n):
+    """The n-point Gauss-Legendre nodes and weights at 40 digits: Newton on
+    mpmath's P_n (a hypergeometric sum, not the recurrence) from Tricomi's
+    guesses, to steps below 1e-36."""
+    nodes, weights = [], []
+    with mp.workdps(40):
+        for k in range(1, n + 1):
+            x = -mp.cos(mp.pi * (k - mp.mpf(1) / 4) / (n + mp.mpf(1) / 2))
+            for _ in range(50):
+                dp = n * (mp.legendre(n - 1, x) - x * mp.legendre(n, x)) / ((1 - x) * (1 + x))
+                step = mp.legendre(n, x) / dp
+                x -= step
+                if abs(step) < mp.mpf(10) ** -36:
+                    break
+            else:
+                raise AssertionError(f"oracle node {k} did not converge")
+            nodes.append(x)
+            weights.append(2 / ((1 - x) * (1 + x) * dp**2))
+        # n distinct roots in (-1, 1), and weights that integrate 1 exactly
+        assert -1 < nodes[0] and all(a < b for a, b in zip(nodes, nodes[1:])) and nodes[-1] < 1
+        assert abs(mp.fsum(weights) - 2) < mp.mpf(10) ** -30
+    return nodes, weights
+
+
+class TestGaussLegendre:
+    def test_matches_a_40_digit_rule(self):
+        x, w = kernel._gauss_legendre()
+        nodes, weights = gauss_legendre_oracle(kernel._GL_NODES)
+        assert len(x) == len(w) == len(nodes)
+        for xi, wi, node, weight in zip(x.tolist(), w.tolist(), nodes, weights):
+            assert abs(xi - float(node)) <= math.ulp(float(node)), (xi, node)
+            assert abs(wi - weight) <= 1e-12 * weight, (xi, wi, weight)
+
+    def test_integrates_every_monomial_to_degree_2n_minus_1(self):
+        # absolute error: the 1-ulp node errors grow k-fold in x^k, so at
+        # k = 254 the relative error of the sum reaches about 1.4e-14
+        x, w = kernel._gauss_legendre()
+        for k in range(2 * kernel._GL_NODES):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(float(np.sum(w * x**k)) - exact) <= 1e-14, k
+
+    def test_unconverged_newton_raises(self, monkeypatch):
+        # the rule takes 5 recurrence evaluations; 4 leave it unconverged
+        monkeypatch.setattr(kernel, "_NEWTON_EVALUATIONS", 5)
+        x, w = kernel._gauss_legendre.__wrapped__()
+        assert np.array_equal(x, kernel._gauss_legendre()[0]) and np.array_equal(w, kernel._gauss_legendre()[1])
+        monkeypatch.setattr(kernel, "_NEWTON_EVALUATIONS", 4)
+        with pytest.raises(RuntimeError, match="did not converge in 4 recurrence evaluations"):
+            kernel._gauss_legendre.__wrapped__()
 
 
 class TestQuad:
@@ -559,6 +620,17 @@ class TestKalphaNorms:
         # r_exp = d/(d - alpha) makes the outer exponent vanish
         with pytest.raises(ValueError, match="degenerate"):
             kalpha_norms(1.0, 2, 0.5, 2.0)
+
+    @pytest.mark.parametrize("r_exp", [1e300, 1000.0, math.inf])
+    def test_overflowing_outer_power_refused(self, r_exp):
+        # s^E with E = (alpha - d) r_exp + d overflowed: a raw OverflowError at r_exp = 1e300
+        for norms in (kalpha_norms, kalpha_norms_quadrature):
+            with pytest.raises(ValueError, match="r_exp") as info:
+                norms(1.0, 3, 0.5, r_exp)
+            assert str(info.value).endswith(f"got {r_exp}")
+        # 0.5^E stays a double up to r_exp = 513
+        inner, outer = kalpha_norms(1.0, 3, 0.5, 500.0)
+        assert math.isfinite(outer) and outer > 0.0
 
 
 class TestCutoff:

@@ -17,10 +17,9 @@ from sobolev_constants.series import (
 
 class TestSpec:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MTSeriesSpec(1.0, 1.0)
-        with pytest.raises(ValueError):
-            MTSeriesSpec(2.0, 0.0)
+        for p, c in ((1.0, 1.0), (2.0, 0.0), (math.inf, 1.0), (2.0, math.inf), (math.nan, 1.0), (2.0, math.nan)):
+            with pytest.raises(ValueError, match=r"need (1 < p|0 < c) < inf, got"):
+                MTSeriesSpec(p, c)
 
     def test_start_index(self):
         assert MTSeriesSpec(2.0, 1.0).start_index == 1
@@ -153,3 +152,54 @@ class TestScalingDivergence:
             mt_scaling_divergence(2.0, 1.0, [1.0], 0.5)
         with pytest.raises(ValueError):
             mt_scaling_divergence(2.0, 1.0, [-1.0], 2.0)
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            # k = 200 > 170: k! does not convert to a double
+            ((200.0, 1.0, [1.0], 1.0), "got p=200.0 and 1 moments"),
+            ((1e300, 1.0, [1.0], 1.0), "got p=1e+300"),
+            ((169.5, 1.0, [1.0, 1.0], 1.0), "got p=169.5 and 2 moments"),
+            # gamma^k and sigma^{p'k} overflow
+            ((2.0, 1e300, [1.0] * 5, 1.0), "gamma=1e+300"),
+            ((2.0, 1.0, [1.0], 1e300), "sigma=1e+300"),
+            ((2.0, 1.0, [math.nan], 1.0), "moments must be finite and >= 0, got [nan]"),
+            ((2.0, 1.0, [math.inf], 1.0), "moments must be finite and >= 0, got [inf]"),
+            ((math.inf, 1.0, [1.0], 1.0), "need 1 < p < inf, got inf"),
+            ((2.0, math.nan, [1.0], 1.0), "need 0 < gamma < inf, got nan"),
+            ((2.0, 1.0, [1.0], math.inf), "need 1 <= sigma < inf, got inf"),
+        ],
+        ids=["k-170", "p-huge", "last-k-171", "gamma-huge", "sigma-huge", "nan-moment", "inf-moment",
+             "p-inf", "gamma-nan", "sigma-inf"],
+    )
+    def test_unrepresentable_input_refused_by_name(self, args, named):
+        with pytest.raises(ValueError) as info:
+            mt_scaling_divergence(*args)
+        assert named in str(info.value)
+
+    def test_last_representable_index_still_evaluates(self):
+        # k = 170 is the last k whose k! is a double
+        lhs, rhs = mt_scaling_divergence(170.0, 1.0, [1.0], 1.0)
+        assert lhs == rhs == 1.0 / math.factorial(170)
+
+
+class TestRatioDomain:
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
+    def test_gamma_outside_its_domain_refused(self, gamma):
+        with pytest.raises(ValueError, match=f"need 0 < gamma < inf, got {gamma}"):
+            term_ratios(MTSeriesSpec(2.0, 1.0), gamma)
+
+    @pytest.mark.parametrize(
+        "spec, gamma",
+        [(MTSeriesSpec(2.0, 1.0), 1e308), (MTSeriesSpec(2.0, 1.0), 1e-320), (MTSeriesSpec(2.0, 1e300), 1.0)],
+        ids=["gamma-huge", "gamma-subnormal", "c-huge"],
+    )
+    def test_ratios_past_the_doubles_refused(self, spec, gamma):
+        with pytest.raises(ValueError, match="leave the normal doubles") as info:
+            term_ratios(spec, gamma)
+        assert f"gamma={gamma}" in str(info.value) and str(spec) in str(info.value)
+
+    def test_radius_refuses_a_huge_c(self):
+        # c^{p'} overflowed to inf with two numpy warnings, then RuntimeError
+        with pytest.raises(ValueError, match=r"leave the normal doubles with MTSeriesSpec\(p=2.0, c=1e\+300\)"):
+            mt_series_radius(MTSeriesSpec(2.0, 1e300))
