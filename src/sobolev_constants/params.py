@@ -366,16 +366,23 @@ def refine_grid(spec: ParameterGrid) -> ParameterGrid:
 
 
 def grid_fingerprint(spec: ParameterGrid, geometry: GroupGeometry) -> str:
-    """Short stable hash of the grid axes and the geometry; golden snapshots
-    refuse to compare across different fingerprints.  The default geometry
-    adds nothing to the hashed text, so its fingerprints are the grid's own."""
+    """Short stable hash (SHA-256, from the interpreter's builtin module where
+    it has one) of the grid axes and the geometry; golden snapshots refuse to
+    compare across different fingerprints.  The default geometry adds nothing
+    to the hashed text, so its fingerprints are the grid's own."""
     axes = [spec.p_values, spec.alpha_fractions, spec.d_values]
     if geometry != GroupGeometry():
         axes.append((geometry.D, geometry.b, geometry.c_delta))
     text = ";".join(",".join(f"{v:.17g}" for v in axis) for axis in axes)
-    import hashlib
+    try:  # the interpreter's builtin SHA-256: hashlib loads OpenSSL's libcrypto
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+    return sha256(text.encode()).hexdigest()[:12]
 
 
 def read_grid_config(path) -> ParameterGrid:

@@ -57,29 +57,32 @@ class TorusGrid(Value):
 
     @functools.cached_property
     def squared_frequencies(self) -> np.ndarray:
-        """|xi|^2 on the Fourier grid, xi = 2 pi k / BOX_LENGTH, k integer; read-only."""
-        k = np.fft.fftfreq(self.n) * self.n
-        xi = 2.0 * math.pi * k / BOX_LENGTH
-        axes = np.meshgrid(*([xi] * self.dim), indexing="ij")
+        """|xi|^2 on the half Fourier grid of rfftn, xi = 2 pi k / BOX_LENGTH,
+        k integer, with k >= 0 on the last axis; read-only."""
+        ks = [np.fft.fftfreq(self.n) * self.n] * (self.dim - 1) + [np.fft.rfftfreq(self.n) * self.n]
+        axes = np.meshgrid(*(2.0 * math.pi * k / BOX_LENGTH for k in ks), indexing="ij")
         return _read_only(sum(a**2 for a in axes))
 
 
 class SpectralField(Value):
-    """Complex values on a TorusGrid; immutable once constructed.  Equality
-    is identity."""
+    """Real (float64) values on a TorusGrid; immutable once constructed.  A
+    complex input is refused, not truncated to its real part.  Equality is
+    identity."""
 
     __slots__ = ("grid", "values", "__dict__")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, grid: TorusGrid, values: np.ndarray) -> None:
-        arr = np.asarray(values, dtype=np.complex128)
+        arr = np.asarray(values)
+        refuse_unless(not np.iscomplexobj(arr), "values must be real, got dtype {}", arr.dtype)
         refuse_unless(arr.shape == grid.shape, "values shape {} does not match grid {}", arr.shape, grid.shape)
-        self._set(grid=grid, values=_read_only(arr.copy()))
+        self._set(grid=grid, values=_read_only(np.array(arr, dtype=np.float64)))
 
     @functools.cached_property
     def coeffs(self) -> np.ndarray:
-        """fftn of the values, computed once per field, read-only."""
-        return _read_only(np.fft.fftn(self.values))
+        """rfftn of the values, the half spectrum of a real field, computed
+        once per field, read-only."""
+        return _read_only(np.fft.rfftn(self.values))
 
 
 def gaussian_field(grid: TorusGrid, width: float) -> SpectralField:
@@ -104,7 +107,9 @@ def bessel_apply(f: SpectralField, tau: float, alpha: float) -> SpectralField:
     if alpha == 0.0:
         return f
     multiplier = (tau + f.grid.squared_frequencies) ** (0.5 * alpha)
-    return SpectralField(f.grid, np.fft.ifftn(f.coeffs * multiplier))
+    # axes goes with s: numpy warns when s comes alone
+    values = np.fft.irfftn(f.coeffs * multiplier, s=f.grid.shape, axes=range(f.grid.dim))
+    return SpectralField(f.grid, values)
 
 
 def lp_norm(f: SpectralField, p: float) -> float:

@@ -417,10 +417,13 @@ def check_spectral(geometry: GroupGeometry) -> CheckResult:
     for dim, grid in grids.items():
         f = gaussian_field(grid, 1.0)
         values, coeffs = f.values, f.coeffs
-        back = np.fft.ifftn(coeffs)
+        back = np.fft.irfftn(coeffs, s=grid.shape, axes=range(dim))
         rt = float(np.max(np.abs(back - values)) / np.max(np.abs(values)))
-        grid_sum = float(np.sum(np.abs(values) ** 2) * grid.cell_volume)
-        coeff_sum = float(np.sum(np.abs(coeffs) ** 2) * grid.cell_volume / values.size)
+        grid_sum = float(np.sum(values**2) * grid.cell_volume)
+        # the half spectrum holds the zero and Nyquist columns once, the rest twice
+        weights = np.full(coeffs.shape[-1], 2.0)
+        weights[[0, -1]] = 1.0
+        coeff_sum = float(np.sum(np.abs(coeffs) ** 2 * weights) * grid.cell_volume / values.size)
         pv = abs(grid_sum - coeff_sum) / grid_sum
         ok_transform = ok_transform and rt <= 1e-10 and pv <= 1e-10
         detail.append(f"dim{dim}: roundtrip={rt:.2e}, parseval={pv:.2e}")

@@ -310,9 +310,10 @@ class TestImportBoundary:
         "argv, d_values, present",
         [
             (["constants", "--p", "2", "--q", "4", "--d", "4"], None, ()),
-            # the controls: verify-all loads hashlib (for its grid fingerprint),
-            # the JSON writer json, and a d token with a decimal point decimal
-            (["verify-all", "--golden-dir", str(REPO_GOLDEN)], None, ("hashlib",)),
+            # verify-all loads none of them (its grid fingerprint takes the
+            # builtin SHA-256); the controls: the JSON writer loads json, and
+            # a d token with a decimal point decimal
+            (["verify-all", "--golden-dir", str(REPO_GOLDEN)], None, ()),
             (["constants", "--p", "2", "--q", "4", "--d", "4", "--format", "json"], None, ("json",)),
             (["constants", "--config", "GRID"], "4.0", ("decimal",)),
         ],
@@ -338,6 +339,19 @@ class TestImportBoundary:
         assert set(present) <= set(loaded) and "dataclasses" not in loaded
         if argv[0] == "constants" and "--config" not in argv:
             assert loaded == list(present)  # a point query loads what its format reads, nothing else
+
+    def test_verify_all_loads_no_hashlib(self, tmp_path):
+        # hashlib loads OpenSSL's libcrypto, 3 MiB of RSS, for one short digest
+        script = (
+            "import sys\n"
+            "from sobolev_constants import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, 'hashlib' in sys.modules, '_hashlib' in sys.modules)\n"
+        )
+        argv = ["verify-all", "--golden-dir", str(REPO_GOLDEN), "--out", str(tmp_path / "out")]
+        out = run_python("-c", script, *argv)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "0 False False"
 
     def test_lazily_registered_modules_import_and_read(self):
         # the CLI registers the numpy modules unexecuted; an import or a read runs them

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -426,6 +427,35 @@ class TestLogGreenKernel:
             assert np.array_equal(row, log_green_kernel(radii, kp)[0]), kp
         assert local_bound_constant(*profiles) == [local_bound_constant(kp)[0] for kp in profiles]
 
+    @pytest.mark.parametrize("count", (1, 49, 50, 51, 200, 201))
+    def test_blocks_equal_one_pass(self, count, monkeypatch):
+        # every radius is computed on its own, so the blocks change no bit
+        radii = np.geomspace(R_LOCAL_MIN, R_SPLIT, count)
+        blocked = log_green_kernel(radii, *CHECK_KERNEL_PROFILES)
+        monkeypatch.setattr(kernel, "_RADIUS_BLOCK", count)
+        assert np.array_equal(blocked, log_green_kernel(radii, *CHECK_KERNEL_PROFILES))
+
+    def test_blocks_equal_one_pass_on_the_global_sweep(self, monkeypatch):
+        kp = green_kernel_params_from_geometry(1.5, 3, GroupGeometry(2.0, 1.0, 0.5))
+        assert kp.a != 1.0
+        radii = np.geomspace(R_SPLIT, R_GLOBAL_MAX, 120)
+        blocked = log_green_kernel(radii, kp)
+        monkeypatch.setattr(kernel, "_RADIUS_BLOCK", len(radii))
+        assert np.array_equal(blocked, log_green_kernel(radii, kp))
+
+    def test_local_pass_memory_peak(self):
+        # tracemalloc counts numpy's buffers, and unlike RSS repeats exactly;
+        # one pass over all 200 radii peaked at 3.0 MiB
+        radii = np.geomspace(R_LOCAL_MIN, R_SPLIT, 200)
+        log_green_kernel(radii, *CHECK_KERNEL_PROFILES)  # builds the cached nodes
+        tracemalloc.start()
+        try:
+            log_green_kernel(radii, *CHECK_KERNEL_PROFILES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
     @pytest.mark.parametrize(
         "other", (GreenKernelParams(0.5, 1, 2.0, 1.0), GreenKernelParams(0.5, 1, 1.0, 4.0))
     )
@@ -654,6 +684,24 @@ class TestCutoff:
         for t in np.geomspace(1e-6, 1e6, 100):
             assert cutoff_s(float(t), integrable) <= 1.0
             assert cutoff_s(float(t), endpoint) <= 1.0
+
+    def test_overflowing_base_taken_in_logs(self):
+        # (t/2)^{p'} leaves the doubles from t = 1e155 on, where a raw
+        # OverflowError escaped
+        sched = CutoffSchedule(2.0, 1.0, 3)
+        moderate = cutoff_s(1e150, sched)
+        assert moderate == pytest.approx(4e-300, rel=1e-12)
+        for t in (1e300, 1e308, math.inf):
+            value = cutoff_s(t, sched)
+            assert math.isfinite(value) and 0.0 <= value <= moderate, t
+
+    def test_logs_agree_where_both_forms_are_finite(self):
+        # p = 1.5, p' = 3: exponent -1/3, so the log form is a normal double
+        sched = CutoffSchedule(1.5, 1.0, 3)
+        direct = cutoff_s(1e100, sched)
+        for t in (1e200, 1e300, 1e308):
+            value = cutoff_s(t, sched)
+            assert value == pytest.approx(direct * 1e100 / t, rel=1e-12), t
 
     def test_validation(self):
         with pytest.raises(ValueError):

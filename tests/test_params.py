@@ -365,6 +365,30 @@ class TestGrid:
         assert grid_fingerprint(grid, GroupGeometry()) == "4214a3041c56"
 
 
+grid_axes = st.tuples(
+    st.lists(st.floats(1.0, 1e300, exclude_min=True), min_size=1, max_size=4),
+    st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=4),
+    st.lists(st.integers(1, 2**53), min_size=1, max_size=4),
+)
+geometries = st.just(GroupGeometry()) | st.builds(
+    GroupGeometry, st.floats(0.0, 1e6), st.floats(1e-6, 1e6), st.floats(0.0, 1e6)
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(grid_axes, geometries)
+def test_fingerprint_is_hashlib_sha256_of_the_axes(axes, geometry):
+    # the builtin SHA-256 the fingerprint takes is hashlib's digest
+    import hashlib
+
+    spec = ParameterGrid(*axes)
+    hashed = [spec.p_values, spec.alpha_fractions, spec.d_values]
+    if geometry != GroupGeometry():
+        hashed.append((geometry.D, geometry.b, geometry.c_delta))
+    text = ";".join(",".join(f"{v:.17g}" for v in axis) for axis in hashed)
+    assert grid_fingerprint(spec, geometry) == hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
 class TestGridConfig:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "grid.cfg"

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -21,6 +22,7 @@ from sobolev_constants.spectral import (
     mt_functional,
     refined_widths,
 )
+from sobolev_constants.verify import check_spectral
 
 TAU = tau_delta(GroupGeometry())  # 12.5 for the default geometry
 GRID1 = TorusGrid(1, 256)
@@ -73,8 +75,38 @@ class TestTorusGrid:
         with pytest.raises(ValueError):
             SpectralField(GRID1, np.zeros(7))
 
+    @pytest.mark.parametrize("imag", (0.0, 1e-300, 1.0))
+    def test_complex_values_refused(self, imag):
+        # even a zero imaginary part: a complex input is never cut to its real part
+        with pytest.raises(ValueError, match="values must be real, got dtype complex128"):
+            SpectralField(GRID1, np.full(GRID1.shape, 1.0 + imag * 1j))
+
+    def test_values_are_float64(self):
+        f = SpectralField(GRID1, np.arange(GRID1.n))
+        assert f.values.dtype == np.float64 and not f.values.flags.writeable
+
 
 class TestTransforms:
+    def test_check_spectral_memory_peak(self):
+        # tracemalloc counts numpy's buffers, and unlike RSS repeats exactly;
+        # full complex transforms peaked at 2.07 MiB
+        check_spectral(GroupGeometry())  # imports and caches what a first run loads
+        tracemalloc.start()
+        try:
+            check_spectral(GroupGeometry())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
+
+    def test_half_spectrum_is_the_full_one_for_k_last_up_to_n_over_2(self):
+        for grid in (GRID1, GRID2):
+            f = gaussian_field(grid, 0.8)
+            full = np.fft.fftn(np.array(f.values))
+            assert f.coeffs.shape == grid.squared_frequencies.shape == (*grid.shape[:-1], grid.n // 2 + 1)
+            tol = 1e-12 * np.abs(full).max()
+            assert np.allclose(f.coeffs, full[..., : grid.n // 2 + 1], rtol=0.0, atol=tol)
+
     def test_round_trip(self):
         for grid in (GRID1, GRID2):
             f = gaussian_field(grid, 1.0)
@@ -114,10 +146,14 @@ class TestBesselApply:
         # and frequencies computed from scratch
         for grid in (GRID1, GRID2):
             f = gaussian_field(grid, 0.8)
+            # the half spectrum of rfftn: k >= 0 on the last axis
             k = 2.0 * math.pi * np.fft.fftfreq(grid.n) * grid.n / BOX_LENGTH
-            xi2 = sum(a**2 for a in np.meshgrid(*([k] * grid.dim), indexing="ij"))
+            k_half = 2.0 * math.pi * np.fft.rfftfreq(grid.n) * grid.n / BOX_LENGTH
+            xi2 = sum(a**2 for a in np.meshgrid(*([k] * (grid.dim - 1) + [k_half]), indexing="ij"))
+            axes = tuple(range(grid.dim))
             for alpha in (0.5, -1.0, 1.3):
-                fresh = np.fft.ifftn(np.fft.fftn(np.array(f.values)) * (TAU + xi2) ** (0.5 * alpha))
+                coeffs = np.fft.rfftn(np.array(f.values)) * (TAU + xi2) ** (0.5 * alpha)
+                fresh = np.fft.irfftn(coeffs, s=grid.shape, axes=axes)
                 assert np.array_equal(bessel_apply(f, TAU, alpha).values, fresh)
 
     def test_cached_transforms_are_read_only(self):
